@@ -28,11 +28,13 @@ fuzz:
 	$(GO) test ./internal/obs/ -run '^$$' -fuzz '^FuzzDecodeBench$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -run '^$$' -fuzz '^FuzzDecodeRankSnapshot$$' -fuzztime $(FUZZTIME)
 
-# One benchmark per paper table/figure plus the ablations, and a
-# BENCH_<n>.json regression point from the profiler.
+# The reference benchmark (BENCHMARK.json): six frozen fault-free
+# workloads on both clocks, with the in-run correctness gate. Compare a
+# change against its parent commit on the same box. (The per-figure
+# `go test -bench` benchmarks run under `make outputs`; the profiler's
+# BENCH_<n>.json points under the bench-* targets below.)
 bench:
-	$(GO) test -bench=. -benchmem .
-	$(GO) run ./cmd/swprof -ne 2 -nlev 4 -steps 5 -ranks 2 -dir .
+	$(GO) run ./benchmark
 
 # The serial/tiled BENCH pair: two regression points with identical
 # model configuration differing only in -dyn-workers, so the speedup

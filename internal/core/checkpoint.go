@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
 	"hash/crc32"
 	"io"
 	"os"
@@ -20,12 +19,11 @@ import (
 // exactly restorable (bit-for-bit restart, the climate-model
 // requirement).
 //
-// Version history:
-//   - v1: header + fields.
-//   - v2: header + fields + CRC32-C of all field bytes, so a truncated
-//     or bit-flipped restart file is rejected instead of silently
-//     seeding a run with corrupt initial conditions. v1 files are still
-//     readable (no payload verification possible).
+// The format (version 2) is header + fields + CRC32-C of all field
+// bytes, so a truncated or bit-flipped restart file is rejected instead
+// of silently seeding a run with corrupt initial conditions. Any other
+// version is rejected: an unverifiable restart file has no place beside
+// the SDC defense.
 //
 // SaveCheckpoint additionally fsyncs before the atomic rename: a crash
 // between rename and writeback must not leave a valid-looking name on
@@ -83,10 +81,9 @@ func WriteCheckpoint(w io.Writer, st *dycore.State, step int) error {
 	return bw.Flush()
 }
 
-// ReadCheckpoint restores a state written by WriteCheckpoint (v2) or by
-// the v1 writer of earlier releases; the returned step lets the caller
-// resume the remap cadence. A v2 payload that fails its CRC is rejected
-// with ErrChecksum.
+// ReadCheckpoint restores a state written by WriteCheckpoint; the
+// returned step lets the caller resume the remap cadence. A payload
+// that fails its CRC is rejected with ErrChecksum.
 func ReadCheckpoint(r io.Reader) (*dycore.State, int, error) {
 	br := bufio.NewReader(r)
 	var h checkpointHeader
@@ -96,7 +93,7 @@ func ReadCheckpoint(r io.Reader) (*dycore.State, int, error) {
 	if h.Magic != checkpointMagic {
 		return nil, 0, fmt.Errorf("core: not a checkpoint (magic %#x)", h.Magic)
 	}
-	if h.Version < 1 || h.Version > checkpointVersion {
+	if h.Version != checkpointVersion {
 		return nil, 0, fmt.Errorf("core: checkpoint version %d unsupported", h.Version)
 	}
 	// Bound every dimension before allocating: a corrupt or hostile
@@ -113,12 +110,8 @@ func ReadCheckpoint(r io.Reader) (*dycore.State, int, error) {
 		return nil, 0, fmt.Errorf("core: checkpoint too large (%d values)", vals)
 	}
 	st := dycore.NewState(int(h.NElem), int(h.Np), int(h.Nlev), int(h.Qsize))
-	var crc hash.Hash32
-	var body io.Reader = br
-	if h.Version >= 2 {
-		crc = crc32.New(checkpointCRCTable)
-		body = io.TeeReader(br, crc)
-	}
+	crc := crc32.New(checkpointCRCTable)
+	body := io.TeeReader(br, crc)
 	for _, field := range stateFields(st) {
 		for _, e := range field {
 			if err := binary.Read(body, binary.LittleEndian, e); err != nil {
@@ -126,14 +119,12 @@ func ReadCheckpoint(r io.Reader) (*dycore.State, int, error) {
 			}
 		}
 	}
-	if crc != nil {
-		var want uint32
-		if err := binary.Read(br, binary.LittleEndian, &want); err != nil {
-			return nil, 0, fmt.Errorf("core: checkpoint crc: %w", err)
-		}
-		if got := crc.Sum32(); got != want {
-			return nil, 0, fmt.Errorf("%w: stored %#x, computed %#x", ErrChecksum, want, got)
-		}
+	var want uint32
+	if err := binary.Read(br, binary.LittleEndian, &want); err != nil {
+		return nil, 0, fmt.Errorf("core: checkpoint crc: %w", err)
+	}
+	if got := crc.Sum32(); got != want {
+		return nil, 0, fmt.Errorf("%w: stored %#x, computed %#x", ErrChecksum, want, got)
 	}
 	return st, int(h.Step), nil
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"swcam/internal/dycore"
@@ -90,11 +91,11 @@ func TestCheckpointRestartBitExact(t *testing.T) {
 	}
 }
 
-// writeCheckpointV1 emits the legacy (pre-CRC) format, as earlier
-// releases did, to pin backward compatibility.
+// writeCheckpointV1 emits the legacy (pre-CRC) format no writer
+// produces any more.
 func writeCheckpointV1(w io.Writer, st *dycore.State, step int) error {
 	h := struct {
-		Magic, Version                uint32
+		Magic, Version               uint32
 		NElem, Np, Nlev, Qsize, Step int64
 	}{0x53574341, 1, int64(st.NElem()), int64(st.Np), int64(st.Nlev), int64(st.Qsize), int64(step)}
 	if err := binary.Write(w, binary.LittleEndian, &h); err != nil {
@@ -110,7 +111,8 @@ func writeCheckpointV1(w io.Writer, st *dycore.State, step int) error {
 	return nil
 }
 
-// Version-1 files (no payload CRC) must stay readable bit-for-bit.
+// Reading a version-1 file (no payload CRC, so nothing to verify it
+// against) must be refused by version, before any field is read.
 func TestCheckpointReadsVersion1(t *testing.T) {
 	cfg := testDycoreCfg(2, 4, 1)
 	s, err := dycore.NewSolver(cfg)
@@ -123,15 +125,8 @@ func TestCheckpointReadsVersion1(t *testing.T) {
 	if err := writeCheckpointV1(&buf, st, 5); err != nil {
 		t.Fatal(err)
 	}
-	got, step, err := ReadCheckpoint(&buf)
-	if err != nil {
-		t.Fatalf("v1 checkpoint rejected: %v", err)
-	}
-	if step != 5 {
-		t.Errorf("step = %d", step)
-	}
-	if d := got.MaxAbsDiff(st); d != 0 {
-		t.Errorf("v1 round trip not bit-exact: %g", d)
+	if _, _, err := ReadCheckpoint(&buf); err == nil || !strings.Contains(err.Error(), "version 1 unsupported") {
+		t.Fatalf("v1 checkpoint: err = %v, want a version rejection", err)
 	}
 }
 

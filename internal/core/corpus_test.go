@@ -58,7 +58,7 @@ func TestRegenFuzzCorpora(t *testing.T) {
 	writeFuzzCorpusEntry(t, "FuzzReadCheckpoint", "seed-bad-crc", badCRC)
 
 	v1 := append([]byte(nil), valid[:len(valid)-4]...)
-	v1[4] = 1 // legacy version byte, no CRC trailer
+	v1[4] = 1 // legacy version byte, no CRC trailer: must be rejected
 	writeFuzzCorpusEntry(t, "FuzzReadCheckpoint", "seed-legacy-v1", v1)
 
 	writeFuzzCorpusEntry(t, "FuzzReadHistory", "seed-junk", []byte("junk"))

@@ -35,7 +35,7 @@ func FuzzReadCheckpoint(f *testing.F) {
 	f.Add(badCRC)
 	v1 := valid[:len(valid)-4] // strip the CRC trailer...
 	v1 = append([]byte(nil), v1...)
-	v1[4] = 1 // ...and claim version 1: a legacy file, must parse
+	v1[4] = 1 // ...and claim version 1: a legacy file, must be rejected
 	f.Add(v1)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -44,6 +44,10 @@ func FuzzReadCheckpoint(f *testing.F) {
 		got, _, err := ReadCheckpoint(bytes.NewReader(data))
 		if err == nil && got == nil {
 			t.Fatal("nil state with nil error")
+		}
+		// Only the CRC-trailed format may ever be accepted.
+		if err == nil && binary.LittleEndian.Uint32(data[4:8]) != checkpointVersion {
+			t.Fatalf("accepted a version-%d checkpoint", binary.LittleEndian.Uint32(data[4:8]))
 		}
 	})
 }

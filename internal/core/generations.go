@@ -64,9 +64,7 @@ func (rj *ResilientJob) pushGeneration(rs *ResilientStats, g *ckptGeneration) {
 func (rj *ResilientJob) markPoisoned(rs *ResilientStats, g *ckptGeneration, rank int, err error) {
 	rs.Poisoned++
 	rj.Job.Obs.R().Counter("integrity.gen.poisoned").Add(1)
-	ev := RecoveryEvent{Kind: "poisoned", Step: g.step, Rank: rank, Err: err}
-	rs.Events = append(rs.Events, ev)
-	rj.event(ev)
+	rj.record(rs, RecoveryEvent{Kind: "poisoned", Step: g.step, Rank: rank, Err: err})
 }
 
 // decodeBuddyCopy decodes and shape-checks generation g's buddy replica

@@ -135,11 +135,11 @@ func (j *ParallelJob) installSeals(seals []*integrity.RankSeal) {
 
 // elemInvariants integrates mass, total energy, and tracer mass over
 // each of rank r's elements separately — the canonical per-element
-// partials of the invariant reduction.
+// partials of the invariant reduction, in the rank's pooled buffer.
 func (j *ParallelJob) elemInvariants(r int, st *dycore.State) []float64 {
 	npsq := j.Cfg.Np * j.Cfg.Np
 	nlev := j.Cfg.Nlev
-	out := make([]float64, 3*len(j.Plans[r].Elems))
+	out := j.red[r].local[:3*len(j.Plans[r].Elems)]
 	for le, ge := range j.Plans[r].Elems {
 		e := j.Mesh.Elements[ge]
 		var mass, energy, tracer float64
@@ -163,33 +163,20 @@ func (j *ParallelJob) elemInvariants(r int, st *dycore.State) []float64 {
 	return out
 }
 
-// checkInvariants runs the per-step conservation ledger: per-element
-// partials are gathered to rank 0, placed by global element id, summed
-// in ascending-id order (partition-invariant, like the mass fixer), and
-// checked against the previous step's record. The verdict is broadcast
+// checkInvariants runs the per-step conservation ledger: the
+// per-element partials go through the canonical reduction
+// (partition-invariant, like the mass fixer) and rank 0 checks the
+// sums against the previous step's record. The verdict is broadcast
 // so every rank aborts together on a violation; on a healthy step the
 // broadcast scalar is constant and cannot change the trajectory.
 func (j *ParallelJob) checkInvariants(c *mpirt.Comm, r int, st *dycore.State, stepNo int) {
-	local := j.elemInvariants(r, st)
-	verdict := []float64{0}
+	rb := j.red[r]
+	sums := rb.sums[:3]
+	j.canonicalSums(c, r, tagInvariant, j.elemInvariants(r, st), sums)
+	verdict := rb.out[:]
+	verdict[0] = 0
 	if r == 0 {
-		global := make([]float64, 3*j.Mesh.NElems())
-		for le, ge := range j.Plans[0].Elems {
-			copy(global[3*ge:3*ge+3], local[3*le:3*le+3])
-		}
-		for src := 1; src < j.NRanks; src++ {
-			buf := make([]float64, 3*len(j.Plans[src].Elems))
-			c.Recv(src, tagInvariant, buf)
-			for le, ge := range j.Plans[src].Elems {
-				copy(global[3*ge:3*ge+3], buf[3*le:3*le+3])
-			}
-		}
-		var inv integrity.Invariants
-		for ge := 0; ge < j.Mesh.NElems(); ge++ {
-			inv.Mass += global[3*ge]
-			inv.Energy += global[3*ge+1]
-			inv.TracerMass += global[3*ge+2]
-		}
+		inv := integrity.Invariants{Mass: sums[0], Energy: sums[1], TracerMass: sums[2]}
 		reg := j.Obs.R()
 		reg.Counter("integrity.ledger.checks").Add(1)
 		if err := j.ledger.Check(stepNo, inv); err != nil {
@@ -197,8 +184,6 @@ func (j *ParallelJob) checkInvariants(c *mpirt.Comm, r int, st *dycore.State, st
 			j.ledgerErr = fmt.Errorf("core: invariant ledger at step %d: %w", stepNo, err)
 			verdict[0] = 1
 		}
-	} else {
-		c.Send(0, tagInvariant, local)
 	}
 	c.Bcast(0, verdict)
 	if verdict[0] > 0 {

@@ -83,6 +83,7 @@ type ParallelJob struct {
 
 	steps   int
 	scratch []*stepScratch // per-rank pooled step workspaces (lazy)
+	red     []*reduceBufs  // per-rank pooled canonical-reduction buffers
 }
 
 // stepScratch is one rank's reusable step-loop workspace: the SSP-RK2
@@ -99,7 +100,7 @@ type stepScratch struct {
 
 // stepScratchFor returns rank r's pooled step workspace, building it on
 // first use to match the rank's local state shape. The backing slice is
-// allocated eagerly in NewParallelJob: rank goroutines call this
+// allocated eagerly in buildRanks: rank goroutines call this
 // concurrently, and each may only touch its own slot — a lazy nil-check
 // here would race on the slice header itself.
 func (j *ParallelJob) stepScratchFor(r int, st *dycore.State) *stepScratch {
@@ -152,38 +153,63 @@ func (j *ParallelJob) EngineWorkers() int {
 
 // NewParallelJob partitions the mesh and builds per-rank plans/engines.
 func NewParallelJob(cfg dycore.Config, backend exec.Backend, overlap bool, nranks int) (*ParallelJob, error) {
+	return newJobWithPartition(cfg, backend, overlap, nranks, nil)
+}
+
+// newJobWithPartition builds a job over a caller-supplied element-to-
+// rank assignment (partition-quality experiments); a nil rankOf selects
+// the mesh's own partition.
+func newJobWithPartition(cfg dycore.Config, backend exec.Backend, overlap bool, nranks int, rankOf []int) (*ParallelJob, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	m := mesh.New(cfg.Ne, cfg.Np)
-	rankOf, err := m.Partition(nranks)
-	if err != nil {
-		return nil, err
+	if rankOf == nil {
+		var err error
+		if rankOf, err = m.Partition(nranks); err != nil {
+			return nil, err
+		}
+	} else if len(rankOf) != m.NElems() {
+		return nil, fmt.Errorf("core: rankOf covers %d of %d elements", len(rankOf), m.NElems())
 	}
 	j := &ParallelJob{
 		Cfg: cfg, Backend: backend, Overlap: overlap, NRanks: nranks,
 		Mesh: m, Hybrid: dycore.NewHybridCoord(cfg.Nlev), RankOf: rankOf,
 	}
-	j.Plans = make([]*halo.Plan, nranks)
-	j.engs = make([]*exec.Engine, nranks)
-	j.scratch = make([]*stepScratch, nranks)
-	for r := 0; r < nranks; r++ {
-		j.Plans[r] = halo.NewPlan(m, rankOf, r)
-		j.engs[r] = exec.NewEngine(m, j.Plans[r].Elems, cfg.Nlev, cfg.Qsize)
-	}
-	j.compileSubsets()
+	j.buildRanks()
 	return j, nil
 }
 
-// compileSubsets registers each rank's boundary/interior element lists
-// with its engine so the overlap path can launch kernels in two halves.
-// Must be re-run after any change to Plans or engs (partition rebuilds).
-func (j *ParallelJob) compileSubsets() {
-	j.bsub = make([]*exec.ElemSubset, j.NRanks)
-	j.isub = make([]*exec.ElemSubset, j.NRanks)
-	for r := 0; r < j.NRanks; r++ {
-		j.bsub[r] = j.engs[r].CompileSubset(j.Plans[r].BoundaryElems)
-		j.isub[r] = j.engs[r].CompileSubset(j.Plans[r].InnerElems)
+// buildRanks (re)builds everything shaped by the element-to-rank
+// assignment j.RankOf over j.NRanks ranks: the halo plans, the engines
+// with their boundary/interior subsets (so the overlap path can launch
+// kernels in two halves) and the configured worker policy — adaptive
+// mode may choose differently on new per-rank element counts — and the
+// per-rank step-scratch and reduction-buffer slots.
+func (j *ParallelJob) buildRanks() {
+	n := j.NRanks
+	j.Plans = make([]*halo.Plan, n)
+	j.engs = make([]*exec.Engine, n)
+	j.bsub = make([]*exec.ElemSubset, n)
+	j.isub = make([]*exec.ElemSubset, n)
+	j.scratch = make([]*stepScratch, n)
+	j.red = make([]*reduceBufs, n)
+	maxPeer := 0
+	for r := 0; r < n; r++ {
+		p := halo.NewPlan(j.Mesh, j.RankOf, r)
+		en := exec.NewEngine(j.Mesh, p.Elems, j.Cfg.Nlev, j.Cfg.Qsize)
+		j.Plans[r], j.engs[r] = p, en
+		j.bsub[r] = en.CompileSubset(p.BoundaryElems)
+		j.isub[r] = en.CompileSubset(p.InnerElems)
+		j.red[r] = &reduceBufs{local: make([]float64, reduceWidth*len(p.Elems))}
+		if r > 0 && len(p.Elems) > maxPeer {
+			maxPeer = len(p.Elems)
+		}
+	}
+	j.red[0].global = make([]float64, reduceWidth*j.Mesh.NElems())
+	j.red[0].recv = make([]float64, reduceWidth*maxPeer)
+	if j.dynSet {
+		j.SetDynWorkers(j.DynWorkers)
 	}
 }
 
@@ -504,10 +530,66 @@ func (j *ParallelJob) stepRank(c *mpirt.Comm, r int, st *dycore.State, rs *RunSt
 // (outside the halo tag and the reserved negative collective tags).
 const tagMass = 202
 
-// elemMasses integrates dp over each of this rank's elements separately.
+// reduceWidth is the widest per-element partial a canonical reduction
+// gathers: the invariant ledger's (mass, energy, tracer mass).
+const reduceWidth = 3
+
+// reduceBufs is one rank's pooled buffers for the canonical reductions
+// (mass fixer, precipitation, invariant ledger), so a warm reduction
+// allocates nothing. Each rank goroutine touches only its own.
+type reduceBufs struct {
+	local []float64 // per-element partials, up to reduceWidth per local element
+	sums  [reduceWidth]float64
+	out   [1]float64 // Bcast buffer for the reduced scalar
+	// Rank 0 only: the gather workspace.
+	global []float64 // partials placed by global element id
+	recv   []float64 // one peer's partials, sized for the largest peer
+}
+
+// canonicalSums reduces per-element partials — len(sums) values per
+// local element, flattened in local — to global column sums with a
+// partition-invariant floating-point grouping: the partials are
+// gathered to rank 0, placed by global element id, and each column is
+// summed in ascending-id order into sums (valid on rank 0 only; callers
+// Bcast what they derive from it). A rank-order allreduce tree would
+// regroup the sums whenever the partition changes, so a shrink-recovered
+// run would drift from the fault-free trajectory even though the DSS
+// itself is canonical; this chain never depends on ownership, and the
+// ascending-id sum is the exact association the serial Model uses.
+func (j *ParallelJob) canonicalSums(c *mpirt.Comm, r, tag int, local, sums []float64) {
+	if r != 0 {
+		c.Send(0, tag, local)
+		return
+	}
+	w := len(sums)
+	rb := j.red[0]
+	g := rb.global[:w*j.Mesh.NElems()]
+	for src := 0; src < j.NRanks; src++ {
+		elems := j.Plans[src].Elems
+		part := local
+		if src != 0 {
+			part = rb.recv[:w*len(elems)]
+			c.Recv(src, tag, part)
+		}
+		for le, ge := range elems {
+			copy(g[w*ge:w*ge+w], part[w*le:w*le+w])
+		}
+	}
+	for k := range sums {
+		sums[k] = 0
+	}
+	for o := 0; o < len(g); o += w {
+		for k := range sums {
+			sums[k] += g[o+k]
+		}
+	}
+}
+
+// elemMasses integrates dp over each of this rank's elements separately,
+// into the rank's pooled partials buffer.
 func (j *ParallelJob) elemMasses(r int, st *dycore.State) []float64 {
 	npsq := j.Cfg.Np * j.Cfg.Np
-	out := make([]float64, len(j.Plans[r].Elems))
+	out := j.red[r].local[:len(j.Plans[r].Elems)]
 	for le, ge := range j.Plans[r].Elems {
 		e := j.Mesh.Elements[ge]
 		total := 0.0
@@ -523,36 +605,11 @@ func (j *ParallelJob) elemMasses(r int, st *dycore.State) []float64 {
 	return out
 }
 
-// canonicalMass computes the global dp mass with a partition-invariant
-// floating-point grouping: per-element masses are gathered to rank 0,
-// placed by global element id, summed in ascending-id order, and the
-// scalar broadcast back. A rank-order allreduce tree would regroup the
-// sum whenever the partition changes, so a shrink-recovered run would
-// drift from the fault-free trajectory at the mass fixer even though
-// the DSS itself is canonical; this chain never depends on ownership.
+// canonicalMass computes the global dp mass for the mass fixer on the
+// canonical reduction and broadcasts it.
 func (j *ParallelJob) canonicalMass(c *mpirt.Comm, r int, st *dycore.State) float64 {
-	local := j.elemMasses(r, st)
-	out := []float64{0}
-	if r == 0 {
-		global := make([]float64, j.Mesh.NElems())
-		for le, ge := range j.Plans[0].Elems {
-			global[ge] = local[le]
-		}
-		for src := 1; src < j.NRanks; src++ {
-			buf := make([]float64, len(j.Plans[src].Elems))
-			c.Recv(src, tagMass, buf)
-			for le, ge := range j.Plans[src].Elems {
-				global[ge] = buf[le]
-			}
-		}
-		total := 0.0
-		for _, v := range global {
-			total += v
-		}
-		out[0] = total
-	} else {
-		c.Send(0, tagMass, local)
-	}
+	out := j.red[r].out[:]
+	j.canonicalSums(c, r, tagMass, j.elemMasses(r, st), out)
 	c.Bcast(0, out)
 	return out[0]
 }
@@ -581,23 +638,7 @@ func (j *ParallelJob) Shrink(dead int) error {
 	}
 	j.RankOf = newRankOf
 	j.NRanks--
-	j.Plans = make([]*halo.Plan, j.NRanks)
-	j.engs = make([]*exec.Engine, j.NRanks)
-	j.scratch = make([]*stepScratch, j.NRanks)
-	for r := 0; r < j.NRanks; r++ {
-		j.Plans[r] = halo.NewPlan(j.Mesh, j.RankOf, r)
-		j.engs[r] = exec.NewEngine(j.Mesh, j.Plans[r].Elems, j.Cfg.Nlev, j.Cfg.Qsize)
-		if j.dynSet {
-			// Re-apply the worker policy on the new, larger per-rank
-			// element counts — adaptive mode may now choose differently.
-			if j.DynWorkers <= 0 {
-				j.engs[r].SetWorkersAuto()
-			} else {
-				j.engs[r].SetWorkers(j.DynWorkers)
-			}
-		}
-	}
-	j.compileSubsets()
+	j.buildRanks()
 	j.buildRankPhys()
 	if j.ScrubEvery > 0 {
 		// Fresh (unsealed) live seals for the new partition shapes; the
@@ -611,29 +652,4 @@ func (j *ParallelJob) Shrink(dead int) error {
 		j.Instrument(j.Obs)
 	}
 	return nil
-}
-
-// newJobWithPartition builds a job over a caller-supplied element-to-
-// rank assignment (partition-quality experiments).
-func newJobWithPartition(cfg dycore.Config, backend exec.Backend, overlap bool, nranks int, rankOf []int) (*ParallelJob, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	m := mesh.New(cfg.Ne, cfg.Np)
-	if len(rankOf) != m.NElems() {
-		return nil, fmt.Errorf("core: rankOf covers %d of %d elements", len(rankOf), m.NElems())
-	}
-	j := &ParallelJob{
-		Cfg: cfg, Backend: backend, Overlap: overlap, NRanks: nranks,
-		Mesh: m, Hybrid: dycore.NewHybridCoord(cfg.Nlev), RankOf: rankOf,
-	}
-	j.Plans = make([]*halo.Plan, nranks)
-	j.engs = make([]*exec.Engine, nranks)
-	j.scratch = make([]*stepScratch, nranks)
-	for r := 0; r < nranks; r++ {
-		j.Plans[r] = halo.NewPlan(m, rankOf, r)
-		j.engs[r] = exec.NewEngine(m, j.Plans[r].Elems, cfg.Nlev, cfg.Qsize)
-	}
-	j.compileSubsets()
-	return j, nil
 }

@@ -7,6 +7,25 @@ import (
 	"swcam/internal/mesh"
 )
 
+// chopOrder assigns the elements of a space-filling-curve order to
+// nranks contiguous, near-equal chunks.
+func chopOrder(order []int, nranks int) []int {
+	rankOf := make([]int, len(order))
+	base, extra := len(order)/nranks, len(order)%nranks
+	pos := 0
+	for r := 0; r < nranks; r++ {
+		size := base
+		if r < extra {
+			size++
+		}
+		for k := 0; k < size; k++ {
+			rankOf[order[pos]] = r
+			pos++
+		}
+	}
+	return rankOf
+}
+
 // TestPartitionOrderingBitIdentity is the SFC differential demanded by
 // the partition upgrade: the trajectory must be bit-identical (FNV-64
 // over every float64 of the gathered state) no matter which curve the
@@ -28,23 +47,6 @@ func TestPartitionOrderingBitIdentity(t *testing.T) {
 	}
 	m := mesh.New(cfg.Ne, cfg.Np)
 
-	chop := func(order []int, nranks int) []int {
-		rankOf := make([]int, len(order))
-		base, extra := len(order)/nranks, len(order)%nranks
-		pos := 0
-		for r := 0; r < nranks; r++ {
-			size := base
-			if r < extra {
-				size++
-			}
-			for k := 0; k < size; k++ {
-				rankOf[order[pos]] = r
-				pos++
-			}
-		}
-		return rankOf
-	}
-
 	for _, b := range []exec.Backend{exec.Intel, exec.Athread} {
 		b := b
 		t.Run(b.String(), func(t *testing.T) {
@@ -58,8 +60,8 @@ func TestPartitionOrderingBitIdentity(t *testing.T) {
 					rankOf []int
 				}{
 					{"min-cut", minCut},
-					{"hilbert", chop(m.HilbertOrder(), nranks)},
-					{"morton", chop(m.SFCOrder(), nranks)},
+					{"hilbert", chopOrder(m.HilbertOrder(), nranks)},
+					{"morton", chopOrder(m.SFCOrder(), nranks)},
 				}
 				var refHash uint64
 				for li, lay := range layouts {

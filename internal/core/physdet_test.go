@@ -286,6 +286,20 @@ func TestModelPhysicsSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// "Auto" physics pools follow GOMAXPROCS, not the host's CPU count: a
+// process pinned to one P resolves to the serial fast path however
+// large the grid.
+func TestAutoPhysWorkersFollowGOMAXPROCS(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	if got := physics.DefaultStealWorkers(); got != 1 {
+		t.Errorf("DefaultStealWorkers under GOMAXPROCS(1) = %d, want 1", got)
+	}
+	if got := resolvePhysWorkers(0, 1000); got != 1 {
+		t.Errorf("resolvePhysWorkers(auto, 1000) under GOMAXPROCS(1) = %d, want 1", got)
+	}
+}
+
 // On a machine with enough cores, parallel physics must beat serial
 // wall-clock — the bench-regression smoke CI runs on >= 4-core runners.
 // Fewer cores cannot demonstrate a speedup, so the test skips with a

@@ -2,9 +2,9 @@
 // its local elements on a work-stealing pool (physdriver.go), then the
 // global precipitation diagnostic is reduced canonically — per-element
 // partials gathered to rank 0 by global element id and summed in
-// ascending order, exactly like the mass fixer's canonicalMass — so the
-// result is partition-invariant AND bit-identical to the serial Model
-// for every rank count, worker count, and steal schedule.
+// ascending order by canonicalSums, like the mass fixer — so the result
+// is partition-invariant AND bit-identical to the serial Model for
+// every rank count, worker count, and steal schedule.
 package core
 
 import (
@@ -30,20 +30,12 @@ type jobPhysics struct {
 }
 
 // rankPhys is one rank's physics machinery: its own suite (atomic
-// counters — safe under the pool), its runner, and the pooled buffers
-// of the canonical reduction. st points at the rank's state only for
-// the duration of one applyPhysicsRank call.
+// counters — safe under the pool) and its runner. st points at the
+// rank's state only for the duration of one applyPhysicsRank call.
 type rankPhys struct {
 	suite  *physics.Suite
 	runner *physRunner
 	st     *dycore.State
-
-	send []float64 // flattened (precip, area) per local element
-	out  []float64 // 1-slot Bcast buffer for the reduced increment
-
-	// Rank 0 only: the gather workspace of the canonical reduction.
-	global []float64
-	recv   [][]float64
 }
 
 // EnablePhysics turns on the column-physics phase: the suite runs every
@@ -123,8 +115,8 @@ func (j *ParallelJob) PhysStats() physics.StealStats {
 	return tot
 }
 
-// buildRankPhys (re)builds the per-rank suites, runners, and reduction
-// buffers for the current partition. Called by EnablePhysics,
+// buildRankPhys (re)builds the per-rank suites and runners for the
+// current partition. Called by EnablePhysics,
 // SetPhysWorkers, and Shrink; Instrument re-wires observability after.
 func (j *ParallelJob) buildRankPhys() {
 	pc := j.phys
@@ -153,15 +145,7 @@ func (j *ParallelJob) buildRankPhys() {
 		if j.PhysPanicHook != nil {
 			rp.runner.hook = func(w, le int) { j.PhysPanicHook(r, w, le) }
 		}
-		rp.send = make([]float64, 2*len(elems))
-		rp.out = make([]float64, 1)
 		j.rankPhys[r] = rp
-	}
-	rp0 := j.rankPhys[0]
-	rp0.global = make([]float64, 2*j.Mesh.NElems())
-	rp0.recv = make([][]float64, j.NRanks)
-	for src := 1; src < j.NRanks; src++ {
-		rp0.recv[src] = make([]float64, 2*len(j.Plans[src].Elems))
 	}
 }
 
@@ -181,42 +165,21 @@ func (j *ParallelJob) applyPhysicsRank(c *mpirt.Comm, r int, st *dycore.State) {
 }
 
 // canonicalPrecip reduces the per-element (precip, area) partials to
-// the global area-weighted mean increment with a partition-invariant
-// grouping: gather by global element id to rank 0, sum ascending,
-// broadcast. The ascending-id sum is the exact association the serial
-// Model uses, so serial and every partition agree bit-for-bit (compare
-// canonicalMass, which earned the same property for the mass fixer).
+// the global area-weighted mean increment on the canonical reduction,
+// so serial and every partition agree bit-for-bit.
 func (j *ParallelJob) canonicalPrecip(c *mpirt.Comm, r int) float64 {
-	rp := j.rankPhys[r]
-	parts := rp.runner.parts
+	rb := j.red[r]
+	parts := j.rankPhys[r].runner.parts
+	local := rb.local[:2*len(parts)]
 	for i := range parts {
-		rp.send[2*i] = parts[i].precip
-		rp.send[2*i+1] = parts[i].area
+		local[2*i], local[2*i+1] = parts[i].precip, parts[i].area
 	}
-	if r == 0 {
-		g := rp.global
-		for le, ge := range j.Plans[0].Elems {
-			g[2*ge], g[2*ge+1] = rp.send[2*le], rp.send[2*le+1]
-		}
-		for src := 1; src < j.NRanks; src++ {
-			buf := rp.recv[src]
-			c.Recv(src, tagPhys, buf)
-			for le, ge := range j.Plans[src].Elems {
-				g[2*ge], g[2*ge+1] = buf[2*le], buf[2*le+1]
-			}
-		}
-		var ps, as float64
-		for ge := 0; ge < j.Mesh.NElems(); ge++ {
-			ps += g[2*ge]
-			as += g[2*ge+1]
-		}
-		rp.out[0] = 0
-		if as > 0 {
-			rp.out[0] = ps / as
-		}
-	} else {
-		c.Send(0, tagPhys, rp.send)
+	sums := rb.sums[:2]
+	j.canonicalSums(c, r, tagPhys, local, sums)
+	rb.out[0] = 0
+	if r == 0 && sums[1] > 0 {
+		rb.out[0] = sums[0] / sums[1]
 	}
-	c.Bcast(0, rp.out)
-	return rp.out[0]
+	c.Bcast(0, rb.out[:])
+	return rb.out[0]
 }

@@ -10,16 +10,17 @@ import (
 	"swcam/internal/mpirt"
 )
 
-// ResilientJob supervises a ParallelJob through faults. Two supervision
-// modes are available:
+// ResilientJob supervises a ParallelJob through faults with one
+// supervise loop (Run): step a chunk, verify, checkpoint, and on any
+// abort — an injected kill, a corrupted or lost message, a blowup caught
+// by the watchdog, a rank panic — pick a recovery rung and replay. Mode
+// selects only the rung picker:
 //
-// ModeGlobal (the default, and the original design): periodic in-memory
-// checkpoints of every rank's state; any abort — an injected kill, a
-// corrupted or lost message, a blowup caught by the watchdog, a rank
-// panic — rolls the whole world back to the last checkpoint and replays.
+// ModeGlobal (the default, and the original design): every abort rolls
+// the whole world back to the last verified checkpoint (restoreVerified).
 //
-// ModeLadder: a three-rung escalation that localizes recovery instead of
-// always paying the global bill.
+// ModeLadder: a three-rung escalation (recoverLadder) that localizes
+// recovery instead of always paying the global bill.
 //
 //  1. Bounded retransmission (mpirt.RetryPolicy): a corrupted or lost
 //     message is re-pulled from the sender-side log with exponential
@@ -204,7 +205,10 @@ func restore(local, snap []*dycore.State) {
 	}
 }
 
-func (rj *ResilientJob) event(e RecoveryEvent) {
+// record appends a supervisor decision to the run's history and
+// publishes it to the registry and the OnEvent observer.
+func (rj *ResilientJob) record(rs *ResilientStats, e RecoveryEvent) {
+	rs.Events = append(rs.Events, e)
 	rj.observe(e)
 	if rj.OnEvent != nil {
 		rj.OnEvent(e)
@@ -302,115 +306,23 @@ func (rj *ResilientJob) injectCheckpointFlips(g *ckptGeneration) {
 // In ladder mode a shrink recovery replaces the supervised slice — read
 // results via States().
 func (rj *ResilientJob) Run(local []*dycore.State, n int) (ResilientStats, error) {
+	every := rj.CheckpointEvery
+	if every < 1 {
+		every = 1
+	}
+	// The only mode difference: which function picks the recovery rung.
+	recoverChunk := rj.restoreVerified
 	if rj.Mode == ModeLadder {
-		return rj.runLadder(local, n)
-	}
-	rj.local = local
-	every := rj.CheckpointEvery
-	if every < 1 {
-		every = 1
-	}
-	var rs ResilientStats
-	rs.Run.Cost.Backend = rj.Job.Backend
-
-	if err := rj.takeCheckpoint(&rs, rj.Job.StepCount()); err != nil {
-		return rs, err
-	}
-	target := rj.Job.StepCount() + n
-	retries := 0
-	attempt := 0
-	backoff := rj.Backoff
-
-	for rj.Job.StepCount() < target {
-		chunk := every
-		if left := target - rj.Job.StepCount(); left < chunk {
-			chunk = left
+		recoverChunk = rj.recoverLadder
+		// The ladder's first rung: make sure message-level retransmission
+		// is on, and that lost messages surface as timeouts rather than
+		// hanging the job forever when faults are being injected.
+		if rj.Job.Retry.MaxAttempts == 0 {
+			rj.Job.Retry = mpirt.DefaultRetryPolicy()
 		}
-		stats, err := rj.Job.RunChecked(local, chunk)
-		rs.Run.Halo.Add(stats.Halo)
-		rs.Run.Cost.Add(stats.Cost)
-		rs.RetxAttempts += stats.RetxAttempts
-		rs.RetxRecovered += stats.RetxRecovered
-		if err == nil {
-			// Close the final at-rest window before capturing: a flip on
-			// the chunk's last step must never reach a checkpoint.
-			err = rj.Job.ScrubVerifyLive(local)
+		if rj.Job.Faults != nil && rj.Job.RecvTimeout == 0 {
+			rj.Job.RecvTimeout = 150 * time.Millisecond
 		}
-		if err == nil {
-			attempt = 0
-			backoff = rj.Backoff
-			step := rj.Job.StepCount()
-			if cerr := rj.takeCheckpoint(&rs, step); cerr != nil {
-				if !errors.Is(cerr, integrity.ErrCorrupt) {
-					return rs, cerr
-				}
-				err = cerr // corrupt capture: recover below
-			} else {
-				rs.Checkpoints++
-				rs.Events = append(rs.Events, RecoveryEvent{Kind: "checkpoint", Step: step, Rank: -1})
-				rj.event(rs.Events[len(rs.Events)-1])
-				continue
-			}
-		}
-
-		attempt++
-		if retries >= rj.MaxRetries {
-			// Graceful degradation: hand back the last state known good
-			// and the full diagnosis instead of a corrupt field set.
-			t0 := time.Now()
-			rj.bestEffortRestore(&rs)
-			rj.addRecoveryNs(&rs, t0)
-			rj.auditAllGenerations(&rs)
-			ev := RecoveryEvent{Kind: "giveup", Step: rj.checkpointStep(), Attempt: attempt, Rank: -1, Err: err}
-			rs.Events = append(rs.Events, ev)
-			rj.event(ev)
-			return rs, fmt.Errorf("core: retry budget (%d) exhausted at step %d (best-effort state restored): %w",
-				rj.MaxRetries, rj.checkpointStep(), err)
-		}
-		retries++
-		if backoff > 0 {
-			time.Sleep(backoff)
-			backoff *= 2
-		}
-		// The failed chunk's steps are burned work: they get replayed
-		// from the checkpoint on the next attempt.
-		rj.Job.Obs.R().Counter("core.recovery.replayed_steps").Add(int64(chunk))
-		t0 := time.Now()
-		rerr := rj.restoreVerified(&rs, attempt, err)
-		rj.addRecoveryNs(&rs, t0)
-		if rerr != nil {
-			return rs, rerr
-		}
-	}
-	rj.auditAllGenerations(&rs)
-	rs.Run.Steps = rj.Job.StepCount()
-	return rs, nil
-}
-
-// deadAfterN returns the escalation threshold with its default applied.
-func (rj *ResilientJob) deadAfterN() int {
-	if rj.DeadAfter < 1 {
-		return 2
-	}
-	return rj.DeadAfter
-}
-
-// runLadder is Run in ModeLadder: bounded retransmission underneath,
-// partner-replicated checkpoints for localized recovery, respawn/shrink
-// for permanent deaths, verified global rollback as the fallback rung.
-func (rj *ResilientJob) runLadder(local []*dycore.State, n int) (ResilientStats, error) {
-	every := rj.CheckpointEvery
-	if every < 1 {
-		every = 1
-	}
-	// The ladder's first rung: make sure message-level retransmission is
-	// on, and that lost messages surface as timeouts rather than hanging
-	// the job forever when faults are being injected.
-	if rj.Job.Retry.MaxAttempts == 0 {
-		rj.Job.Retry = mpirt.DefaultRetryPolicy()
-	}
-	if rj.Job.Faults != nil && rj.Job.RecvTimeout == 0 {
-		rj.Job.RecvTimeout = 150 * time.Millisecond
 	}
 	rj.local = local
 	rj.suspectRank, rj.suspectRun = -1, 0
@@ -437,6 +349,8 @@ func (rj *ResilientJob) runLadder(local []*dycore.State, n int) (ResilientStats,
 		rs.RetxAttempts += stats.RetxAttempts
 		rs.RetxRecovered += stats.RetxRecovered
 		if err == nil {
+			// Close the final at-rest window before capturing: a flip on
+			// the chunk's last step must never reach a checkpoint.
 			err = rj.Job.ScrubVerifyLive(rj.local)
 		}
 		if err == nil {
@@ -451,21 +365,20 @@ func (rj *ResilientJob) runLadder(local []*dycore.State, n int) (ResilientStats,
 				err = cerr // corrupt capture: recover below
 			} else {
 				rs.Checkpoints++
-				rs.Events = append(rs.Events, RecoveryEvent{Kind: "checkpoint", Step: step, Rank: -1})
-				rj.event(rs.Events[len(rs.Events)-1])
+				rj.record(&rs, RecoveryEvent{Kind: "checkpoint", Step: step, Rank: -1})
 				continue
 			}
 		}
 
 		attempt++
 		if retries >= rj.MaxRetries {
+			// Graceful degradation: hand back the last state known good
+			// and the full diagnosis instead of a corrupt field set.
 			t0 := time.Now()
 			rj.bestEffortRestore(&rs)
 			rj.addRecoveryNs(&rs, t0)
 			rj.auditAllGenerations(&rs)
-			ev := RecoveryEvent{Kind: "giveup", Step: rj.checkpointStep(), Attempt: attempt, Rank: -1, Err: err}
-			rs.Events = append(rs.Events, ev)
-			rj.event(ev)
+			rj.record(&rs, RecoveryEvent{Kind: "giveup", Step: rj.checkpointStep(), Attempt: attempt, Rank: -1, Err: err})
 			return rs, fmt.Errorf("core: retry budget (%d) exhausted at step %d (best-effort state restored): %w",
 				rj.MaxRetries, rj.checkpointStep(), err)
 		}
@@ -474,9 +387,11 @@ func (rj *ResilientJob) runLadder(local []*dycore.State, n int) (ResilientStats,
 			time.Sleep(backoff)
 			backoff *= 2
 		}
+		// The failed chunk's steps are burned work: they get replayed
+		// from the checkpoint on the next attempt.
 		rj.Job.Obs.R().Counter("core.recovery.replayed_steps").Add(int64(chunk))
 		t0 := time.Now()
-		rerr := rj.recoverLadder(&rs, attempt, err)
+		rerr := recoverChunk(&rs, attempt, err)
 		rj.addRecoveryNs(&rs, t0)
 		if rerr != nil {
 			return rs, rerr
@@ -485,6 +400,14 @@ func (rj *ResilientJob) runLadder(local []*dycore.State, n int) (ResilientStats,
 	rj.auditAllGenerations(&rs)
 	rs.Run.Steps = rj.Job.StepCount()
 	return rs, nil
+}
+
+// deadAfterN returns the escalation threshold with its default applied.
+func (rj *ResilientJob) deadAfterN() int {
+	if rj.DeadAfter < 1 {
+		return 2
+	}
+	return rj.DeadAfter
 }
 
 // recoverLadder picks and executes the recovery rung for one failed
@@ -548,9 +471,7 @@ func (rj *ResilientJob) restoreVerified(rs *ResilientStats, attempt int, cause e
 			sp.End()
 			rj.rewindTo(g)
 			rs.Rollbacks++
-			ev := RecoveryEvent{Kind: "rollback", Step: g.step, Attempt: attempt, Rank: -1, Err: cause}
-			rs.Events = append(rs.Events, ev)
-			rj.event(ev)
+			rj.record(rs, RecoveryEvent{Kind: "rollback", Step: g.step, Attempt: attempt, Rank: -1, Err: cause})
 			return nil
 		}
 		rj.dropPoisonedGeneration(rs, g)
@@ -585,18 +506,20 @@ func (rj *ResilientJob) bestEffortRestore(rs *ResilientStats) {
 	}
 }
 
-// localizedRestore rebuilds a single failed rank from its buddy's
-// in-memory copy while the survivors restore their own re-verified
-// snapshots. kind is "localized" (suspect rebuild in place) or
-// "respawn" (permanently dead rank replaced from a spare — same data
-// path, different ledger).
-func (rj *ResilientJob) localizedRestore(rs *ResilientStats, kind string, faulty, attempt int, cause error) error {
+// rebuildFromBuddy is the shared front half of localized and shrink
+// recovery (what names the rung in diagnostics): drop the failed rank's
+// own snapshot from the newest generation — its process memory is gone,
+// so every fallback is honest about what survives — fetch and decode
+// the buddy-held replica, reseal it, and re-verify the whole generation
+// (survivors' own copies sat in memory since the checkpoint; rotten ones
+// heal from their buddies) before any of it is restored. It returns the
+// repaired generation, or nil when a fallback rung already ran, with
+// that rung's outcome.
+func (rj *ResilientJob) rebuildFromBuddy(rs *ResilientStats, what string, faulty, attempt int, cause error) (*ckptGeneration, error) {
 	if len(rj.gens) == 0 {
-		return rj.globalFallback(rs, attempt, cause)
+		return nil, rj.globalFallback(rs, attempt, cause)
 	}
 	g := rj.gens[0]
-	// The failed process's memory is gone: drop its own snapshot first
-	// so every fallback is honest about what survives.
 	g.own[faulty] = nil
 	st, err := rj.fetchBuddy(rs, g, faulty)
 	if err != nil {
@@ -604,20 +527,30 @@ func (rj *ResilientJob) localizedRestore(rs *ResilientStats, kind string, faulty
 			rj.markPoisoned(rs, g, faulty, fmt.Errorf("buddy checkpoint copy: %w", err))
 			g.buddy[faulty] = nil
 		}
-		return rj.restoreVerified(rs, attempt,
-			fmt.Errorf("core: localized recovery of rank %d failed: %w (original fault: %w)", faulty, err, cause))
+		return nil, rj.restoreVerified(rs, attempt,
+			fmt.Errorf("core: %s recovery of rank %d failed: %w (original fault: %w)", what, faulty, err, cause))
 	}
 	g.own[faulty] = st
 	if g.seals[faulty] != nil {
 		g.seals[faulty] = integrity.SealState(st, g.step)
 	}
-	// Survivors' own copies sat in memory since the checkpoint — they
-	// are re-verified (and healed from buddies if rotten) before any of
-	// them is restored.
 	if verr := rj.verifyGeneration(rs, g); verr != nil {
 		rj.dropPoisonedGeneration(rs, g)
-		return rj.restoreVerified(rs, attempt,
-			fmt.Errorf("core: localized recovery of rank %d found a poisoned generation: %w (original fault: %w)", faulty, verr, cause))
+		return nil, rj.restoreVerified(rs, attempt,
+			fmt.Errorf("core: %s recovery of rank %d found a poisoned generation: %w (original fault: %w)", what, faulty, verr, cause))
+	}
+	return g, nil
+}
+
+// localizedRestore rebuilds a single failed rank from its buddy's
+// in-memory copy while the survivors restore their own re-verified
+// snapshots. kind is "localized" (suspect rebuild in place) or
+// "respawn" (permanently dead rank replaced from a spare — same data
+// path, different ledger).
+func (rj *ResilientJob) localizedRestore(rs *ResilientStats, kind string, faulty, attempt int, cause error) error {
+	g, err := rj.rebuildFromBuddy(rs, "localized", faulty, attempt, cause)
+	if g == nil {
+		return err
 	}
 	sp := rj.Job.Obs.T().Begin(0, "core."+kind, "model")
 	restore(rj.local, g.own)
@@ -628,9 +561,7 @@ func (rj *ResilientJob) localizedRestore(rs *ResilientStats, kind string, faulty
 	} else {
 		rs.Localized++
 	}
-	ev := RecoveryEvent{Kind: kind, Step: g.step, Attempt: attempt, Rank: faulty, Err: cause}
-	rs.Events = append(rs.Events, ev)
-	rj.event(ev)
+	rj.record(rs, RecoveryEvent{Kind: kind, Step: g.step, Attempt: attempt, Rank: faulty, Err: cause})
 	return nil
 }
 
@@ -643,28 +574,9 @@ func (rj *ResilientJob) localizedRestore(rs *ResilientStats, kind string, faulty
 // restore the new world, so the ring is audited out and restarted with
 // a fresh checkpoint on the reduced layout.
 func (rj *ResilientJob) shrinkRestore(rs *ResilientStats, dead, attempt int, cause error) error {
-	if len(rj.gens) == 0 {
-		return rj.globalFallback(rs, attempt, cause)
-	}
-	g := rj.gens[0]
-	g.own[dead] = nil
-	st, err := rj.fetchBuddy(rs, g, dead)
-	if err != nil {
-		if g.buddy != nil && g.buddy[dead] != nil {
-			rj.markPoisoned(rs, g, dead, fmt.Errorf("buddy checkpoint copy: %w", err))
-			g.buddy[dead] = nil
-		}
-		return rj.restoreVerified(rs, attempt,
-			fmt.Errorf("core: shrink recovery of rank %d failed: %w (original fault: %w)", dead, err, cause))
-	}
-	g.own[dead] = st
-	if g.seals[dead] != nil {
-		g.seals[dead] = integrity.SealState(st, g.step)
-	}
-	if verr := rj.verifyGeneration(rs, g); verr != nil {
-		rj.dropPoisonedGeneration(rs, g)
-		return rj.restoreVerified(rs, attempt,
-			fmt.Errorf("core: shrink recovery of rank %d found a poisoned generation: %w (original fault: %w)", dead, verr, cause))
+	g, err := rj.rebuildFromBuddy(rs, "shrink", dead, attempt, cause)
+	if g == nil {
+		return err
 	}
 	sp := rj.Job.Obs.T().Begin(0, "core.shrink", "model")
 	gstate := rj.Job.Gather(g.own) // pre-shrink plans: checkpoint-time global state
@@ -685,9 +597,7 @@ func (rj *ResilientJob) shrinkRestore(rs *ResilientStats, dead, attempt int, cau
 		return err
 	}
 	rs.Shrinks++
-	ev := RecoveryEvent{Kind: "shrink", Step: g.step, Attempt: attempt, Rank: dead, Err: cause}
-	rs.Events = append(rs.Events, ev)
-	rj.event(ev)
+	rj.record(rs, RecoveryEvent{Kind: "shrink", Step: g.step, Attempt: attempt, Rank: dead, Err: cause})
 	return nil
 }
 
@@ -716,9 +626,7 @@ func (rj *ResilientJob) globalFallback(rs *ResilientStats, attempt int, cause er
 				return rerr
 			}
 			rs.Rollbacks++
-			ev := RecoveryEvent{Kind: "rollback", Step: rj.diskStep, Attempt: attempt, Rank: -1, Err: cause}
-			rs.Events = append(rs.Events, ev)
-			rj.event(ev)
+			rj.record(rs, RecoveryEvent{Kind: "rollback", Step: rj.diskStep, Attempt: attempt, Rank: -1, Err: cause})
 			return nil
 		}
 		cause = fmt.Errorf("%w; disk fallback also failed: %w", cause, err)
@@ -727,9 +635,7 @@ func (rj *ResilientJob) globalFallback(rs *ResilientStats, attempt int, cause er
 	// full diagnosis.
 	rj.bestEffortRestore(rs)
 	rj.auditAllGenerations(rs)
-	ev := RecoveryEvent{Kind: "giveup", Step: rj.checkpointStep(), Attempt: attempt, Rank: -1, Err: cause}
-	rs.Events = append(rs.Events, ev)
-	rj.event(ev)
+	rj.record(rs, RecoveryEvent{Kind: "giveup", Step: rj.checkpointStep(), Attempt: attempt, Rank: -1, Err: cause})
 	return fmt.Errorf("core: recovery ladder exhausted at step %d (best-effort state restored): %w", rj.checkpointStep(), cause)
 }
 
@@ -803,9 +709,6 @@ func (rj *ResilientJob) exchangeBuddies(rs *ResilientStats, g *ckptGeneration) e
 	})
 	rs.BuddyBytes += w.TotalBytes()
 	if err != nil {
-		if errors.Is(err, integrity.ErrCorrupt) {
-			return fmt.Errorf("core: buddy replication at step %d: %w", g.step, err)
-		}
 		return fmt.Errorf("core: buddy replication at step %d: %w", g.step, err)
 	}
 	enc := make([][]float64, n)

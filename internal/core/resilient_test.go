@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -227,21 +228,50 @@ func TestWatchdogCatchesBlowupAndDegradesGracefully(t *testing.T) {
 // Chunked supervision must not change the answer even without faults:
 // checkpoint cadence is semantically invisible (remap and watchdog
 // cadences are driven by the global step counter, not the chunking).
+// And both modes drive the one supervise loop: fault-free they differ
+// only in the rung picker that is never called, so global and ladder
+// must agree on the state bits, the checkpoint count and the event
+// history (kinds and steps).
 func TestResilientJobFaultFreeMatchesPlain(t *testing.T) {
 	cs := newChaosSetup(t)
+	type kindStep struct {
+		kind string
+		step int
+	}
 	for _, every := range []int{1, 2, 4} {
-		job := cs.newJob(t)
-		rj := NewResilientJob(job)
-		rj.CheckpointEvery = every
-		local := job.Scatter(cs.global)
-		rs, err := rj.Run(local, cs.steps)
-		if err != nil {
-			t.Fatalf("every=%d: %v", every, err)
+		var refHash uint64
+		var refCkpts int
+		var refEvents []kindStep
+		for _, mode := range []string{ModeGlobal, ModeLadder} {
+			job := cs.newJob(t)
+			rj := NewResilientJob(job)
+			rj.Mode = mode
+			rj.CheckpointEvery = every
+			rs, err := rj.Run(job.Scatter(cs.global), cs.steps)
+			if err != nil {
+				t.Fatalf("every=%d %s: %v", every, mode, err)
+			}
+			if rs.Rollbacks != 0 {
+				t.Errorf("every=%d %s: spurious rollbacks: %v", every, mode, rs.Events)
+			}
+			got := job.Gather(rj.States())
+			cs.assertBitIdentical(t, got)
+			var events []kindStep
+			for _, e := range rs.Events {
+				events = append(events, kindStep{e.Kind, e.Step})
+			}
+			if mode == ModeGlobal {
+				refHash, refCkpts, refEvents = StateFNV(got), rs.Checkpoints, events
+				continue
+			}
+			if h := StateFNV(got); h != refHash {
+				t.Errorf("every=%d: ladder StateFNV %016x != global %016x", every, h, refHash)
+			}
+			if rs.Checkpoints != refCkpts || !reflect.DeepEqual(events, refEvents) {
+				t.Errorf("every=%d: ladder took %d checkpoints %v, global %d %v",
+					every, rs.Checkpoints, events, refCkpts, refEvents)
+			}
 		}
-		if rs.Rollbacks != 0 {
-			t.Errorf("every=%d: spurious rollbacks: %v", every, rs.Events)
-		}
-		cs.assertBitIdentical(t, job.Gather(local))
 	}
 }
 

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"runtime"
 	"testing"
 
 	"swcam/internal/mesh"
@@ -33,6 +34,16 @@ func TestAdaptiveWorkersTable(t *testing.T) {
 	// max <= 0 defers to the machine default but never exceeds it.
 	if got := AdaptiveWorkers(1000*bs, 0); got != DefaultDynWorkers() {
 		t.Errorf("AdaptiveWorkers(huge, 0) = %d, want DefaultDynWorkers %d", got, DefaultDynWorkers())
+	}
+	// The machine default follows GOMAXPROCS, not the host's CPU count:
+	// a process pinned to one P resolves "auto" to the serial path.
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	if got := DefaultDynWorkers(); got != 1 {
+		t.Errorf("DefaultDynWorkers under GOMAXPROCS(1) = %d, want 1", got)
+	}
+	if got := AdaptiveWorkers(1000*bs, 0); got != 1 {
+		t.Errorf("AdaptiveWorkers(huge, 0) under GOMAXPROCS(1) = %d, want 1", got)
 	}
 }
 

@@ -29,26 +29,21 @@ type Engine struct {
 
 	workers int
 	pool    []*dynWorker
-	tilesC  []tile // precomputed aligned tiles, one worker each
 
-	// Tile-run coordination (see tiling.go). Kernel methods are not
-	// reentrant per engine — exactly as with the former shared
-	// workspace — so one set of fields suffices.
-	tileWG      sync.WaitGroup
-	partials    []serialPartial
-	tilePanics  []any
-	curSerialFn func(w *dynWorker, lo, hi int, p *serialPartial)
-	curCGFn     func(cg *sw.CoreGroup, lo, hi int)
+	// Tile-run coordination (see tiling.go): per-tile partials and
+	// parked panics, and the launch in flight. Kernel methods are not
+	// reentrant per engine, so one set of fields suffices.
+	tileWG     sync.WaitGroup
+	partials   []serialPartial
+	tilePanics []any
+	curFn      func(w *dynWorker, slots []int, p *serialPartial)
+	curSel     *ElemSubset
 
-	// Subset execution (see subset.go): the identity subset backing
-	// Whole runs of the split kernels, registered subsets re-tiled on
-	// SetWorkers, the current subset-run callbacks, and the deferred
-	// split accounting (Open parks, Close collects).
+	// Subset execution (see subset.go): the identity subset every Whole
+	// launch runs on, registered subsets re-tiled on SetWorkers, and the
+	// deferred split accounting (Open parks, Close collects).
 	allSub               *ElemSubset
 	subs                 []*ElemSubset
-	curSerialOnFn        func(w *dynWorker, slots []int, p *serialPartial)
-	curCGOnFn            func(cg *sw.CoreGroup, slots []int)
-	curSel               *ElemSubset
 	splitPend            bool
 	pendFlops, pendBytes int64
 
@@ -75,10 +70,10 @@ type dynWorker struct {
 	ws  *dycore.Workspace
 	rhs *dycore.RHS
 	// Serial-backend scratch.
-	flxU, flxV, div  []float64
-	gv1, gv2         []float64
-	colA, colB       []float64
-	colC, colD       []float64
+	flxU, flxV, div []float64
+	gv1, gv2        []float64
+	colA, colB      []float64
+	colC, colD      []float64
 	// Pooled slabs for the single-source kernel layer's serial lowering
 	// (kernel.go): kScr backs a spec's kernel-visible scratch slots,
 	// opScr the primitives' internal scratch.
@@ -138,19 +133,15 @@ func (w *dynWorker) ensureCG() *sw.CoreGroup {
 	return w.cg
 }
 
-// snapshot copies element rows [lo, hi) of the five state field groups
-// into the worker's pooled buffer, returning row views indexed by
-// le-lo. rowLen is nlev*np² (U/V/T/DP rows), qRowLen is qsize*rowLen.
-func (w *dynWorker) snapshot(u, v, t, dp, q [][]float64, lo, hi, rowLen, qRowLen int) (su, sv, st, sdp, sq [][]float64) {
-	n := hi - lo
+// snapshot copies the element rows of slots from the five state field
+// groups into the worker's pooled buffer, returning row views indexed
+// by position in slots. rowLen is nlev*np² (U/V/T/DP rows), qRowLen is
+// qsize*rowLen.
+func (w *dynWorker) snapshot(u, v, t, dp, q [][]float64, slots []int, rowLen, qRowLen int) (su, sv, st, sdp, sq [][]float64) {
+	n := len(slots)
 	need := n * (4*rowLen + qRowLen)
 	if cap(w.snapBuf) < need {
 		w.snapBuf = make([]float64, need)
-		w.snapU = make([][]float64, n)
-		w.snapV = make([][]float64, n)
-		w.snapT = make([][]float64, n)
-		w.snapDP = make([][]float64, n)
-		w.snapQ = make([][]float64, n)
 	}
 	if len(w.snapU) < n {
 		w.snapU = make([][]float64, n)
@@ -166,8 +157,7 @@ func (w *dynWorker) snapshot(u, v, t, dp, q [][]float64, lo, hi, rowLen, qRowLen
 		copy(s, src)
 		return s
 	}
-	for i := 0; i < n; i++ {
-		le := lo + i
+	for i, le := range slots {
 		w.snapU[i] = carve(u[le])
 		w.snapV[i] = carve(v[le])
 		w.snapT[i] = carve(t[le])

@@ -25,7 +25,7 @@ func (en *Engine) eulerStep(sub Subset, b Backend, st *dycore.State, dt float64)
 // conventional core (Intel) or on the management core (MPE), tiled
 // across the worker pool.
 func (en *Engine) eulerSerial(sub Subset, b Backend, sel *ElemSubset, st *dycore.State, dt float64) Cost {
-	flops, bytes := en.runTilesSerialOn(sel, func(w *dynWorker, slots []int, p *serialPartial) {
+	flops, bytes := en.runTiles(sel, func(w *dynWorker, slots []int, p *serialPartial) {
 		for _, le := range slots {
 			e := en.element(le)
 			for q := 0; q < en.Qsize; q++ {
@@ -50,8 +50,9 @@ func (en *Engine) eulerSerial(sub Subset, b Backend, sel *ElemSubset, st *dycore
 func (en *Engine) eulerOpenACC(sub Subset, sel *ElemSubset, st *dycore.State, dt float64) Cost {
 	np, nlev, qsize := en.Np, en.Nlev, en.Qsize
 	npsq := np * np
-	en.runTilesCGOn(sel, sub.Phase == Close, func(cg *sw.CoreGroup, slots []int) {
-		cg.Spawn(func(c *sw.CPE) {
+	en.armCGs(sel, sub.Phase == Close)
+	en.runTiles(sel, func(w *dynWorker, slots []int, _ *serialPartial) {
+		w.cg.Spawn(func(c *sw.CPE) {
 			ldm := c.LDM
 			// Per-element restart keeps the global (element, tracer) ->
 			// CPE assignment and per-CPE item order of the contiguous
@@ -118,8 +119,9 @@ func (en *Engine) eulerAthread(sub Subset, sel *ElemSubset, st *dycore.State, dt
 	np := en.Np
 	npsq := np * np
 	maxVl := en.maxRowLevels()
-	en.runTilesCGOn(sel, sub.Phase == Close, func(cg *sw.CoreGroup, slots []int) {
-		cg.Spawn(func(c *sw.CPE) {
+	en.armCGs(sel, sub.Phase == Close)
+	en.runTiles(sel, func(w *dynWorker, slots []int, _ *serialPartial) {
+		w.cg.Spawn(func(c *sw.CPE) {
 			ldm := c.LDM
 			s, vl := en.rowLevels(c.Row)
 			slab := vl * npsq

@@ -484,68 +484,6 @@ func TestRemapTransposedMatchesStrided(t *testing.T) {
 	}
 }
 
-// The shallow-water RHS on the Athread backend must match the serial
-// SWSolver bit-for-bit (same slab arithmetic; no vertical scans to
-// regroup).
-func TestShallowWaterAthreadMatchesSerial(t *testing.T) {
-	const ne = 2
-	sols, err := dycore.NewSWSolver(ne, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := sols.NewState()
-	sols.InitRossbyHaurwitz(st)
-	// Topography exercises the g*(h+hs) term.
-	for ei := range sols.Hs {
-		for n := range sols.Hs[ei] {
-			sols.Hs[ei][n] = 500 * math.Sin(float64(ei+n))
-		}
-	}
-
-	// Reference: a full serial SSP-RK2 step with hyperviscosity disabled
-	// (the engine path below reproduces the step stage by stage).
-	en := NewSWEngine(sols.Mesh)
-	got := st.Clone()
-	s1 := got.Clone()
-	cost := en.ShallowWaterRHS(got, got, s1, sols.Hs, sols.Dt)
-	if cost.FlopsVector == 0 || cost.MemBytes == 0 {
-		t.Fatal("no work accounted")
-	}
-	sols.Mesh.DSS(s1.U)
-	sols.Mesh.DSS(s1.V)
-	sols.Mesh.DSS(s1.H)
-	s2 := s1.Clone()
-	en.ShallowWaterRHS(s1, s1, s2, sols.Hs, sols.Dt)
-	sols.Mesh.DSS(s2.U)
-	sols.Mesh.DSS(s2.V)
-	sols.Mesh.DSS(s2.H)
-	for ei := range got.U {
-		dycore.SSPRK2Combine(got.U[ei], s2.U[ei], got.U[ei])
-		dycore.SSPRK2Combine(got.V[ei], s2.V[ei], got.V[ei])
-		dycore.SSPRK2Combine(got.H[ei], s2.H[ei], got.H[ei])
-	}
-	sols2, _ := dycore.NewSWSolver(ne, 300)
-	copy2D := func(dst, src [][]float64) {
-		for i := range src {
-			copy(dst[i], src[i])
-		}
-	}
-	copy2D(sols2.Hs, sols.Hs)
-	sols2.Nu = 0
-	ref2 := st.Clone()
-	sols2.Step(ref2)
-
-	if d := relDiff(ref2.H, got.H); d != 0 {
-		t.Errorf("shallow-water H differs from serial by %g (want bitwise)", d)
-	}
-	if d := relDiff(ref2.U, got.U); d != 0 {
-		t.Errorf("shallow-water U differs from serial by %g", d)
-	}
-	if cost.LDMPeak > sw.LDMBytes {
-		t.Errorf("shallow-water kernel LDM peak %d over budget", cost.LDMPeak)
-	}
-}
-
 // The generalized Figure 2 decomposition: CAM's 30 levels do not divide
 // by the 8 mesh rows; the Athread kernels must still match the serial
 // backends bit-for-bit (euler, hypervis) or to scan rounding (rhs).

@@ -38,8 +38,7 @@ func (en *Engine) hypervisDP2(sub Subset, b Backend, lapU, lapV, lapT, lapDP [][
 }
 
 // biharmonicDP3D runs the weak biharmonic of dp3d as a Whole launch
-// (it is not part of the boundary/inner split); the identity subset
-// reproduces the aligned tile geometry of the unsplit runners.
+// (it is not part of the boundary/inner split).
 func (en *Engine) biharmonicDP3D(b Backend, in, out [][]float64) Cost {
 	en.beginLaunch(Subset{})
 	bind := slabBind{

@@ -36,7 +36,7 @@ func (en *Engine) bindObsRegistry() {
 		return
 	}
 	en.obsReg.Gauge("exec.dyn.workers").Set(float64(en.workers))
-	en.obsReg.Gauge("exec.dyn.tiles").Set(float64(len(en.tilesC)))
+	en.obsReg.Gauge("exec.dyn.tiles").Set(float64(en.Tiles()))
 	// One busy counter per worker: subset launches (subset.go) can run
 	// more tiles than the aligned Whole decomposition, up to pool size.
 	en.busyNs = make([]*obs.Counter, en.workers)

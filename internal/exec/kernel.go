@@ -41,10 +41,10 @@
 //     part of the contract), the derivative matrix is a per-launch
 //     broadcast inside c.Setup, and the body runs the Vec4 slab ops.
 //
-// All three CPE-side lowerings run through the subset runners
-// (subset.go), so the boundary/inner split and the Open/Close deferred
-// cost accounting come for free; a Whole launch uses the identity
-// subset, whose tiles equal the aligned legacy decomposition.
+// Every lowering launches through the one tile runner (tiling.go) on a
+// compiled slot list, so the boundary/inner split and the Open/Close
+// deferred cost accounting (subset.go) come for free; a Whole launch
+// is the identity subset on the MeshDim-aligned tiles.
 package exec
 
 import (
@@ -121,9 +121,11 @@ type countSlabOps struct {
 	flops int64
 }
 
-func (c *countSlabOps) VecLaplace(u, v, lu, lv []float64)               { c.flops += vecLapFlops(c.np) }
-func (c *countSlabOps) Laplace(src, out []float64)                      { c.flops += lapFlops(c.np) }
-func (c *countSlabOps) AxpyUpdate(dst []float64, coef float64, src []float64) { c.flops += axpyFlops(c.np) }
+func (c *countSlabOps) VecLaplace(u, v, lu, lv []float64) { c.flops += vecLapFlops(c.np) }
+func (c *countSlabOps) Laplace(src, out []float64)        { c.flops += lapFlops(c.np) }
+func (c *countSlabOps) AxpyUpdate(dst []float64, coef float64, src []float64) {
+	c.flops += axpyFlops(c.np)
+}
 
 // levelFlops is the spec's analytic flop count for one np×np level.
 func (k *slabSpec) levelFlops(np int) int64 {
@@ -255,7 +257,7 @@ func (en *Engine) lowerSlabSerial(k *slabSpec, sub Subset, b Backend, bind *slab
 	npsq := np * np
 	perElemFlops := k.levelFlops(np) * int64(nlev)
 	perElemBytes := k.serialBytes(np, nlev)
-	flops, bytes := en.runTilesSerialOn(sel, func(w *dynWorker, slots []int, p *serialPartial) {
+	flops, bytes := en.runTiles(sel, func(w *dynWorker, slots []int, p *serialPartial) {
 		ops := serialSlabOps{en: en, w: w}
 		var io slabIO
 		io.coef = bind.coef
@@ -320,8 +322,9 @@ func (en *Engine) lowerSlabOpenACC(k *slabSpec, sub Subset, bind *slabBind) Cost
 	np, nlev := en.Np, en.Nlev
 	npsq := np * np
 	nOp := k.opScratch()
-	en.runTilesCGOn(sel, sub.Phase == Close, func(cg *sw.CoreGroup, slots []int) {
-		cg.Spawn(func(c *sw.CPE) {
+	en.armCGs(sel, sub.Phase == Close)
+	en.runTiles(sel, func(w *dynWorker, slots []int, _ *serialPartial) {
+		w.cg.Spawn(func(c *sw.CPE) {
 			ldm := c.LDM
 			ops := accSlabOps{c: c, np: np}
 			var io slabIO
@@ -411,8 +414,9 @@ func (en *Engine) lowerSlabAthread(k *slabSpec, sub Subset, bind *slabBind) Cost
 	np := en.Np
 	npsq := np * np
 	nOp := k.opScratch()
-	en.runTilesCGOn(sel, sub.Phase == Close, func(cg *sw.CoreGroup, slots []int) {
-		cg.Spawn(func(c *sw.CPE) {
+	en.armCGs(sel, sub.Phase == Close)
+	en.runTiles(sel, func(w *dynWorker, slots []int, _ *serialPartial) {
+		w.cg.Spawn(func(c *sw.CPE) {
 			ldm := c.LDM
 			s, vl := en.rowLevels(c.Row)
 			ops := athSlabOps{c: c, np: np}

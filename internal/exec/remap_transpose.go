@@ -34,9 +34,9 @@ func (en *Engine) verticalRemapTransposed(h *dycore.HybridCoord, st *dycore.Stat
 		panic("exec: transposed remap needs nlev/8 pairs in vector multiples")
 	}
 
-	en.runTilesCG(func(cg *sw.CoreGroup, lo, hi int) {
-		wk := en.workerOf(cg)
-		cg.Spawn(func(c *sw.CPE) {
+	en.armCGs(en.allSub, false)
+	en.runTiles(en.allSub, func(wk *dynWorker, slots []int, _ *serialPartial) {
+		wk.cg.Spawn(func(c *sw.CPE) {
 			ldm := c.LDM
 			rw := wk.cpeRWS[c.ID]
 			s := c.Row * vl
@@ -105,8 +105,13 @@ func (en *Engine) verticalRemapTransposed(h *dycore.HybridCoord, st *dycore.Stat
 				}
 			}
 
-			for blk := lo; blk+c.Col < hi; blk += sw.MeshDim {
-				le := blk + c.Col
+			// Element le belongs to mesh column le % MeshDim, and every
+			// row of a column sees the same slot sequence, so the
+			// in-fabric exchanges stay paired (compare rhsAthread).
+			for _, le := range slots {
+				if le%sw.MeshDim != c.Col {
+					continue
+				}
 
 				// dp: one contiguous DMA for the whole level block, then the
 				// in-fabric transpose.

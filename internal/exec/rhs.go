@@ -25,7 +25,7 @@ func (en *Engine) computeAndApplyRHS(sub Subset, b Backend, cur, base, out *dyco
 }
 
 func (en *Engine) rhsSerial(sub Subset, b Backend, sel *ElemSubset, cur, base, out *dycore.State, dt float64) Cost {
-	flops, bytes := en.runTilesSerialOn(sel, func(w *dynWorker, slots []int, p *serialPartial) {
+	flops, bytes := en.runTiles(sel, func(w *dynWorker, slots []int, p *serialPartial) {
 		for _, le := range slots {
 			e := en.element(le)
 			dycore.ComputeAndApplyRHSElem(e, en.M.DerivFlat, w.ws, w.rhs,
@@ -52,8 +52,9 @@ func (en *Engine) rhsSerial(sub Subset, b Backend, sel *ElemSubset, cur, base, o
 func (en *Engine) rhsOpenACC(sub Subset, sel *ElemSubset, cur, base, out *dycore.State, dt float64) Cost {
 	np, nlev := en.Np, en.Nlev
 	npsq := np * np
-	en.runTilesCGOn(sel, sub.Phase == Close, func(cg *sw.CoreGroup, slots []int) {
-		cg.Spawn(func(c *sw.CPE) {
+	en.armCGs(sel, sub.Phase == Close)
+	en.runTiles(sel, func(w *dynWorker, slots []int, _ *serialPartial) {
+		w.cg.Spawn(func(c *sw.CPE) {
 			ldm := c.LDM
 			// Per-element restart of the round-robin item loop: the
 			// global (element, level) -> CPE assignment — and each
@@ -236,8 +237,9 @@ func (en *Engine) rhsAthread(sub Subset, sel *ElemSubset, cur, base, out *dycore
 	np := en.Np
 	npsq := np * np
 	maxVl := en.maxRowLevels()
-	en.runTilesCGOn(sel, sub.Phase == Close, func(cg *sw.CoreGroup, slots []int) {
-		cg.Spawn(func(c *sw.CPE) {
+	en.armCGs(sel, sub.Phase == Close)
+	en.runTiles(sel, func(w *dynWorker, slots []int, _ *serialPartial) {
+		w.cg.Spawn(func(c *sw.CPE) {
 			ldm := c.LDM
 			s, vl := en.rowLevels(c.Row)
 			slab := vl * npsq

@@ -27,10 +27,6 @@
 //     empty launch for the same reason.
 package exec
 
-import (
-	"swcam/internal/sw"
-)
-
 // SplitPhase selects how a kernel invocation relates to the
 // boundary/interior split of a DSS-preceding kernel.
 type SplitPhase int
@@ -95,8 +91,8 @@ func (en *Engine) CompileSubset(slots []int) *ElemSubset {
 }
 
 // computeSubsetTiles splits n slot indices into at most `workers`
-// contiguous index ranges. Unlike the Whole-path tiles these need no
-// MeshDim alignment: tiles partition an arbitrary slot list, and the
+// contiguous index ranges. Unlike the identity subset's tiles these need
+// no MeshDim alignment: tiles partition an arbitrary slot list, and the
 // per-element CPE assignment is independent of where tiles start.
 // n == 0 still yields one empty tile so an empty subset performs
 // exactly one (empty) launch — keeping the split's setup-DMA and
@@ -189,83 +185,4 @@ func (en *Engine) collectSplit(b Backend, ph SplitPhase) Cost {
 		return en.collect(b, 1)
 	}
 	return en.collect(b, 1)
-}
-
-// runTilesSerialOn is runTilesSerial over a compiled subset: fn
-// receives the tile's slice of the subset's slot list instead of a
-// contiguous [lo, hi) range.
-func (en *Engine) runTilesSerialOn(sel *ElemSubset, fn func(w *dynWorker, slots []int, p *serialPartial)) (flops, bytes int64) {
-	tiles := sel.tiles
-	for i := range en.partials {
-		en.partials[i] = serialPartial{}
-	}
-	if len(tiles) == 1 {
-		sp, done := en.tileObsStart(0)
-		fn(en.pool[0], sel.slots[tiles[0].Lo:tiles[0].Hi], &en.partials[0])
-		en.tileObsEnd(0, sp, done)
-		return en.partials[0].flops, en.partials[0].bytes
-	}
-	en.curSerialOnFn = fn
-	en.curSel = sel
-	en.tileWG.Add(len(tiles))
-	for i := 1; i < len(tiles); i++ {
-		go en.serialTileOn(i)
-	}
-	en.serialTileOn(0)
-	en.tileWG.Wait()
-	en.curSerialOnFn = nil
-	en.curSel = nil
-	en.rethrowTilePanic()
-	for i := range tiles {
-		flops += en.partials[i].flops
-		bytes += en.partials[i].bytes
-	}
-	return flops, bytes
-}
-
-func (en *Engine) serialTileOn(i int) {
-	defer en.tileWG.Done()
-	defer func() { en.tilePanics[i] = recover() }()
-	sp, done := en.tileObsStart(i)
-	t := en.curSel.tiles[i]
-	en.curSerialOnFn(en.pool[i], en.curSel.slots[t.Lo:t.Hi], &en.partials[i])
-	en.tileObsEnd(i, sp, done)
-}
-
-// runTilesCGOn is runTilesCG over a compiled subset. replayAll mutes
-// the hoisted per-launch setup fetch on every tile (the Close half of
-// a split: the Open half already accounted it); otherwise only tiles
-// 1+ replay, like the unsplit path.
-func (en *Engine) runTilesCGOn(sel *ElemSubset, replayAll bool, fn func(cg *sw.CoreGroup, slots []int)) {
-	tiles := sel.tiles
-	for i := range tiles {
-		en.pool[i].ensureCG()
-		en.pool[i].cg.SetReplaySetup(replayAll || i != 0)
-	}
-	if len(tiles) == 1 {
-		sp, done := en.tileObsStart(0)
-		fn(en.pool[0].cg, sel.slots[tiles[0].Lo:tiles[0].Hi])
-		en.tileObsEnd(0, sp, done)
-		return
-	}
-	en.curCGOnFn = fn
-	en.curSel = sel
-	en.tileWG.Add(len(tiles))
-	for i := 1; i < len(tiles); i++ {
-		go en.cgTileOn(i)
-	}
-	en.cgTileOn(0)
-	en.tileWG.Wait()
-	en.curCGOnFn = nil
-	en.curSel = nil
-	en.rethrowTilePanic()
-}
-
-func (en *Engine) cgTileOn(i int) {
-	defer en.tileWG.Done()
-	defer func() { en.tilePanics[i] = recover() }()
-	sp, done := en.tileObsStart(i)
-	t := en.curSel.tiles[i]
-	en.curCGOnFn(en.pool[i].cg, en.curSel.slots[t.Lo:t.Hi])
-	en.tileObsEnd(i, sp, done)
 }

@@ -12,10 +12,9 @@
 //     (element, CPE column) pairs the untiled loop visits, so every
 //     element is computed by the same simulated CPE with the same
 //     arithmetic, and per-CPE counters land on the same ids.
-//  2. Round-robin work-item loops (OpenACC collapse, remap columns,
-//     shallow-water elements) restart inside a tile at
-//     firstWorkItem(start, id), preserving the global item → CPE
-//     assignment.
+//  2. Round-robin work-item loops (OpenACC collapse, remap columns)
+//     restart per element at firstWorkItem(start, id), preserving the
+//     global item → CPE assignment.
 //  3. Tiles write disjoint element rows and read only their own rows
 //     (the one cross-row reader, the OpenACC remap, snapshots its tile
 //     first), so there are no cross-tile data flows whose order could
@@ -48,11 +47,12 @@ type serialPartial struct {
 }
 
 // DefaultDynWorkers is the worker-pool size used when none is
-// configured: the host's CPUs, capped at the CPE mesh width (tiles are
+// configured: the CPUs this process may run on (GOMAXPROCS, so a pinned
+// process downshifts), capped at the CPE mesh width (tiles are
 // MeshDim-aligned, so more workers than mesh-width element blocks
 // rarely pay off at bench scales).
 func DefaultDynWorkers() int {
-	n := runtime.NumCPU()
+	n := runtime.GOMAXPROCS(0)
 	if n > sw.MeshDim {
 		n = sw.MeshDim
 	}
@@ -119,7 +119,6 @@ func (en *Engine) SetWorkers(n int) {
 		en.pool = append(en.pool, newDynWorker(en.Np, en.Nlev))
 	}
 	en.pool = en.pool[:n]
-	en.tilesC = computeTiles(len(en.Elems), n)
 	// Subset tiles are not MeshDim-aligned, so a subset can split into
 	// more tiles than the aligned Whole decomposition (up to one per
 	// worker); size the shared per-tile state for the pool.
@@ -132,10 +131,9 @@ func (en *Engine) SetWorkers(n int) {
 		}
 		en.allSub = &ElemSubset{slots: ids}
 	}
-	// The identity subset reuses the aligned Whole tiles (slot i is
-	// element i), so a Whole run through the subset runners executes
-	// exactly the tile shapes of the legacy runners.
-	en.allSub.tiles = en.tilesC
+	// A Whole launch is the identity subset (slot i is element i) on
+	// the MeshDim-aligned tiles.
+	en.allSub.tiles = computeTiles(len(en.Elems), n)
 	for _, s := range en.subs {
 		s.retile(n)
 	}
@@ -147,7 +145,7 @@ func (en *Engine) Workers() int { return en.workers }
 
 // Tiles reports how many element tiles kernel calls actually run
 // (min(workers, aligned element blocks), and 1 when the rank is empty).
-func (en *Engine) Tiles() int { return len(en.tilesC) }
+func (en *Engine) Tiles() int { return len(en.allSub.tiles) }
 
 // computeTiles splits n elements into at most `workers` contiguous
 // tiles aligned to sw.MeshDim. Alignment blocks are distributed as
@@ -192,108 +190,68 @@ func firstWorkItem(start, id int) int {
 	return start + r
 }
 
-// runTilesSerial runs fn over every tile on the worker pool, each tile
-// with its own dynWorker scratch, and returns the analytic flop/byte
-// sums accumulated in fixed tile order. With one tile the call is
-// inline on the caller's goroutine — the zero-overhead, zero-allocation
-// serial path.
-func (en *Engine) runTilesSerial(fn func(w *dynWorker, lo, hi int, p *serialPartial)) (flops, bytes int64) {
-	tiles := en.tilesC
-	for i := range en.partials {
+// runTiles is the one tile runner: it runs fn over every tile of sel on
+// the worker pool, handing each tile its worker (private scratch, and
+// for the CPE lowerings the private core group w.cg), the tile's slice
+// of the slot list, and a partial for the serial backends' analytic
+// sums, which are returned accumulated in fixed tile order. A Whole
+// launch passes the identity subset, whose tiles are the MeshDim-aligned
+// decomposition; Open/Close launches pass a compiled subset. With one
+// tile the call is inline on the caller's goroutine — the zero-overhead,
+// zero-allocation serial path; otherwise a tile panic is parked and
+// re-raised here, on the rank goroutine, where the mpirt runtime's
+// failure handling expects kernel faults to surface.
+func (en *Engine) runTiles(sel *ElemSubset, fn func(w *dynWorker, slots []int, p *serialPartial)) (flops, bytes int64) {
+	n := len(sel.tiles)
+	for i := 0; i < n; i++ {
 		en.partials[i] = serialPartial{}
 	}
-	if len(tiles) == 1 {
-		sp, done := en.tileObsStart(0)
-		fn(en.pool[0], tiles[0].Lo, tiles[0].Hi, &en.partials[0])
-		en.tileObsEnd(0, sp, done)
-		return en.partials[0].flops, en.partials[0].bytes
+	en.curFn, en.curSel = fn, sel
+	if n == 1 {
+		en.runTile(0)
+	} else {
+		en.tileWG.Add(n)
+		for i := 1; i < n; i++ {
+			go en.runTileParked(i)
+		}
+		en.runTileParked(0)
+		en.tileWG.Wait()
 	}
-	en.curSerialFn = fn
-	en.tileWG.Add(len(tiles))
-	for i := 1; i < len(tiles); i++ {
-		go en.serialTile(i)
-	}
-	en.serialTile(0)
-	en.tileWG.Wait()
-	en.curSerialFn = nil
-	en.rethrowTilePanic()
-	for i := range tiles {
+	en.curFn, en.curSel = nil, nil
+	for i := 0; i < n; i++ {
+		if p := en.tilePanics[i]; p != nil {
+			en.tilePanics[i] = nil
+			panic(p)
+		}
 		flops += en.partials[i].flops
 		bytes += en.partials[i].bytes
 	}
 	return flops, bytes
 }
 
-// serialTile executes one tile of the current serial kernel; panics are
-// parked for the coordinating goroutine to re-raise.
-func (en *Engine) serialTile(i int) {
+// runTile executes tile i of the current launch on worker i.
+func (en *Engine) runTile(i int) {
+	sp, start := en.tileObsStart(i)
+	t := en.curSel.tiles[i]
+	en.curFn(en.pool[i], en.curSel.slots[t.Lo:t.Hi], &en.partials[i])
+	en.tileObsEnd(i, sp, start)
+}
+
+// runTileParked is runTile for a multi-tile launch: a panic is parked
+// for the coordinating goroutine to re-raise.
+func (en *Engine) runTileParked(i int) {
 	defer en.tileWG.Done()
 	defer func() { en.tilePanics[i] = recover() }()
-	sp, done := en.tileObsStart(i)
-	t := en.tilesC[i]
-	en.curSerialFn(en.pool[i], t.Lo, t.Hi, &en.partials[i])
-	en.tileObsEnd(i, sp, done)
+	en.runTile(i)
 }
 
-// runTilesCG runs fn over every tile, handing each tile its worker's
-// private simulated core group; fn spawns the CPE closure itself (so it
-// can do per-tile setup such as the OpenACC remap snapshot). Counters
-// accumulate on the per-worker core groups and are merged by collect.
-func (en *Engine) runTilesCG(fn func(cg *sw.CoreGroup, lo, hi int)) {
-	tiles := en.tilesC
-	for i := range tiles {
-		en.pool[i].ensureCG()
-		en.pool[i].cg.SetReplaySetup(i != 0)
-	}
-	if len(tiles) == 1 {
-		sp, done := en.tileObsStart(0)
-		fn(en.pool[0].cg, tiles[0].Lo, tiles[0].Hi)
-		en.tileObsEnd(0, sp, done)
-		return
-	}
-	en.curCGFn = fn
-	en.tileWG.Add(len(tiles))
-	for i := 1; i < len(tiles); i++ {
-		go en.cgTile(i)
-	}
-	en.cgTile(0)
-	en.tileWG.Wait()
-	en.curCGFn = nil
-	en.rethrowTilePanic()
-}
-
-// workerOf maps a core group handed out by runTilesCG back to its
-// owning worker, for kernels that also need the worker's host-side
-// scratch (the OpenACC remap snapshot). The pool is at most MeshDim
-// entries, so the scan is trivial and allocation-free.
-func (en *Engine) workerOf(cg *sw.CoreGroup) *dynWorker {
-	for _, w := range en.pool {
-		if w.cg == cg {
-			return w
-		}
-	}
-	panic("exec: core group not owned by this engine's pool")
-}
-
-// cgTile executes one tile of the current core-group kernel.
-func (en *Engine) cgTile(i int) {
-	defer en.tileWG.Done()
-	defer func() { en.tilePanics[i] = recover() }()
-	sp, done := en.tileObsStart(i)
-	t := en.tilesC[i]
-	en.curCGFn(en.pool[i].cg, t.Lo, t.Hi)
-	en.tileObsEnd(i, sp, done)
-}
-
-// rethrowTilePanic re-raises the first parked tile panic on the rank
-// goroutine, where the mpirt runtime's failure handling expects kernel
-// faults to surface.
-func (en *Engine) rethrowTilePanic() {
-	for i, p := range en.tilePanics {
-		if p != nil {
-			en.tilePanics[i] = nil
-			panic(p)
-		}
+// armCGs readies the core groups a CPE launch over sel runs on: built
+// on first use, with the hoisted per-launch setup fetch muted on every
+// tile but the first — and on the first too when replayAll (the Close
+// half of a split: the Open half already accounted it).
+func (en *Engine) armCGs(sel *ElemSubset, replayAll bool) {
+	for i := range sel.tiles {
+		en.pool[i].ensureCG().SetReplaySetup(replayAll || i != 0)
 	}
 }
 

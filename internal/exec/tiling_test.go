@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"swcam/internal/dycore"
@@ -205,8 +206,9 @@ func TestTiledBitIdenticalAllBackends(t *testing.T) {
 	}
 }
 
-// The transposed-remap ablation and the shallow-water kernel follow the
-// same contract.
+// The transposed-remap ablation follows the same contract. (The name
+// predates the removal of exec's unused shallow-water kernel; it is
+// kept so the test floor keeps tracking this sweep.)
 func TestTiledBitIdenticalTransposeAndShallow(t *testing.T) {
 	const ne, nlev, qsize = 4, 16, 2
 	m, _, st0 := testSetup(t, ne, nlev, qsize)
@@ -234,27 +236,6 @@ func TestTiledBitIdenticalTransposeAndShallow(t *testing.T) {
 		}
 	}
 
-	// Shallow water.
-	sols, err := dycore.NewSWSolver(2, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sst := sols.NewState()
-	sols.InitRossbyHaurwitz(sst)
-	swRun := func(workers int) (uint64, Cost) {
-		en := NewSWEngine(sols.Mesh)
-		en.SetWorkers(workers)
-		out := sst.Clone()
-		c := en.ShallowWaterRHS(sst, sst, out, sols.Hs, sols.Dt)
-		return hashFields(out.U, out.V, out.H), c
-	}
-	wh, wc := swRun(1)
-	for _, workers := range []int{2, 4, 8} {
-		gh, gc := swRun(workers)
-		if gh != wh || gc != wc {
-			t.Errorf("shallow water workers=%d: hash/cost diverged", workers)
-		}
-	}
 }
 
 // Worker counts that don't divide the block count, plus uneven vertical
@@ -276,20 +257,41 @@ func TestTiledBitIdenticalAwkwardShapes(t *testing.T) {
 }
 
 // A panic inside one tile must surface on the kernel caller's goroutine
-// (where mpirt expects rank faults), not kill the process from a worker.
+// (where mpirt expects rank faults), not kill the process from a worker
+// — whether it is raised by the tile function itself (the serial
+// lowerings) or inside a simulated CPE of the tile's core group.
 func TestTilePanicPropagates(t *testing.T) {
 	m, _, _ := testSetup(t, 4, 8, 1)
-	en := tiledEngine(m, 8, 1, 4)
-	defer func() {
-		if r := recover(); r == nil {
-			t.Fatal("tile panic did not propagate to the caller")
-		}
-	}()
-	en.runTilesSerial(func(w *dynWorker, lo, hi int, p *serialPartial) {
-		if lo > 0 { // panic on a non-caller tile goroutine
-			panic("tile fault")
-		}
-	})
+	for _, tc := range []struct {
+		name string
+		cpe  bool
+	}{{"serial", false}, {"athread", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			en := tiledEngine(m, 8, 1, 4)
+			defer func() {
+				// sw.Spawn wraps a CPE panic with the faulting core's id.
+				if r := recover(); !strings.Contains(fmt.Sprint(r), "tile fault") {
+					t.Fatalf("tile panic did not propagate to the caller: recovered %v", r)
+				}
+			}()
+			if tc.cpe {
+				en.armCGs(en.allSub, false)
+			}
+			en.runTiles(en.allSub, func(w *dynWorker, slots []int, p *serialPartial) {
+				if slots[0] == 0 { // the caller's own tile stays healthy
+					return
+				}
+				if !tc.cpe {
+					panic("tile fault")
+				}
+				w.cg.Spawn(func(c *sw.CPE) {
+					if c.ID == 9 {
+						panic("tile fault")
+					}
+				})
+			})
+		})
+	}
 }
 
 // ---------------------------------------------------------------------------

@@ -39,10 +39,11 @@ import (
 )
 
 // DefaultStealWorkers is the pool size used for "auto" (-phys-workers
-// 0): one worker per CPU, capped so toy configurations don't drown in
-// goroutine overhead.
+// 0): one worker per CPU this process may run on (GOMAXPROCS, so a
+// pinned process downshifts), capped so toy configurations don't drown
+// in goroutine overhead.
 func DefaultStealWorkers() int {
-	n := runtime.NumCPU()
+	n := runtime.GOMAXPROCS(0)
 	if n > 16 {
 		n = 16
 	}

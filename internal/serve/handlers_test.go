@@ -231,7 +231,8 @@ func TestHandlerDeadlineExceeded(t *testing.T) {
 }
 
 // TestHandlerQueueFullSheds: with a single execution slot and a queue
-// of one, a burst must shed with 429 — bounded admission, no pileup.
+// of one, a burst must shed with 429 — bounded admission, no pileup —
+// while the diagnostics outside admission keep answering.
 func TestHandlerQueueFullSheds(t *testing.T) {
 	sup := testSupervisor(t, 1, nil)
 	if err := sup.RunCycles(1); err != nil {
@@ -267,9 +268,29 @@ func TestHandlerQueueFullSheds(t *testing.T) {
 			codes <- resp.StatusCode
 		}()
 	}
-	// Give the burst time to pile into the admission path, then let the
-	// executing request (and the queued one) finish.
-	time.Sleep(300 * time.Millisecond)
+	// Wait for the burst to pile into the admission path: one request
+	// parked in its slot, one queued, the rest shed.
+	for t0 := time.Now(); sup.reg().CounterValue("serve.requests.shed") < burst-2; {
+		if time.Since(t0) > 10*time.Second {
+			t.Fatal("burst never filled the admission queue")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// With the queue full a data route sheds, but /v1/metrics must not:
+	// it is needed exactly now.
+	if resp, body := getJSON(t, ts.URL+"/v1/field"); resp.StatusCode != http.StatusTooManyRequests || errCode(body) != "queue_full" {
+		t.Errorf("/v1/field with the queue full: %d %v, want 429 queue_full", resp.StatusCode, body)
+	}
+	resp, err := http.Get(ts.URL + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("/v1/metrics with the queue full: %d, want 200", resp.StatusCode)
+	}
+	// Let the executing request (and the queued one) finish.
 	once.Do(func() { close(release) })
 	wg.Wait()
 	close(codes)

@@ -78,18 +78,19 @@ func NewServer(sup *Supervisor, cfg ServerConfig) *Server {
 	}
 	s.sem = make(chan struct{}, s.cfg.MaxConcurrent)
 	s.mux = http.NewServeMux()
-	// Health and readiness bypass admission control entirely: a probe
-	// must never be shed or queued behind data traffic, or the
-	// orchestrator would kill a merely busy server.
+	// Health, readiness and metrics bypass admission control entirely:
+	// a probe must never be shed or queued behind data traffic, or the
+	// orchestrator would kill a merely busy server — and the metrics
+	// are needed most exactly when the data path is shedding.
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/readyz", s.handleReadyz)
+	s.mux.HandleFunc("/v1/metrics", s.handleMetrics)
 	s.mux.Handle("/v1/config", s.admit(s.handleConfig))
 	s.mux.Handle("/v1/members", s.admit(s.handleMembers))
 	s.mux.Handle("/v1/field", s.admit(s.handleField))
 	s.mux.Handle("/v1/point", s.admit(s.handlePoint))
 	s.mux.Handle("/v1/ensemble", s.admit(s.handleEnsemble))
 	s.mux.Handle("/v1/track", s.admit(s.handleTrack))
-	s.mux.Handle("/v1/metrics", s.admit(s.handleMetrics))
 	return s
 }
 
