@@ -7,7 +7,8 @@
 //	swserve -members 3 -kills 1@3,1@9 -faults chaos:4@42
 //
 // Endpoints: /healthz /readyz /v1/config /v1/members /v1/field
-// /v1/point /v1/ensemble /v1/track /v1/metrics. SIGINT/SIGTERM drains:
+// /v1/point /v1/ensemble /v1/track /v1/metrics /debug/pprof/.
+// SIGINT/SIGTERM drains:
 // readiness flips off, in-flight requests finish, members complete
 // their current cycle and checkpoint, observability flushes.
 package main

@@ -91,3 +91,39 @@ func BenchmarkShallowWaterStep(b *testing.B) {
 		s.Step(st)
 	}
 }
+
+// benchSlabs is one element's metric plus two np=4 input slabs, three
+// output slabs and two scratch slabs for the derivative-operator
+// benchmarks.
+func benchSlabs(b *testing.B) (s *Solver, u, v, o1, o2, s1, s2 []float64) {
+	s, st := benchSolver(b, 2, 4, 0)
+	buf := make([]float64, 4*16)
+	return s, st.U[0][:16], st.T[0][:16], buf[0:16], buf[16:32], buf[32:48], buf[48:64]
+}
+
+func BenchmarkGradientSlab(b *testing.B) {
+	s, u, _, gx, gy, s1, s2 := benchSlabs(b)
+	e := s.Mesh.Elements[0]
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		GradientSlab(s.Mesh.DerivFlat, e.DinvFlat, e.DAlpha, 4, u, gx, gy, s1, s2)
+	}
+}
+
+func BenchmarkDivergenceSlab(b *testing.B) {
+	s, u, v, div, _, s1, s2 := benchSlabs(b)
+	e := s.Mesh.Elements[0]
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		DivergenceSlab(s.Mesh.DerivFlat, e.DinvFlat, e.Metdet, e.DAlpha, 4, u, v, div, s1, s2)
+	}
+}
+
+func BenchmarkVorticitySlab(b *testing.B) {
+	s, u, v, vort, _, s1, s2 := benchSlabs(b)
+	e := s.Mesh.Elements[0]
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		VorticitySlab(s.Mesh.DerivFlat, e.DFlat, e.Metdet, e.DAlpha, 4, u, v, vort, s1, s2)
+	}
+}

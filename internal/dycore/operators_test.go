@@ -2,6 +2,7 @@ package dycore
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"swcam/internal/mesh"
@@ -285,5 +286,107 @@ func TestCurlIsNondivergent(t *testing.T) {
 	}
 	if ratio := l2div / l2vort; ratio > 0.02 {
 		t.Errorf("divergent content of curl = %.3f of rotational content", ratio)
+	}
+}
+
+// sameBits reports whether two outputs are the same float64 bit for bit.
+// Two NaNs count as the same whatever their payload: the sign and payload
+// of a NaN made from two NaN operands follow the machine instruction's
+// operand order, which the compiler may commute per call site.
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+}
+
+// slabFuncs is one implementation of the five derivative operators.
+type slabFuncs struct {
+	grad       func(d, dinv []float64, dA float64, np int, s, gx, gy, da, db []float64)
+	div, vort  func(d, met, metdet []float64, dA float64, np int, u, v, out, s1, s2 []float64)
+	laplace    func(d, dinv, metdet []float64, dA float64, np int, s, out, s1, s2, s3, s4 []float64)
+	vecLaplace func(d, dflat, dinv, metdet []float64, dA float64, np int, u, v, lu, lv, s1, s2, s3, s4, s5, s6 []float64)
+}
+
+// run applies every operator to (u, v) on element e, each with buffers
+// of its own, and returns all of them: outputs and the scratch slabs,
+// whose contents (the scaled covariant derivatives, the metric-weighted
+// fluxes) show a rounding or sign difference before any output does.
+func (f slabFuncs) run(m *mesh.Mesh, e *mesh.Element, u, v []float64) [][]float64 {
+	np, d, dA := m.Np, m.DerivFlat, e.DAlpha
+	b := make([][]float64, 27)
+	for i := range b {
+		b[i] = make([]float64, np*np)
+	}
+	f.grad(d, e.DinvFlat, dA, np, u, b[0], b[1], b[2], b[3])
+	f.div(d, e.DinvFlat, e.Metdet, dA, np, u, v, b[4], b[5], b[6])
+	f.vort(d, e.DFlat, e.Metdet, dA, np, u, v, b[7], b[8], b[9])
+	f.laplace(d, e.DinvFlat, e.Metdet, dA, np, u, b[10], b[11], b[12], b[13], b[14])
+	f.vecLaplace(d, e.DFlat, e.DinvFlat, e.Metdet, dA, np, u, v, b[15], b[16], b[17], b[18], b[19], b[20], b[21], b[22])
+	// In place, which the generic loops' two-pass structure allows: div
+	// over u, gx over s.
+	copy(b[23], u)
+	f.div(d, e.DinvFlat, e.Metdet, dA, np, b[23], v, b[23], b[24], b[25])
+	f.grad(d, e.DinvFlat, dA, np, b[23], b[23], b[26], b[24], b[25])
+	return b
+}
+
+// TestNp4SlabsMatchGeneric pins the np = 4 body of every derivative
+// operator to the generic loop bit for bit — over random slabs, slabs
+// salted with signed zeros, denormals, ±Inf and NaN, and zero slabs whose
+// signs make every product of one reduction -0 (the case the leading
+// 0.0 + decides) — and keeps the generic loop exercised as the np != 4
+// path at np = 3 and 5.
+func TestNp4SlabsMatchGeneric(t *testing.T) {
+	public := slabFuncs{grad: GradientSlab, div: DivergenceSlab, vort: VorticitySlab,
+		laplace: LaplaceSlab, vecLaplace: VecLaplaceSlab}
+	generic := slabFuncs{grad: gradientSlabGeneric, div: divergenceSlabGeneric, vort: vorticitySlabGeneric,
+		laplace: func(d, dinv, metdet []float64, dA float64, np int, s, out, s1, s2, s3, s4 []float64) {
+			gradientSlabGeneric(d, dinv, dA, np, s, s1, s2, s3, s4)
+			divergenceSlabGeneric(d, dinv, metdet, dA, np, s1, s2, out, s3, s4)
+		},
+		vecLaplace: func(d, dflat, dinv, metdet []float64, dA float64, np int, u, v, lu, lv, s1, s2, s3, s4, s5, s6 []float64) {
+			divergenceSlabGeneric(d, dinv, metdet, dA, np, u, v, s1, s3, s4)
+			vorticitySlabGeneric(d, dflat, metdet, dA, np, u, v, s2, s3, s4)
+			gradientSlabGeneric(d, dinv, dA, np, s1, lu, lv, s3, s4)
+			gradientSlabGeneric(d, dinv, dA, np, s2, s5, s6, s3, s4)
+			for n := range lu {
+				lu[n] -= -s6[n]
+				lv[n] -= s5[n]
+			}
+		}}
+	specials := []float64{0, math.Copysign(0, -1), 5e-324, -2.5e-310, math.Inf(1), math.Inf(-1), math.NaN(), 1, -1}
+	rng := rand.New(rand.NewSource(22))
+	for _, np := range []int{3, 4, 5} {
+		m := mesh.New(2, np)
+		npsq := np * np
+		for trial := 0; trial < 300; trial++ {
+			e := m.Elements[rng.Intn(m.NElems())]
+			u, v := make([]float64, npsq), make([]float64, npsq)
+			for n := range u {
+				switch trial % 3 {
+				case 0: // finite
+					u[n], v[n] = rng.NormFloat64(), rng.NormFloat64()
+				case 1: // salted, more heavily as the trials go on
+					u[n], v[n] = rng.NormFloat64(), rng.NormFloat64()
+					if rng.Intn(300) < trial {
+						u[n] = specials[rng.Intn(len(specials))]
+					}
+					if rng.Intn(600) < trial {
+						v[n] = specials[rng.Intn(len(specials))]
+					}
+				case 2: // zeros signed against one row (u) or column (v) of D
+					r := trial / 3 % np
+					u[n] = math.Copysign(0, -m.DerivFlat[r*np+n%np])
+					v[n] = math.Copysign(0, -m.DerivFlat[r*np+n/np])
+				}
+			}
+			got, want := public.run(m, e, u, v), generic.run(m, e, u, v)
+			for k := range got {
+				for n := range got[k] {
+					if !sameBits(got[k][n], want[k][n]) {
+						t.Fatalf("np=%d trial %d: slab %d node %d = %v (%#x), generic loop gives %v (%#x)", np, trial, k, n,
+							got[k][n], math.Float64bits(got[k][n]), want[k][n], math.Float64bits(want[k][n]))
+					}
+				}
+			}
+		}
 	}
 }

@@ -331,63 +331,78 @@ func TestKernelsFitLDMAtNlev128(t *testing.T) {
 	}
 }
 
+// TestVecOpsMatchScalarSlabs holds the Athread slab functions to the
+// serial slabs bit for bit and to the vector-flop charge of the
+// hand-written Vec4 bodies they replaced (literal totals at np = 4, not
+// re-derived from the formulas in vecops.go).
 func TestVecOpsMatchScalarSlabs(t *testing.T) {
 	m := mesh.New(2, 4)
 	e := m.Elements[7]
 	np := 4
 	npsq := np * np
 	rng := rand.New(rand.NewSource(9))
-	u := make([]float64, npsq)
-	v := make([]float64, npsq)
+	slab := func() []float64 { return make([]float64, npsq) }
+	u, v := slab(), slab()
 	for i := range u {
 		u[i] = rng.NormFloat64()
 		v[i] = rng.NormFloat64()
 	}
-	divS := make([]float64, npsq)
-	s1 := make([]float64, npsq)
-	s2 := make([]float64, npsq)
-	dycore.DivergenceSlab(m.DerivFlat, e.DinvFlat, e.Metdet, e.DAlpha, np, u, v, divS, s1, s2)
+	var scr [6][]float64
+	for i := range scr {
+		scr[i] = slab()
+	}
+	d, dA := m.DerivFlat, e.DAlpha
+	divS, gxS, gyS, vortS, lapS, luS, lvS := slab(), slab(), slab(), slab(), slab(), slab(), slab()
+	dycore.DivergenceSlab(d, e.DinvFlat, e.Metdet, dA, np, u, v, divS, scr[0], scr[1])
+	dycore.GradientSlab(d, e.DinvFlat, dA, np, u, gxS, gyS, scr[0], scr[1])
+	dycore.VorticitySlab(d, e.DFlat, e.Metdet, dA, np, u, v, vortS, scr[0], scr[1])
+	dycore.LaplaceSlab(d, e.DinvFlat, e.Metdet, dA, np, u, lapS, scr[0], scr[1], scr[2], scr[3])
+	dycore.VecLaplaceSlab(d, e.DFlat, e.DinvFlat, e.Metdet, dA, np, u, v, luS, lvS,
+		scr[0], scr[1], scr[2], scr[3], scr[4], scr[5])
 
-	divV := make([]float64, npsq)
+	divV, gxV, gyV, vortV, lapV, luV, lvV := slab(), slab(), slab(), slab(), slab(), slab(), slab()
+	var charged [5]int64
 	cg := sw.NewCoreGroup(0)
 	cg.Spawn(func(c *sw.CPE) {
 		if c.ID != 0 {
 			return
 		}
-		g1 := c.LDM.MustAlloc("g1", npsq)
-		g2 := c.LDM.MustAlloc("g2", npsq)
-		divergenceSlabVec4(c, m.DerivFlat, e.DinvFlat, e.Metdet, e.DAlpha, u, v, divV, g1, g2)
+		var g [6][]float64
+		for i := range g {
+			g[i] = c.LDM.MustAlloc(slabOpNames[i], npsq)
+		}
+		ops := []func(){
+			func() { divergenceSlabVec4(c, d, e.DinvFlat, e.Metdet, dA, u, v, divV, g[0], g[1]) },
+			func() { gradientSlabVec4(c, d, e.DinvFlat, dA, u, gxV, gyV, g[0], g[1]) },
+			func() { vorticitySlabVec4(c, d, e.DFlat, e.Metdet, dA, u, v, vortV, g[0], g[1]) },
+			func() { laplaceSlabVec4(c, d, e.DinvFlat, e.Metdet, dA, u, lapV, g[0], g[1], g[2], g[3]) },
+			func() {
+				vecLaplaceSlabVec4(c, d, e.DFlat, e.DinvFlat, e.Metdet, dA, u, v, luV, lvV,
+					g[0], g[1], g[2], g[3], g[4], g[5])
+			},
+		}
+		for i, op := range ops {
+			before := c.Ctr.FlopsVector
+			op()
+			charged[i] = c.Ctr.FlopsVector - before
+		}
 	})
-	for n := 0; n < npsq; n++ {
-		if divS[n] != divV[n] {
-			t.Fatalf("vectorized divergence differs at node %d: %v vs %v", n, divS[n], divV[n])
+	for i, want := range [5]int64{448, 416, 416, 864, 1744} {
+		if charged[i] != want {
+			t.Errorf("%s charged %d vector flops, the Vec4 body charged %d",
+				[]string{"divergence", "gradient", "vorticity", "laplace", "vecLaplace"}[i], charged[i], want)
 		}
 	}
-
-	// Gradient and vorticity too.
-	gxS := make([]float64, npsq)
-	gyS := make([]float64, npsq)
-	dycore.GradientSlab(m.DerivFlat, e.DinvFlat, e.DAlpha, np, u, gxS, gyS, s1, s2)
-	gxV := make([]float64, npsq)
-	gyV := make([]float64, npsq)
-	vortS := make([]float64, npsq)
-	dycore.VorticitySlab(m.DerivFlat, e.DFlat, e.Metdet, e.DAlpha, np, u, v, vortS, s1, s2)
-	vortV := make([]float64, npsq)
-	cg.Spawn(func(c *sw.CPE) {
-		if c.ID != 0 {
-			return
-		}
-		g1 := c.LDM.MustAlloc("g1", npsq)
-		g2 := c.LDM.MustAlloc("g2", npsq)
-		gradientSlabVec4(c, m.DerivFlat, e.DinvFlat, e.DAlpha, u, gxV, gyV, g1, g2)
-		vorticitySlabVec4(c, m.DerivFlat, e.DFlat, e.Metdet, e.DAlpha, u, v, vortV, g1, g2)
-	})
-	for n := 0; n < npsq; n++ {
-		if gxS[n] != gxV[n] || gyS[n] != gyV[n] {
-			t.Fatalf("vectorized gradient differs at node %d", n)
-		}
-		if vortS[n] != vortV[n] {
-			t.Fatalf("vectorized vorticity differs at node %d", n)
+	pairs := []struct {
+		name      string
+		ser, athr []float64
+	}{{"divergence", divS, divV}, {"gradient x", gxS, gxV}, {"gradient y", gyS, gyV}, {"vorticity", vortS, vortV},
+		{"laplace", lapS, lapV}, {"vecLaplace u", luS, luV}, {"vecLaplace v", lvS, lvV}}
+	for _, p := range pairs {
+		for n := range p.ser {
+			if math.Float64bits(p.ser[n]) != math.Float64bits(p.athr[n]) {
+				t.Fatalf("Athread %s differs at node %d: %v vs %v", p.name, n, p.ser[n], p.athr[n])
+			}
 		}
 	}
 }

@@ -379,7 +379,7 @@ func (en *Engine) lowerSlabOpenACC(k *slabSpec, sub Subset, bind *slabBind) Cost
 // metric, Vec4 slabs
 // ---------------------------------------------------------------------------
 
-// athSlabOps runs the primitives with the vectorized vecops.go slabs,
+// athSlabOps runs the primitives with the vector-charged vecops.go slabs,
 // which carry their own CountVecFlops attribution; the update is the
 // one primitive implemented here, with the Splat of the hoisted
 // coefficient at slab scope (once per call, not once per row).

@@ -5,110 +5,39 @@ import (
 	"swcam/internal/sw"
 )
 
-// Vectorized slab operators for the Athread backend: the same arithmetic
-// as the dycore scalar slabs, restructured into 4-lane Vec4 operations
-// over groups of four consecutive nodes (one GLL row), the way the
-// paper's fine-grained redesign hand-vectorizes its inner loops (§7.3).
-// Every lane performs the scalar sequence of operations in the scalar
-// order, so results match the serial kernels bit for bit (no FMA
-// contraction, no reassociation). Only np = 4 is supported — the Vec4
-// width is the reason CAM-SE's np=4 maps so naturally onto the SW26010.
+// Slab operators for the Athread backend. The derivative operators run
+// the one np = 4 body of the dycore slabs — the serial arithmetic itself,
+// so they match the serial kernels bit for bit by construction — and
+// charge the vector flops the CPE's 4-lane unit retires for it when the
+// inner loops are hand-vectorized as in the paper's fine-grained redesign
+// (§7.3): one Vec4 operation per GLL row of four nodes. Only np = 4 is
+// supported — the Vec4 width is why np=4 maps so well onto the SW26010.
 
-// lanes4 gathers the strided metric coefficients dinvFlat[4*n + off] for
-// the four nodes n = 4*j .. 4*j+3 into one register.
-func lanes4(m []float64, j, off int) sw.Vec4 {
-	base := 16*j + off
-	return sw.Vec4{m[base], m[base+4], m[base+8], m[base+12]}
-}
-
-// divergenceSlabVec4 is dycore.DivergenceSlab vectorized. Scratch gv1,
-// gv2 are np*np LDM buffers. Counts vector flops and shuffle-free
-// gathers on the CPE.
+// divergenceSlabVec4 is dycore.DivergenceSlab on the CPE; scratch gv1,
+// gv2. Charges the pointwise metric pass, then the derivative pass.
 func divergenceSlabVec4(c *sw.CPE, derivFlat, dinvFlat, metdet []float64, dAlpha float64,
 	u, v, div, gv1, gv2 []float64) {
 	const np = 4
-	// Pointwise: gv = metdet * (Dinv . (u,v)), four nodes per iteration.
-	for j := 0; j < np; j++ {
-		uv := sw.LoadVec4(u, 4*j)
-		vv := sw.LoadVec4(v, 4*j)
-		md := sw.LoadVec4(metdet, 4*j)
-		c1 := lanes4(dinvFlat, j, 0).Mul(uv).Add(lanes4(dinvFlat, j, 1).Mul(vv))
-		c2 := lanes4(dinvFlat, j, 2).Mul(uv).Add(lanes4(dinvFlat, j, 3).Mul(vv))
-		md.Mul(c1).Store(gv1, 4*j)
-		md.Mul(c2).Store(gv2, 4*j)
-	}
+	dycore.DivergenceSlab(derivFlat, dinvFlat, metdet, dAlpha, np, u, v, div, gv1, gv2)
 	c.CountVecFlops(4 * np * 8)
-
-	fac := 2 / dAlpha
-	for j := 0; j < np; j++ {
-		// dda over the four i-lanes: sum_m derivcol(m) * gv1[j][m].
-		dda := sw.Splat(0)
-		ddb := sw.Splat(0)
-		for m := 0; m < np; m++ {
-			dcol := sw.Vec4{derivFlat[0*np+m], derivFlat[1*np+m], derivFlat[2*np+m], derivFlat[3*np+m]}
-			dda = dda.Add(dcol.Mul(sw.Splat(gv1[j*np+m])))
-			drow := sw.Splat(derivFlat[j*np+m])
-			ddb = ddb.Add(drow.Mul(sw.LoadVec4(gv2, m*np)))
-		}
-		out := dda.Add(ddb).Scale(fac).Scale(dycore.Rrearth).Div(sw.LoadVec4(metdet, 4*j))
-		out.Store(div, 4*j)
-	}
 	c.CountVecFlops(4 * np * (4*np + 4))
 }
 
-// gradientSlabVec4 is dycore.GradientSlab vectorized; scratch da, db.
+// gradientSlabVec4 is dycore.GradientSlab on the CPE; scratch da, db.
 func gradientSlabVec4(c *sw.CPE, derivFlat, dinvFlat []float64, dAlpha float64,
 	s, gx, gy, da, db []float64) {
 	const np = 4
-	fac := 2 / dAlpha
-	for j := 0; j < np; j++ {
-		ga := sw.Splat(0)
-		gb := sw.Splat(0)
-		for m := 0; m < np; m++ {
-			dcol := sw.Vec4{derivFlat[0*np+m], derivFlat[1*np+m], derivFlat[2*np+m], derivFlat[3*np+m]}
-			ga = ga.Add(dcol.Mul(sw.Splat(s[j*np+m])))
-			gb = gb.Add(sw.Splat(derivFlat[j*np+m]).Mul(sw.LoadVec4(s, m*np)))
-		}
-		ga.Scale(fac).Store(da, 4*j)
-		gb.Scale(fac).Store(db, 4*j)
-	}
+	dycore.GradientSlab(derivFlat, dinvFlat, dAlpha, np, s, gx, gy, da, db)
 	c.CountVecFlops(4 * np * (4*np + 2))
-	for j := 0; j < np; j++ {
-		dav := sw.LoadVec4(da, 4*j)
-		dbv := sw.LoadVec4(db, 4*j)
-		gxv := lanes4(dinvFlat, j, 0).Mul(dav).Add(lanes4(dinvFlat, j, 2).Mul(dbv)).Scale(dycore.Rrearth)
-		gyv := lanes4(dinvFlat, j, 1).Mul(dav).Add(lanes4(dinvFlat, j, 3).Mul(dbv)).Scale(dycore.Rrearth)
-		gxv.Store(gx, 4*j)
-		gyv.Store(gy, 4*j)
-	}
 	c.CountVecFlops(4 * np * 8)
 }
 
-// vorticitySlabVec4 is dycore.VorticitySlab vectorized; scratch cov1, cov2.
+// vorticitySlabVec4 is dycore.VorticitySlab on the CPE; scratch cov1, cov2.
 func vorticitySlabVec4(c *sw.CPE, derivFlat, dFlat, metdet []float64, dAlpha float64,
 	u, v, vort, cov1, cov2 []float64) {
 	const np = 4
-	for j := 0; j < np; j++ {
-		uv := sw.LoadVec4(u, 4*j)
-		vv := sw.LoadVec4(v, 4*j)
-		c1 := lanes4(dFlat, j, 0).Mul(uv).Add(lanes4(dFlat, j, 2).Mul(vv))
-		c2 := lanes4(dFlat, j, 1).Mul(uv).Add(lanes4(dFlat, j, 3).Mul(vv))
-		c1.Store(cov1, 4*j)
-		c2.Store(cov2, 4*j)
-	}
+	dycore.VorticitySlab(derivFlat, dFlat, metdet, dAlpha, np, u, v, vort, cov1, cov2)
 	c.CountVecFlops(4 * np * 6)
-	fac := 2 / dAlpha
-	for j := 0; j < np; j++ {
-		dda := sw.Splat(0)
-		ddb := sw.Splat(0)
-		for m := 0; m < np; m++ {
-			dcol := sw.Vec4{derivFlat[0*np+m], derivFlat[1*np+m], derivFlat[2*np+m], derivFlat[3*np+m]}
-			dda = dda.Add(dcol.Mul(sw.Splat(cov2[j*np+m])))
-			ddb = ddb.Add(sw.Splat(derivFlat[j*np+m]).Mul(sw.LoadVec4(cov1, m*np)))
-		}
-		out := dda.Sub(ddb).Scale(fac).Scale(dycore.Rrearth).Div(sw.LoadVec4(metdet, 4*j))
-		out.Store(vort, 4*j)
-	}
 	c.CountVecFlops(4 * np * (4*np + 4))
 }
 

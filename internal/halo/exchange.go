@@ -97,47 +97,42 @@ func LevelMajor(levels, npsq int) Layout {
 	return Layout{Levels: levels, NodeStride: 1, LevelStride: npsq}
 }
 
-// localPartials computes, for every purely local group, the weighted sum
-// of its copies across all fields, storing it in scratch laid out as
-// [slot][field][l]. Remote groups are assembled by the canonical chain
-// instead (assembleRemote).
-func (p *Plan) localPartials(scratch []float64, lay Layout, nfields int, fields ...[][]float64) {
-	stride := lay.Levels
+// resolveLocal assembles every purely local group: the weighted sum of
+// its copies, written back into each of them. Remote groups go through
+// the canonical chain instead (assembleRemote). Both run level-innermost:
+// one [levels] strip per (group, field), each term added to all of its
+// levels before the next. Every level's sum still takes its terms in
+// order from 0.0, so the DSS is bit-identical to summing level by level.
+func (p *Plan) resolveLocal(strip []float64, lay Layout, nfields int, fields ...[][]float64) {
 	for gi := range p.Groups {
 		g := &p.Groups[gi]
 		if g.Remote {
 			continue
 		}
-		base := g.Slot * nfields * stride
 		for f := 0; f < nfields; f++ {
-			for l := 0; l < stride; l++ {
-				sum := 0.0
-				for r, ref := range g.Refs {
-					sum += g.W[r] * fields[f][ref.Elem][ref.Node*lay.NodeStride+l*lay.LevelStride]
-				}
-				scratch[base+f*stride+l] = sum
+			clear(strip)
+			for r := range g.Refs {
+				addCopy(strip, g, r, lay, fields[f])
 			}
+			scatterStrip(strip, g, lay, fields[f])
 		}
 	}
 }
 
-// scatterLocal writes the assembled totals back into every copy of the
-// purely local groups.
-func (p *Plan) scatterLocal(scratch []float64, lay Layout, nfields int, fields ...[][]float64) {
-	stride := lay.Levels
-	for gi := range p.Groups {
-		g := &p.Groups[gi]
-		if g.Remote {
-			continue
-		}
-		base := g.Slot * nfields * stride
-		for f := 0; f < nfields; f++ {
-			for l := 0; l < stride; l++ {
-				v := scratch[base+f*stride+l]
-				for _, ref := range g.Refs {
-					fields[f][ref.Elem][ref.Node*lay.NodeStride+l*lay.LevelStride] = v
-				}
-			}
+// addCopy adds local copy r of group g, weighted, to every level of strip.
+func addCopy(strip []float64, g *Group, r int, lay Layout, field [][]float64) {
+	w, src := g.W[r], field[g.Refs[r].Elem][g.Refs[r].Node*lay.NodeStride:]
+	for l := range strip {
+		strip[l] += w * src[l*lay.LevelStride]
+	}
+}
+
+// scatterStrip writes the assembled strip into every local copy of g.
+func scatterStrip(strip []float64, g *Group, lay Layout, field [][]float64) {
+	for _, ref := range g.Refs {
+		dst := field[ref.Elem][ref.Node*lay.NodeStride:]
+		for l, v := range strip {
+			dst[l*lay.LevelStride] = v
 		}
 	}
 }
@@ -154,13 +149,13 @@ func (p *Plan) packNeighbor(nb *Neighbor, buf []float64, lay Layout, nfields int
 		g := &p.Groups[slot]
 		ref := g.Refs[nb.SendRef[e]]
 		w := g.W[nb.SendRef[e]]
-		off := ref.Node * lay.NodeStride
 		for f := 0; f < nfields; f++ {
-			src := fields[f][ref.Elem]
-			for l := 0; l < stride; l++ {
-				buf[k] = w * src[off+l*lay.LevelStride]
-				k++
+			src := fields[f][ref.Elem][ref.Node*lay.NodeStride:]
+			out := buf[k:][:stride]
+			for l := range out {
+				out[l] = w * src[l*lay.LevelStride]
 			}
+			k += stride
 		}
 	}
 }
@@ -171,39 +166,26 @@ func (p *Plan) packNeighbor(nb *Neighbor, buf []float64, lay Layout, nfields int
 // all local copies. The chain order is mesh.NodeElems order on every
 // rank, so the result is bit-identical to the serial DSS and independent
 // of the partition.
-func (p *Plan) assembleRemote(recvBufs [][]float64, lay Layout, nfields int, fields ...[][]float64) {
-	stride := lay.Levels
+func (p *Plan) assembleRemote(strip []float64, recvBufs [][]float64, lay Layout, nfields int, fields ...[][]float64) {
 	for gi := range p.Groups {
 		g := &p.Groups[gi]
 		if !g.Remote {
 			continue
 		}
 		for f := 0; f < nfields; f++ {
-			for l := 0; l < stride; l++ {
-				off := l * lay.LevelStride
-				sum := 0.0
-				for _, t := range g.Chain {
-					if t.Local {
-						ref := g.Refs[t.Ref]
-						sum += g.W[t.Ref] * fields[f][ref.Elem][ref.Node*lay.NodeStride+off]
-					} else {
-						sum += recvBufs[t.Nb][(t.Pos*nfields+f)*stride+l]
-					}
+			clear(strip)
+			for _, t := range g.Chain {
+				if t.Local {
+					addCopy(strip, g, t.Ref, lay, fields[f])
+					continue
 				}
-				for _, ref := range g.Refs {
-					fields[f][ref.Elem][ref.Node*lay.NodeStride+off] = sum
+				for l, v := range recvBufs[t.Nb][(t.Pos*nfields+f)*len(strip):][:len(strip)] {
+					strip[l] += v
 				}
 			}
+			scatterStrip(strip, g, lay, fields[f])
 		}
 	}
-}
-
-func (p *Plan) sendLen(nb *Neighbor, nfields, stride int) int {
-	return len(nb.SendGroup) * nfields * stride
-}
-
-func (p *Plan) recvLen(nb *Neighbor, nfields, stride int) int {
-	return nb.RecvLen * nfields * stride
 }
 
 // DSSOriginal performs the exchange in HOMME's original unified-buffer
@@ -228,7 +210,7 @@ func (p *Plan) DSSOriginal(c *mpirt.Comm, lay Layout, fields ...[][]float64) (St
 	timed := p.instrumented()
 	defer p.exchangeProbe("halo.dss_original", st)()
 	stride := lay.Levels
-	scratch := p.ensureScratch(len(p.Groups) * nf * stride)
+	strip := p.ensureScratch(stride)
 	p.ensureBufs(nf, stride)
 
 	// Pack all, send all, receive all: no overlap anywhere.
@@ -263,9 +245,8 @@ func (p *Plan) DSSOriginal(c *mpirt.Comm, lay Layout, fields ...[][]float64) (St
 		st.UnpackBytes += int64(len(recv) * 8)
 	}
 	// All receives verified; only now touch the fields.
-	p.localPartials(scratch, lay, nf, fields...)
-	p.scatterLocal(scratch, lay, nf, fields...)
-	p.assembleRemote(p.staged, lay, nf, fields...)
+	p.resolveLocal(strip, lay, nf, fields...)
+	p.assembleRemote(strip, p.staged, lay, nf, fields...)
 	return *st, nil
 }
 
@@ -297,7 +278,7 @@ func (p *Plan) DSSOverlap(c *mpirt.Comm, lay Layout, computeInner func(), fields
 	timed := p.instrumented()
 	defer p.exchangeProbe("halo.dss_overlap", st)()
 	stride := lay.Levels
-	scratch := p.ensureScratch(len(p.Groups) * nf * stride)
+	strip := p.ensureScratch(stride)
 	p.ensureBufs(nf, stride)
 
 	// Remote-shared copies live entirely on boundary elements, which are
@@ -328,8 +309,7 @@ func (p *Plan) DSSOverlap(c *mpirt.Comm, lay Layout, computeInner func(), fields
 		computeInner()
 	}
 	// Inner values exist now; resolve the purely local groups.
-	p.localPartials(scratch, lay, nf, fields...)
-	p.scatterLocal(scratch, lay, nf, fields...)
+	p.resolveLocal(strip, lay, nf, fields...)
 
 	// Drain the tracked sends, then the receives, and assemble shared
 	// nodes straight from the receive buffers — the direct unpack that
@@ -353,6 +333,6 @@ func (p *Plan) DSSOverlap(c *mpirt.Comm, lay Layout, computeInner func(), fields
 		}
 		st.UnpackBytes += int64(len(p.recvBufs[i]) * 8)
 	}
-	p.assembleRemote(p.recvBufs, lay, nf, fields...)
+	p.assembleRemote(strip, p.recvBufs, lay, nf, fields...)
 	return *st, nil
 }

@@ -63,7 +63,7 @@ type ChainTerm struct {
 type Group struct {
 	Refs   []LocalRef
 	W      []float64 // DSSW weight of each local copy
-	Slot   int       // index into the rank's partial-sum scratch
+	Slot   int       // index of this group in Plan.Groups
 	Remote bool      // true when other ranks also hold copies
 	Chain  []ChainTerm
 }
@@ -99,7 +99,7 @@ type Plan struct {
 	BoundaryElems []int
 	InnerElems    []int
 
-	scratch []float64 // partial sums, len = len(Groups)*maxStride (grown on demand)
+	scratch []float64 // the [levels] accumulation strip of one (group, field), grown on demand
 
 	// Persistent per-neighbour exchange buffers and request slots, grown
 	// on demand like scratch and reused every timestep so the steady-state
@@ -265,12 +265,12 @@ func (p *Plan) ensureBufs(nf, stride int) {
 	}
 	for i := range p.Neighbors {
 		nb := &p.Neighbors[i]
-		if sl := p.sendLen(nb, nf, stride); cap(p.sendBufs[i]) < sl {
+		if sl := len(nb.SendGroup) * nf * stride; cap(p.sendBufs[i]) < sl {
 			p.sendBufs[i] = make([]float64, sl)
 		} else {
 			p.sendBufs[i] = p.sendBufs[i][:sl]
 		}
-		rl := p.recvLen(nb, nf, stride)
+		rl := nb.RecvLen * nf * stride
 		if cap(p.recvBufs[i]) < rl {
 			p.recvBufs[i] = make([]float64, rl)
 		} else {

@@ -2,6 +2,7 @@ package integrity
 
 import (
 	"errors"
+	"hash/crc32"
 	"math"
 	"testing"
 
@@ -75,6 +76,32 @@ func TestSealDetectsEveryMantissaBit(t *testing.T) {
 			t.Fatalf("mantissa bit %d flip undetected", bit)
 		}
 		st.T[1][5] = orig
+	}
+}
+
+// TestSealPayloadCRCMatchesByteLoop holds every element CRC of a seal to
+// the byte-at-a-time CRC-32C of the element's field values in Fields()
+// order, little-endian: the value the seal carried before it shared
+// mpirt's in-place hardware CRC (the oracle mpirt's
+// TestPayloadCRCMatchesByteLoop uses).
+func TestSealPayloadCRCMatchesByteLoop(t *testing.T) {
+	st := testState(3.0)
+	st.U[1][0], st.T[2][5] = math.NaN(), math.Copysign(0, -1)
+	s := SealState(st, 1)
+	tab := crc32.MakeTable(crc32.Castagnoli)
+	for e, got := range s.crcs {
+		crc := ^uint32(0)
+		for _, f := range st.Fields() {
+			for _, v := range f.Data[e] {
+				bits := math.Float64bits(v)
+				for k := 0; k < 64; k += 8 {
+					crc = tab[byte(crc)^byte(bits>>k)] ^ (crc >> 8)
+				}
+			}
+		}
+		if want := ^crc; got != want {
+			t.Fatalf("element %d sealed %#08x, byte loop gives %#08x", e, got, want)
+		}
 	}
 }
 

@@ -1,32 +1,11 @@
 package integrity
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"math"
 
 	"swcam/internal/dycore"
+	"swcam/internal/mpirt"
 )
-
-// crcTable is CRC-32C (Castagnoli), the same polynomial the snapshot
-// codec and the serving store seal bytes with.
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// crcFloats folds vals into crc as little-endian IEEE-754 bit patterns,
-// chunked through a stack buffer so sealing allocates nothing.
-func crcFloats(crc uint32, vals []float64) uint32 {
-	var buf [512 * 8]byte
-	for len(vals) > 0 {
-		n := min(512, len(vals))
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(vals[i]))
-		}
-		crc = crc32.Update(crc, crcTable, buf[:n*8])
-		vals = vals[n:]
-	}
-	return crc
-}
 
 // RankSeal is the at-rest scrub record for one rank's state: one
 // CRC-32C per element, folded over every prognostic field of that
@@ -64,13 +43,19 @@ func (s *RankSeal) Reseal(st *dycore.State, step int) {
 	}
 	fields := st.Fields()
 	for e := range s.crcs {
-		crc := uint32(0)
-		for _, f := range fields {
-			crc = crcFloats(crc, f.Data[e])
-		}
-		s.crcs[e] = crc
+		s.crcs[e] = elemCRC(fields, e)
 	}
 	s.Step = step
+}
+
+// elemCRC folds element e of every field into one CRC-32C: the message
+// checksum, the polynomial the snapshot codec and serving store also use.
+func elemCRC(fields []dycore.NamedField, e int) uint32 {
+	crc := uint32(0)
+	for _, f := range fields {
+		crc = mpirt.CRCFloats(crc, f.Data[e])
+	}
+	return crc
 }
 
 // Verify recomputes the element CRCs of st and compares them to the
@@ -82,11 +67,7 @@ func (s *RankSeal) Verify(st *dycore.State) error {
 	}
 	fields := st.Fields()
 	for e := range s.crcs {
-		crc := uint32(0)
-		for _, f := range fields {
-			crc = crcFloats(crc, f.Data[e])
-		}
-		if crc != s.crcs[e] {
+		if crc := elemCRC(fields, e); crc != s.crcs[e] {
 			return fmt.Errorf("%w: element %d crc %#08x, sealed %#08x at step %d",
 				ErrCorrupt, e, crc, s.crcs[e], s.Step)
 		}

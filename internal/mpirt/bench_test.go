@@ -27,3 +27,19 @@ func BenchmarkPingPong(b *testing.B) {
 		}
 	})
 }
+
+var crcSink uint32
+
+// BenchmarkPayloadCRC hashes an 8 KiB payload; its MB/s is the ceiling
+// of what the benchmark reports as mpirt.p2p_mb_per_s.
+func BenchmarkPayloadCRC(b *testing.B) {
+	buf := make([]float64, 1024)
+	for i := range buf {
+		buf[i] = float64(i) * 1.25
+	}
+	b.SetBytes(int64(8 * len(buf)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		crcSink = payloadCRC(buf)
+	}
+}

@@ -23,6 +23,7 @@
 package mpirt
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -30,6 +31,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"swcam/internal/obs"
 )
@@ -62,22 +64,40 @@ type message struct {
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// payloadCRC hashes a float64 payload bit-exactly (the checksum a real
-// transport would compute over the wire bytes). Table-driven over the
-// value bits directly rather than via crc32.Update on a scratch byte
-// slice: the stdlib's accelerated Castagnoli path would force the
-// scratch to the heap, costing an allocation per message on the
-// steady-state exchange path.
-func payloadCRC(data []float64) uint32 {
-	crc := ^uint32(0)
-	for _, v := range data {
-		bits := math.Float64bits(v)
-		for k := 0; k < 64; k += 8 {
-			crc = crcTable[byte(crc)^byte(bits>>k)] ^ (crc >> 8)
-		}
+// hostLittleEndian, decided once at init: on a little-endian host a
+// []float64 already is its wire bytes.
+var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// CRCFloats folds vals into crc (CRC-32C) as little-endian IEEE-754 bit
+// patterns: the checksum a real transport computes over the wire bytes,
+// and the one internal/integrity seals resident state with. A
+// little-endian host hashes the values in place through a byte view, so
+// the stdlib's hardware CRC runs with no scratch and no allocation; a
+// big-endian host keeps the same value through a staged copy (whose
+// buffer the indirect call into the accelerated path sends to the heap).
+func CRCFloats(crc uint32, vals []float64) uint32 {
+	if !hostLittleEndian {
+		return crcFloatsStaged(crc, vals)
 	}
-	return ^crc
+	return crc32.Update(crc, crcTable,
+		unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vals))), 8*len(vals)))
 }
+
+func crcFloatsStaged(crc uint32, vals []float64) uint32 {
+	var buf [512 * 8]byte
+	for len(vals) > 0 {
+		n := min(512, len(vals))
+		for i, v := range vals[:n] {
+			binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(v))
+		}
+		crc = crc32.Update(crc, crcTable, buf[:n*8])
+		vals = vals[n:]
+	}
+	return crc
+}
+
+// payloadCRC is the CRC a message carries: CRCFloats from zero.
+func payloadCRC(data []float64) uint32 { return CRCFloats(0, data) }
 
 // World owns the mailboxes and counters of an nranks-rank job.
 type World struct {

@@ -276,19 +276,21 @@ func TestHandlerQueueFullSheds(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	// With the queue full a data route sheds, but /v1/metrics must not:
-	// it is needed exactly now.
+	// With the queue full a data route sheds, but /v1/metrics and the
+	// profiler must not: they are needed exactly now.
 	if resp, body := getJSON(t, ts.URL+"/v1/field"); resp.StatusCode != http.StatusTooManyRequests || errCode(body) != "queue_full" {
 		t.Errorf("/v1/field with the queue full: %d %v, want 429 queue_full", resp.StatusCode, body)
 	}
-	resp, err := http.Get(ts.URL + "/v1/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("/v1/metrics with the queue full: %d, want 200", resp.StatusCode)
+	for _, path := range []string{"/v1/metrics", "/debug/pprof/", "/debug/pprof/goroutine?debug=1"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("%s with the queue full: %d, want 200", path, resp.StatusCode)
+		}
 	}
 	// Let the executing request (and the queued one) finish.
 	once.Do(func() { close(release) })

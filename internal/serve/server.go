@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net/http"
+	_ "net/http/pprof"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -78,13 +79,14 @@ func NewServer(sup *Supervisor, cfg ServerConfig) *Server {
 	}
 	s.sem = make(chan struct{}, s.cfg.MaxConcurrent)
 	s.mux = http.NewServeMux()
-	// Health, readiness and metrics bypass admission control entirely:
-	// a probe must never be shed or queued behind data traffic, or the
-	// orchestrator would kill a merely busy server — and the metrics
-	// are needed most exactly when the data path is shedding.
+	// Health, readiness, metrics and the profiler bypass admission
+	// control: a probe must never be shed or queued behind data traffic,
+	// or the orchestrator would kill a merely busy server — and metrics
+	// and a CPU profile are needed most when the data path is shedding.
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/readyz", s.handleReadyz)
 	s.mux.HandleFunc("/v1/metrics", s.handleMetrics)
+	s.mux.Handle("/debug/pprof/", http.DefaultServeMux) // where importing net/http/pprof registers
 	s.mux.Handle("/v1/config", s.admit(s.handleConfig))
 	s.mux.Handle("/v1/members", s.admit(s.handleMembers))
 	s.mux.Handle("/v1/field", s.admit(s.handleField))
