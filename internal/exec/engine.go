@@ -79,13 +79,13 @@ type dynWorker struct {
 	// opScr the primitives' internal scratch.
 	kScr  [4][]float64
 	opScr [6][]float64
-	rws   *dycore.RemapWorkspace
-	// Per-CPE PPM workspaces for the CPE remap paths (64 simulated cores
-	// remap columns concurrently inside one tile); built with the core
-	// group, since only CPE backends need them. Host-side scratch: the
-	// LDM accounting of the remap kernels is unchanged.
-	cpeRWS []*dycore.RemapWorkspace
-	nlev   int
+	// PPM scratch of one column remap, live only inside a RemapPPM call:
+	// the CPE remap paths share it too, since one CPE of the worker's
+	// core group runs at a time. Host-side scratch, outside the LDM
+	// accounting.
+	rws *dycore.RemapWorkspace
+	// Per-CPE launch scratch of the CPE slab lowerings (kernel.go).
+	cpeSlab []cpeSlab
 
 	// Pooled snapshot storage for the OpenACC vertical remap (the one
 	// kernel that reads whole element rows while writing single values
@@ -109,7 +109,6 @@ func newDynWorker(np, nlev int) *dynWorker {
 		colC: make([]float64, nlev),
 		colD: make([]float64, nlev),
 		rws:  dycore.NewRemapWorkspace(nlev),
-		nlev: nlev,
 	}
 	for i := range w.kScr {
 		w.kScr[i] = make([]float64, npsq)
@@ -121,14 +120,11 @@ func newDynWorker(np, nlev int) *dynWorker {
 }
 
 // ensureCG builds the worker's simulated core group (and the per-CPE
-// remap workspaces) on first use by a CPE backend.
+// slab scratch) on first use by a CPE backend.
 func (w *dynWorker) ensureCG() *sw.CoreGroup {
 	if w.cg == nil {
 		w.cg = sw.NewCoreGroup(0)
-		w.cpeRWS = make([]*dycore.RemapWorkspace, sw.CPEsPerCG)
-		for i := range w.cpeRWS {
-			w.cpeRWS[i] = dycore.NewRemapWorkspace(w.nlev)
-		}
+		w.cpeSlab = make([]cpeSlab, sw.CPEsPerCG)
 	}
 	return w.cg
 }

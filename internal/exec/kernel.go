@@ -287,16 +287,38 @@ func (en *Engine) lowerSlabSerial(k *slabSpec, sub Subset, b Backend, bind *slab
 // OpenACC lowering: per-(element, level) re-fetch, scalar slabs
 // ---------------------------------------------------------------------------
 
-// accSlabOps runs the primitives with the dycore scalar slabs on LDM
-// tiles and charges each primitive's analytic attribution on the CPE —
-// the same constants countSlabOps sums for the serial backends.
-type accSlabOps struct {
+// cpeSlabOps is what the primitives of both CPE lowerings work on: the
+// CPE, its LDM images of the derivative matrix and the element metric,
+// and the primitive-internal scratch slabs.
+type cpeSlabOps struct {
 	c                          *sw.CPE
 	np                         int
 	deriv, dinv, dflat, metdet []float64
 	dAlpha                     float64
 	scr                        [6][]float64
 }
+
+// cpeSlab is one CPE's scratch for a CPE slab launch. The body takes
+// its primitives and bindings by pointer through an indirect call, so
+// as locals of the CPE body they would be heap-allocated once per CPE
+// per launch; they live in the worker instead (dynWorker.cpeSlab, one
+// slot per CPE, reset by the CPE when its launch starts).
+type cpeSlab struct {
+	ops cpeSlabOps
+	io  slabIO
+}
+
+// cpeSlabFor resets CPE c's slot for a launch with coefficients coef.
+func (w *dynWorker) cpeSlabFor(c *sw.CPE, np int, coef [2]float64) *cpeSlab {
+	sl := &w.cpeSlab[c.ID]
+	*sl = cpeSlab{ops: cpeSlabOps{c: c, np: np}, io: slabIO{coef: coef}}
+	return sl
+}
+
+// accSlabOps runs the primitives with the dycore scalar slabs on LDM
+// tiles and charges each primitive's analytic attribution on the CPE —
+// the same constants countSlabOps sums for the serial backends.
+type accSlabOps cpeSlabOps
 
 func (a *accSlabOps) VecLaplace(u, v, lu, lv []float64) {
 	dycore.VecLaplaceSlab(a.deriv, a.dflat, a.dinv, a.metdet, a.dAlpha, a.np,
@@ -326,14 +348,13 @@ func (en *Engine) lowerSlabOpenACC(k *slabSpec, sub Subset, bind *slabBind) Cost
 	en.runTiles(sel, func(w *dynWorker, slots []int, _ *serialPartial) {
 		w.cg.Spawn(func(c *sw.CPE) {
 			ldm := c.LDM
-			ops := accSlabOps{c: c, np: np}
-			var io slabIO
-			io.coef = bind.coef
+			sl := w.cpeSlabFor(c, np, bind.coef)
+			ops, io := (*accSlabOps)(&sl.ops), &sl.io
 			for _, le := range slots {
-				for w := firstWorkItem(le*nlev, c.ID); w < (le+1)*nlev; w += sw.CPEsPerCG {
+				for it := firstWorkItem(le*nlev, c.ID); it < (le+1)*nlev; it += sw.CPEsPerCG {
 					ldm.Reset()
 					e := en.element(le)
-					o := (w % nlev) * npsq
+					o := (it % nlev) * npsq
 					ops.dAlpha = e.DAlpha
 					ops.deriv = ldm.MustAlloc("deriv", npsq)
 					ops.dinv = ldm.MustAlloc("dinv", 4*npsq)
@@ -363,7 +384,7 @@ func (en *Engine) lowerSlabOpenACC(k *slabSpec, sub Subset, bind *slabBind) Cost
 					for i := 0; i < nOp; i++ {
 						ops.scr[i] = ldm.MustAlloc(slabOpNames[i], npsq)
 					}
-					k.body(&ops, &io)
+					k.body(ops, io)
 					for i := 0; i < k.nOut; i++ {
 						c.DMA.Put(bind.out[i][le][o:o+npsq], io.out[i])
 					}
@@ -383,13 +404,7 @@ func (en *Engine) lowerSlabOpenACC(k *slabSpec, sub Subset, bind *slabBind) Cost
 // which carry their own CountVecFlops attribution; the update is the
 // one primitive implemented here, with the Splat of the hoisted
 // coefficient at slab scope (once per call, not once per row).
-type athSlabOps struct {
-	c                          *sw.CPE
-	np                         int
-	deriv, dinv, dflat, metdet []float64
-	dAlpha                     float64
-	scr                        [6][]float64
-}
+type athSlabOps cpeSlabOps
 
 func (a *athSlabOps) VecLaplace(u, v, lu, lv []float64) {
 	vecLaplaceSlabVec4(a.c, a.deriv, a.dflat, a.dinv, a.metdet, a.dAlpha,
@@ -419,9 +434,8 @@ func (en *Engine) lowerSlabAthread(k *slabSpec, sub Subset, bind *slabBind) Cost
 		w.cg.Spawn(func(c *sw.CPE) {
 			ldm := c.LDM
 			s, vl := en.rowLevels(c.Row)
-			ops := athSlabOps{c: c, np: np}
-			var io slabIO
-			io.coef = bind.coef
+			sl := w.cpeSlabFor(c, np, bind.coef)
+			ops, io := (*athSlabOps)(&sl.ops), &sl.io
 			ops.deriv = ldm.MustAlloc("deriv", npsq)
 			c.Setup(func() { c.DMA.GetShared(ops.deriv, en.M.DerivFlat) })
 			ops.dinv = ldm.MustAlloc("dinv", 4*npsq)
@@ -465,7 +479,7 @@ func (en *Engine) lowerSlabAthread(k *slabSpec, sub Subset, bind *slabBind) Cost
 							c.DMA.Get(io.out[i], bind.out[i][le][o:o+npsq])
 						}
 					}
-					k.body(&ops, &io)
+					k.body(ops, io)
 					for i := 0; i < k.nOut; i++ {
 						c.DMA.Put(bind.out[i][le][o:o+npsq], io.out[i])
 					}

@@ -52,7 +52,7 @@ func (en *Engine) verticalRemap(b Backend, h *dycore.HybridCoord, st *dycore.Sta
 				slots, rowLen, qsize*rowLen)
 			wk.cg.Spawn(func(c *sw.CPE) {
 				ldm := c.LDM
-				rw := wk.cpeRWS[c.ID]
+				rw := wk.rws
 				// Per-element restart of the round-robin column loop, like
 				// rhsOpenACC: the global (element, node) -> CPE assignment
 				// and each CPE's item order match one contiguous loop.
@@ -129,7 +129,7 @@ func (en *Engine) verticalRemap(b Backend, h *dycore.HybridCoord, st *dycore.Sta
 		en.runTiles(sel, func(wk *dynWorker, slots []int, _ *serialPartial) {
 			wk.cg.Spawn(func(c *sw.CPE) {
 				ldm := c.LDM
-				rw := wk.cpeRWS[c.ID]
+				rw := wk.rws
 				colSrc := ldm.MustAlloc("colSrc", nlev)
 				colVal := ldm.MustAlloc("colVal", nlev)
 				colRef := ldm.MustAlloc("colRef", nlev)

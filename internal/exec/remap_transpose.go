@@ -38,7 +38,7 @@ func (en *Engine) verticalRemapTransposed(h *dycore.HybridCoord, st *dycore.Stat
 	en.runTiles(en.allSub, func(wk *dynWorker, slots []int, _ *serialPartial) {
 		wk.cg.Spawn(func(c *sw.CPE) {
 			ldm := c.LDM
-			rw := wk.cpeRWS[c.ID]
+			rw := wk.rws
 			s := c.Row * vl
 			slab := vl * npsq
 

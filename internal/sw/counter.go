@@ -7,8 +7,8 @@ package sw
 // register-communication primitives themselves. internal/perf converts
 // these counts into modeled seconds.
 //
-// Counters are owned by a single core's goroutine while a parallel region
-// runs and are aggregated after it joins, so no atomics are needed.
+// One CPE of a core group runs at a time and counters are aggregated
+// after the launch joins, so no atomics are needed.
 type PerfCounter struct {
 	FlopsScalar int64 // double-precision scalar arithmetic operations
 	FlopsVector int64 // double-precision ops retired through Vec4 lanes

@@ -1,10 +1,5 @@
 package sw
 
-import (
-	"fmt"
-	"sync"
-)
-
 // CPE is one computing processing element: a user-mode-only RISC core
 // with a 64 KB LDM, a DMA engine into the core group's shared memory, a
 // 4-lane vector unit, and register-communication links along its row and
@@ -67,6 +62,12 @@ type CoreGroup struct {
 	MPE    *MPE
 	CPEs   [CPEsPerCG]*CPE
 	fabric *regFabric
+	// crew is the set of coroutines running the launch in flight on this
+	// core group, nil between launches; see Spawn.
+	crew *crew
+	// onResume, when set, observes every coroutine switch of a launch:
+	// the id of the CPE about to run. Tests read the schedule through it.
+	onResume func(id int)
 	// replaySetup marks launches on this core group as re-executions of
 	// a logical launch whose per-launch setup traffic another core group
 	// already accounted; see CPE.Setup.
@@ -84,7 +85,7 @@ func (cg *CoreGroup) SetReplaySetup(v bool) { cg.replaySetup = v }
 // NewCoreGroup builds a core group with fresh LDMs, counters, and
 // register fabric.
 func NewCoreGroup(index int) *CoreGroup {
-	cg := &CoreGroup{Index: index, fabric: newRegFabric()}
+	cg := &CoreGroup{Index: index, fabric: &regFabric{}}
 	cg.MPE = &MPE{cg: cg}
 	for i := 0; i < CPEsPerCG; i++ {
 		cpe := &CPE{Row: i / MeshDim, Col: i % MeshDim, ID: i, LDM: NewLDM(), cg: cg}
@@ -92,39 +93,6 @@ func NewCoreGroup(index int) *CoreGroup {
 		cg.CPEs[i] = cpe
 	}
 	return cg
-}
-
-// Spawn runs fn concurrently on all 64 CPEs (the athread_spawn /
-// athread_join pattern) and blocks until every CPE returns. Each CPE's
-// LDM is reset before fn starts, matching a fresh kernel launch. A panic
-// on any CPE (LDM overflow, illegal register communication) is re-raised
-// on the caller with the CPE coordinates attached.
-func (cg *CoreGroup) Spawn(fn func(c *CPE)) {
-	var wg sync.WaitGroup
-	panics := make([]any, CPEsPerCG)
-	for i := 0; i < CPEsPerCG; i++ {
-		wg.Add(1)
-		go func(idx int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panics[idx] = r
-				}
-			}()
-			c := cg.CPEs[idx]
-			c.LDM.Reset()
-			fn(c)
-			if hw := int64(c.LDM.HighWater()); hw > c.Ctr.LDMPeak {
-				c.Ctr.LDMPeak = hw
-			}
-		}(i)
-	}
-	wg.Wait()
-	for i, p := range panics {
-		if p != nil {
-			panic(fmt.Sprintf("sw: CPE(%d,%d) faulted: %v", i/MeshDim, i%MeshDim, p))
-		}
-	}
 }
 
 // Counters returns the sum and the per-CPE maximum of the 64 CPE

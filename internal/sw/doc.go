@@ -18,9 +18,18 @@
 //     would not fit on the hardware fail here too.
 //   - DMA: explicit get/put between main-memory slices and LDM buffers,
 //     with byte and operation accounting.
-//   - RegComm: blocking row/column channels between CPEs, with message
-//     accounting, used for the paper's scan (§7.4) and transpose (§7.5)
-//     algorithms, which are provided as reusable primitives.
+//   - RegComm: depth-4 receive buffers between CPEs sharing a row or
+//     column, with message accounting and back-pressure, used for the
+//     paper's scan (§7.4) and transpose (§7.5) algorithms, which are
+//     provided as reusable primitives.
+//   - Spawn: the athread_spawn/athread_join launch. The 64 CPE bodies run
+//     as resident coroutines, one at a time, on a schedule that is a
+//     function of the kernel alone: a CPE that would block on register
+//     communication hands control to the peer it waits on. One running
+//     CPE per core group is what lets every other mechanism here be
+//     plain memory; launches on distinct core groups run in parallel.
+//     A fault or a register communication deadlock aborts the launch
+//     and is re-raised on the caller. See spawn.go.
 //   - Vec4: a 4-lane double-precision vector value with the shuffle
 //     instruction of §7.5.
 //   - PerfCounter: per-CPE flop, DMA, and register-communication counters

@@ -8,76 +8,99 @@ const MeshDim = 8
 // CPEsPerCG is the number of computing processing elements per core group.
 const CPEsPerCG = MeshDim * MeshDim
 
-// regFabric is the register-communication fabric of one core group.
-// The SW26010 lets a CPE push a 256-bit register directly into the
-// receive buffer of another CPE in the same row or column of the mesh,
-// within tens of cycles (§7.4). The fabric is modeled as one small
-// buffered channel per ordered (src,dst) pair that shares a row or a
-// column; sends to any other CPE are an architectural violation and
-// panic, so kernels cannot accidentally assume all-to-all connectivity
-// the hardware does not have.
-type regFabric struct {
-	// ch[src][dst] is non-nil iff src and dst share a row or column.
-	ch [CPEsPerCG][CPEsPerCG]chan Vec4
-}
-
 // regBufDepth is the modeled depth of a CPE's register receive buffer.
 // The hardware buffers a handful of in-flight registers per link; a
 // depth of 4 lets the paper's pipelined scan run without artificial
 // serialization while still exerting back-pressure.
 const regBufDepth = 4
 
-func newRegFabric() *regFabric {
-	f := &regFabric{}
-	for s := 0; s < CPEsPerCG; s++ {
-		for d := 0; d < CPEsPerCG; d++ {
-			if s == d {
-				continue
-			}
-			sameRow := s/MeshDim == d/MeshDim
-			sameCol := s%MeshDim == d%MeshDim
-			if sameRow || sameCol {
-				f.ch[s][d] = make(chan Vec4, regBufDepth)
-			}
-		}
-	}
-	return f
+// regLink is the receive buffer of one ordered (src,dst) CPE pair: a
+// depth-4 ring of registers, oldest at head.
+type regLink struct {
+	buf     [regBufDepth]Vec4
+	head, n uint8
+}
+
+// regFabric is the register-communication fabric of one core group.
+// The SW26010 lets a CPE push a 256-bit register directly into the
+// receive buffer of another CPE in the same row or column of the mesh,
+// within tens of cycles (§7.4). The fabric is one regLink per ordered
+// (src,dst) pair that shares a row or a column; any other pair is an
+// architectural violation and panics in link, so kernels cannot
+// accidentally assume all-to-all connectivity the hardware does not
+// have.
+//
+// The links are plain memory — no channel, lock or atomic — because
+// exactly one CPE of a core group runs at a time (see Spawn): a CPE that
+// finds its link full or empty yields to the peer it waits on instead
+// of blocking a thread.
+type regFabric struct {
+	// links[src*2*MeshDim+j] carries src's registers to the CPE in
+	// column j of its row (j < MeshDim) or in row j-MeshDim of its
+	// column; the two slots per CPE that would name itself stay unused,
+	// leaving the mesh's 896 real links.
+	links [CPEsPerCG * 2 * MeshDim]regLink
+	// moved counts registers entering or leaving any link. The scheduler
+	// reads it as its progress witness: a CPE that waits twice at one
+	// value of moved waits in a cycle nothing can break.
+	moved uint64
 }
 
 func cpeID(row, col int) int { return row*MeshDim + col }
 
-// send pushes one register from CPE (srow,scol) to CPE (drow,dcol).
-func (f *regFabric) send(srow, scol, drow, dcol int, v Vec4) {
-	c := f.ch[cpeID(srow, scol)][cpeID(drow, dcol)]
-	if c == nil {
-		panic(fmt.Sprintf("sw: register communication between CPE(%d,%d) and CPE(%d,%d): not in same row or column",
-			srow, scol, drow, dcol))
+// link returns the receive buffer for registers travelling from CPE
+// (srow,scol) to CPE (drow,dcol) — the one place that knows which pairs
+// the mesh connects.
+func (f *regFabric) link(srow, scol, drow, dcol int) *regLink {
+	if uint(srow|scol|drow|dcol) < MeshDim {
+		switch {
+		case srow == drow && scol != dcol:
+			return &f.links[cpeID(srow, scol)*2*MeshDim+dcol]
+		case scol == dcol && srow != drow:
+			return &f.links[cpeID(srow, scol)*2*MeshDim+MeshDim+drow]
+		}
 	}
-	c <- v
+	panic(fmt.Sprintf("sw: register communication between CPE(%d,%d) and CPE(%d,%d): not in same row or column",
+		srow, scol, drow, dcol))
 }
 
-// recv blocks until a register from CPE (srow,scol) arrives at (drow,dcol).
-func (f *regFabric) recv(srow, scol, drow, dcol int) Vec4 {
-	c := f.ch[cpeID(srow, scol)][cpeID(drow, dcol)]
-	if c == nil {
-		panic(fmt.Sprintf("sw: register communication between CPE(%d,%d) and CPE(%d,%d): not in same row or column",
-			srow, scol, drow, dcol))
+// drain empties every link, discarding registers in flight.
+func (f *regFabric) drain() {
+	for i := range f.links {
+		f.links[i].head, f.links[i].n = 0, 0
 	}
-	return <-c
 }
 
 // RegSend transfers one 256-bit register to the CPE at (drow,dcol), which
-// must share a row or column with this CPE. Blocks when the destination's
-// receive buffer is full (back-pressure), like the hardware.
+// must share a row or column with this CPE. While the destination's
+// receive buffer is full the sender yields to the destination
+// (back-pressure), like the hardware stalls it.
 func (c *CPE) RegSend(drow, dcol int, v Vec4) {
-	c.cg.fabric.send(c.Row, c.Col, drow, dcol, v)
+	f := c.cg.fabric
+	l := f.link(c.Row, c.Col, drow, dcol)
+	for l.n == regBufDepth {
+		c.waitOn(cpeID(drow, dcol))
+	}
+	l.buf[(l.head+l.n)%regBufDepth] = v
+	l.n++
+	f.moved++
 	c.Ctr.RegMsgs++
 	c.Ctr.RegBytes += VecWidth * F64Bytes
 }
 
-// RegRecv blocks until a register sent by the CPE at (srow,scol) arrives.
+// RegRecv returns the oldest register sent by the CPE at (srow,scol),
+// yielding to that CPE until one has arrived.
 func (c *CPE) RegRecv(srow, scol int) Vec4 {
-	return c.cg.fabric.recv(srow, scol, c.Row, c.Col)
+	f := c.cg.fabric
+	l := f.link(srow, scol, c.Row, c.Col)
+	for l.n == 0 {
+		c.waitOn(cpeID(srow, scol))
+	}
+	v := l.buf[l.head]
+	l.head = (l.head + 1) % regBufDepth
+	l.n--
+	f.moved++
+	return v
 }
 
 // RegSendScalar sends a single float64 through the register fabric
