@@ -76,7 +76,7 @@ func TestFuzzCorporaCheckedIn(t *testing.T) {
 	for target, min := range map[string]int{
 		"FuzzReadCheckpoint":     5,
 		"FuzzReadHistory":        2,
-		"FuzzDecodeRankSnapshot": 12,
+		"FuzzDecodeRankSnapshot": 13,
 	} {
 		entries, err := os.ReadDir(filepath.Join("testdata", "fuzz", target))
 		if err != nil {

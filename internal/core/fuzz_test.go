@@ -127,6 +127,10 @@ func buddySnapshotSeeds(fatal func(...any)) map[string][]byte {
 	n := binary.LittleEndian.Uint64(valid[0:8])     // framed checkpoint byte length
 	flipCRC := append([]byte(nil), valid...)
 	flipCRC[8+int(n)-1] ^= 0x01 // last byte of the CRC trailer itself
+	// One word past what the dimensions imply, framed to match: a tail no
+	// CRC covers, which the strict framing check must refuse.
+	trailing := append(append([]byte(nil), valid...), 0xde, 0xad, 0xbe, 0xef, 0, 0, 0, 0)
+	binary.LittleEndian.PutUint64(trailing[0:], n+8)
 
 	return map[string][]byte{
 		"seed-valid":        valid,
@@ -141,6 +145,8 @@ func buddySnapshotSeeds(fatal func(...any)) map[string][]byte {
 		"seed-flip-step":    flipStep,
 		"seed-flip-payload": flipPayload,
 		"seed-flip-crc":     flipCRC,
+
+		"seed-trailing-words": trailing,
 	}
 }
 

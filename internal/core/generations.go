@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"time"
 
 	"swcam/internal/dycore"
 	"swcam/internal/integrity"
@@ -12,23 +13,88 @@ import (
 // The multi-generation verified checkpoint store. ResilientJob retains
 // up to Generations checkpoint generations in a newest-first ring; a
 // restore re-verifies its target — every rank's own copy against its
-// CRC-32C seal, buddy replicas by full decode — before a single bit is
-// copied back, heals a rotten own copy from the buddy's replica when
-// that replica still verifies, and escalates to the next-older
-// generation when a generation has no usable copy of some rank. A
-// generation leaving service (evicted past the retention cap, dropped
-// as poisoned, or surviving to end of run) is audited once, so every
-// injected checkpoint-copy flip produces at least one detection even
-// when no restore ever consulted it.
+// CRC-32C seal, buddy replicas by the in-place snapshot check — before a
+// single bit is copied back, heals a rotten own copy from the buddy's
+// replica when that replica still verifies, and escalates to the
+// next-older generation when a generation has no usable copy of some
+// rank. A generation leaving service (evicted past the retention cap,
+// dropped as poisoned, or surviving to end of run) is audited once, so
+// every injected checkpoint-copy flip produces at least one detection
+// even when no restore ever consulted it.
+//
+// The ring recycles its memory: a generation evicted past the cap is
+// audited and then hands its storage to the next capture, which copies
+// into it (capture) instead of allocating. What is recycled is storage,
+// never a generation: every capture is a new *ckptGeneration with every
+// replica cleared, and a replica becomes visible again (buddy[r]) only
+// once this generation's ship of it has been received whole.
+
+// genStorage is the memory one generation occupies, every slice indexed
+// by rank.
+type genStorage struct {
+	own   []*dycore.State       // own snapshots ("node-local memory")
+	seals []*integrity.RankSeal // seals over own; entries nil when scrubbing is off
+	buddy [][]float64           // buddy[r] = encoded copy of rank r held by rank (r+1)%n; nil = no replica (always, in global mode)
+	store [][]float64           // the buffers buddy replicas are received into; buddy[r], when set, is store[r]
+}
 
 // ckptGeneration is one retained checkpoint generation.
 type ckptGeneration struct {
 	step    int
-	precip  float64               // TotalPrecip at capture (rewound with the step counter)
-	own     []*dycore.State       // per-rank own snapshots ("node-local memory")
-	seals   []*integrity.RankSeal // per-rank seals over own; entries nil when scrubbing is off
-	buddy   [][]float64           // buddy[r] = encoded copy of rank r held by rank (r+1)%n; nil in global mode
-	audited bool                  // end-of-life audit already ran
+	precip  float64 // TotalPrecip at capture (rewound with the step counter)
+	audited bool    // end-of-life audit already ran
+	genStorage
+}
+
+// capture starts a generation at step: the supervised states copied
+// into the storage the last retired generation left behind — allocated
+// only where there is none, or where its shape is not this rank's
+// (first captures, a copy a poisoning dropped) — and sealed when
+// scrubbing is on. Every replica starts cleared, whatever the storage
+// held before.
+func (rj *ResilientJob) capture(step int) *ckptGeneration {
+	n := len(rj.local)
+	g := &ckptGeneration{step: step, precip: rj.Job.TotalPrecip, genStorage: rj.spare}
+	rj.spare = genStorage{}
+	if len(g.own) != n {
+		g.genStorage = genStorage{
+			own:   make([]*dycore.State, n),
+			seals: make([]*integrity.RankSeal, n),
+			buddy: make([][]float64, n),
+			store: make([][]float64, n),
+		}
+	}
+	clear(g.buddy)
+	for r, st := range rj.local {
+		if own := g.own[r]; own != nil && own.SameShape(st) {
+			own.CopyFrom(st)
+		} else {
+			g.own[r], g.seals[r] = st.Clone(), nil
+		}
+	}
+	if rj.Job.ScrubEvery <= 0 {
+		clear(g.seals)
+		return g
+	}
+	t0 := time.Now()
+	for r, st := range g.own {
+		if g.seals[r] == nil {
+			g.seals[r] = integrity.SealState(st, step)
+		} else {
+			g.seals[r].Reseal(st, step)
+		}
+	}
+	reg := rj.Job.Obs.R()
+	reg.Counter("integrity.scrub.seals").Add(int64(n))
+	reg.Counter("integrity.scrub.ns").Add(time.Since(t0).Nanoseconds())
+	return g
+}
+
+// retire takes the storage of a generation that has left service — or
+// of a capture that failed part-way — for the next capture, and leaves
+// g empty.
+func (rj *ResilientJob) retire(g *ckptGeneration) {
+	rj.spare, g.genStorage = g.genStorage, genStorage{}
 }
 
 // genCap returns the retention cap with its default of one generation
@@ -50,13 +116,17 @@ func (rj *ResilientJob) checkpointStep() int {
 }
 
 // pushGeneration prepends g as the newest restore target, evicting —
-// and audit-verifying — generations beyond the retention cap.
+// audit-verifying, then recycling — generations beyond the retention
+// cap.
 func (rj *ResilientJob) pushGeneration(rs *ResilientStats, g *ckptGeneration) {
-	rj.gens = append([]*ckptGeneration{g}, rj.gens...)
+	rj.gens = append(rj.gens, nil)
+	copy(rj.gens[1:], rj.gens)
+	rj.gens[0] = g
 	for len(rj.gens) > rj.genCap() {
 		old := rj.gens[len(rj.gens)-1]
 		rj.gens = rj.gens[:len(rj.gens)-1]
 		rj.auditGeneration(rs, old)
+		rj.retire(old)
 	}
 }
 
@@ -71,7 +141,7 @@ func (rj *ResilientJob) markPoisoned(rs *ResilientStats, g *ckptGeneration, rank
 // of rank r (local memory — the wire-shipping variant for a dead rank
 // is fetchBuddy).
 func (rj *ResilientJob) decodeBuddyCopy(g *ckptGeneration, r int) (*dycore.State, error) {
-	if g.buddy == nil || g.buddy[r] == nil {
+	if g.buddy[r] == nil {
 		return nil, fmt.Errorf("%w: no buddy copy of rank %d", ErrBuddySnapshot, r)
 	}
 	st, step, err := DecodeRankSnapshot(g.buddy[r])
@@ -112,7 +182,7 @@ func (rj *ResilientJob) verifyGeneration(rs *ResilientStats, g *ckptGeneration) 
 		// Own copy gone or rotten: the buddy replica is the last copy.
 		healed, err := rj.decodeBuddyCopy(g, r)
 		if err != nil {
-			if g.buddy != nil && g.buddy[r] != nil {
+			if g.buddy[r] != nil {
 				rj.markPoisoned(rs, g, r, fmt.Errorf("buddy checkpoint copy: %w", err))
 				g.buddy[r] = nil
 			}
@@ -146,10 +216,10 @@ func (rj *ResilientJob) auditGeneration(rs *ResilientStats, g *ckptGeneration) {
 				g.own[r] = nil
 			}
 		}
-		if g.buddy != nil && g.buddy[r] != nil {
-			if _, step, err := DecodeRankSnapshot(g.buddy[r]); err != nil || step != g.step {
+		if g.buddy[r] != nil {
+			if h, _, err := checkRankSnapshot(g.buddy[r]); err != nil || int(h.Step) != g.step {
 				if err == nil {
-					err = fmt.Errorf("%w: buddy copy at step %d, want %d", ErrBuddySnapshot, step, g.step)
+					err = fmt.Errorf("%w: buddy copy at step %d, want %d", ErrBuddySnapshot, h.Step, g.step)
 				}
 				rj.markPoisoned(rs, g, r, fmt.Errorf("buddy checkpoint copy: %w", err))
 				g.buddy[r] = nil
@@ -199,7 +269,7 @@ func flipStateBit(st *dycore.State, key int64) string {
 // snapshot payload, past the framing word. Word i carries checkpoint
 // bytes (i-1)*8..(i-1)*8+7, and a word exists only when its first byte
 // is real data — so the flip always lands inside the CRC-covered bytes
-// (or the CRC trailer itself) and a full decode must reject it.
+// (or the CRC trailer itself) and the snapshot check must reject it.
 func flipPayloadWord(p []float64, key int64) {
 	if len(p) < 2 {
 		return

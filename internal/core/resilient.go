@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"swcam/internal/dycore"
@@ -124,6 +125,9 @@ type ResilientJob struct {
 	// Ladder bookkeeping.
 	local       []*dycore.State   // states under supervision (shrink replaces the slice)
 	gens        []*ckptGeneration // verified checkpoint ring, newest first (generations.go)
+	spare       genStorage        // storage of the last retired generation, for the next capture
+	enc         [][]float64       // per-rank snapshot encode staging, reused every checkpoint
+	repl        *mpirt.World      // replication world, kept between checkpoints (exchangeBuddies)
 	suspectRank int               // rank of the most recent attributed failure
 	suspectRun  int               // consecutive failures attributed to suspectRank
 	diskStep    int               // step of the last disk checkpoint written
@@ -189,15 +193,6 @@ func NewResilientJob(job *ParallelJob) *ResilientJob {
 // gather results via States() rather than the slice they passed in.
 func (rj *ResilientJob) States() []*dycore.State { return rj.local }
 
-// snapshot deep-copies the per-rank states.
-func snapshot(local []*dycore.State) []*dycore.State {
-	out := make([]*dycore.State, len(local))
-	for i, st := range local {
-		out[i] = st.Clone()
-	}
-	return out
-}
-
 // restore copies a snapshot back into the caller's state objects.
 func restore(local, snap []*dycore.State) {
 	for i := range local {
@@ -240,27 +235,17 @@ func (rj *ResilientJob) rewindTo(g *ckptGeneration) {
 // exchange in ladder mode, the disk copy when DiskPath is set — and
 // pushes it onto the retention ring. Injected checkpoint-copy flips
 // land after the seals and the exchange are taken, so the seals always
-// witness the clean bits.
+// witness the clean bits. The steady state allocates no state-sized
+// memory: every stage copies into a buffer it keeps (the retired
+// generation's storage, the per-rank encode staging, the replication
+// world's mailbox buffers).
 func (rj *ResilientJob) takeCheckpoint(rs *ResilientStats, step int) error {
 	sp := rj.Job.Obs.T().Begin(0, "core.checkpoint", "model")
 	defer sp.End()
-	g := &ckptGeneration{
-		step:   step,
-		precip: rj.Job.TotalPrecip,
-		own:    snapshot(rj.local),
-		seals:  make([]*integrity.RankSeal, len(rj.local)),
-	}
-	if rj.Job.ScrubEvery > 0 {
-		t0 := time.Now()
-		for r, st := range g.own {
-			g.seals[r] = integrity.SealState(st, step)
-		}
-		reg := rj.Job.Obs.R()
-		reg.Counter("integrity.scrub.seals").Add(int64(len(g.own)))
-		reg.Counter("integrity.scrub.ns").Add(time.Since(t0).Nanoseconds())
-	}
+	g := rj.capture(step)
 	if rj.Mode == ModeLadder {
 		if err := rj.exchangeBuddies(rs, g); err != nil {
+			rj.retire(g)
 			return err
 		}
 	}
@@ -287,7 +272,7 @@ func (rj *ResilientJob) injectCheckpointFlips(g *ckptGeneration) {
 			reg.Counter("integrity.flips.checkpoint").Add(1)
 			rj.Job.Obs.T().Instant(0, "integrity.flipCheckpoint rank"+fmt.Sprint(r)+" "+desc, "fault")
 		}
-		if g.buddy != nil && g.buddy[r] != nil {
+		if g.buddy[r] != nil {
 			if f := plan.FireIntegrity(r, mpirt.FlipBuddy); f != nil {
 				flipPayloadWord(g.buddy[r], faultKey(f))
 				reg.Counter("integrity.flips.buddy").Add(1)
@@ -523,7 +508,7 @@ func (rj *ResilientJob) rebuildFromBuddy(rs *ResilientStats, what string, faulty
 	g.own[faulty] = nil
 	st, err := rj.fetchBuddy(rs, g, faulty)
 	if err != nil {
-		if g.buddy != nil && g.buddy[faulty] != nil {
+		if g.buddy[faulty] != nil {
 			rj.markPoisoned(rs, g, faulty, fmt.Errorf("buddy checkpoint copy: %w", err))
 			g.buddy[faulty] = nil
 		}
@@ -591,8 +576,10 @@ func (rj *ResilientJob) shrinkRestore(rs *ResilientStats, dead, attempt int, cau
 	rj.Job.TotalPrecip = g.precip
 	rj.auditAllGenerations(rs)
 	rj.gens = nil
-	// A fresh checkpoint round on the reduced world: new own snapshots,
-	// new buddy assignment, new seals.
+	// The pools were shaped for the old partition: drop them with the
+	// ring. A fresh checkpoint round on the reduced world: new own
+	// snapshots, new buddy assignment, new seals.
+	rj.spare, rj.enc, rj.repl = genStorage{}, nil, nil
 	if err := rj.takeCheckpoint(rs, g.step); err != nil {
 		return err
 	}
@@ -641,82 +628,93 @@ func (rj *ResilientJob) globalFallback(rs *ResilientStats, attempt int, cause er
 
 // exchangeBuddies runs the buddy replication round for a new checkpoint
 // generation: each rank encodes its state (v2 checkpoint format with
-// CRC), verifies the encoding end to end BEFORE shipping — a snapshot
-// that rotted between encode and ship must never overwrite the
-// partner's last good copy — and sends it to rank (r+1)%n over the
-// message runtime. The replication network is modeled reliable (no
-// fault injection): the fault plan's operation counters are threaded
-// only through the computation worlds, keeping the chaos schedule
-// independent of the checkpoint cadence.
+// CRC) into its staging buffer, verifies the encoding in place BEFORE
+// shipping — a snapshot that rotted between encode and ship must never
+// overwrite the partner's last good copy — and sends it to rank (r+1)%n
+// over the message runtime, which receives it straight into g's
+// storage. A replica becomes visible in g.buddy only when every ship
+// completed. The replication network is modeled reliable (no fault
+// injection): the fault plan's operation counters are threaded only
+// through the computation worlds, keeping the chaos schedule independent
+// of the checkpoint cadence. Its world is kept between checkpoints, so
+// its mailbox freelists stay warm, and replaced when the world size
+// changes or a ship fails (a poisoned world stays poisoned).
 func (rj *ResilientJob) exchangeBuddies(rs *ResilientStats, g *ckptGeneration) error {
 	n := rj.Job.NRanks
-	encodeVerified := func(r int) ([]float64, error) {
-		e, err := EncodeRankSnapshot(rj.local[r], g.step)
-		if err != nil {
-			return nil, err
-		}
-		if rj.PreShipHook != nil {
-			rj.PreShipHook(r, e)
-		}
-		reg := rj.Job.Obs.R()
-		reg.Counter("integrity.preship.checks").Add(1)
-		if verr := VerifyRankSnapshot(e); verr != nil {
-			reg.Counter("integrity.preship.rejects").Add(1)
-			// Re-encode once from the live state: a flip that landed in
-			// the encoded bytes (not the state) is repaired locally. A
-			// second failure means the state itself cannot serialize
-			// cleanly — do not ship it.
-			e2, err2 := EncodeRankSnapshot(rj.local[r], g.step)
-			if err2 != nil {
-				return nil, err2
-			}
-			if rj.PreShipHook != nil {
-				rj.PreShipHook(r, e2)
-			}
-			if verr2 := VerifyRankSnapshot(e2); verr2 != nil {
-				return nil, fmt.Errorf("%w: rank %d snapshot fails pre-ship verification: %w", integrity.ErrCorrupt, r, verr2)
-			}
-			e = e2
-		}
-		return e, nil
-	}
 	if n == 1 {
-		e, err := encodeVerified(0)
+		// Its own buddy: the encoding is the replica.
+		e, err := rj.encodeVerified(0, g.step, g.store[0])
 		if err != nil {
 			return err
 		}
-		g.buddy = [][]float64{e}
+		g.store[0], g.buddy[0] = e, e
 		return nil
 	}
-	recvd := make([][]float64, n)
-	w := mpirt.NewWorld(n)
+	if len(rj.enc) != n {
+		rj.enc = make([][]float64, n)
+	}
+	if rj.repl == nil || rj.repl.Size() != n {
+		rj.repl = mpirt.NewWorld(n)
+	}
+	w := rj.repl
 	w.SetTracer(rj.Job.Obs.T())
+	sent := w.TotalBytes()
 	err := w.Run(func(c *mpirt.Comm) {
 		r := c.Rank()
-		e, eerr := encodeVerified(r)
+		e, eerr := rj.encodeVerified(r, g.step, rj.enc[r])
 		if eerr != nil {
 			mpirt.Fail(eerr)
 		}
+		rj.enc[r] = e
 		buddy := (r + 1) % n
 		prev := (r - 1 + n) % n
-		c.Send(buddy, tagBuddySize, []float64{float64(len(e))})
+		var sz [1]float64
+		sz[0] = float64(len(e))
+		c.Send(buddy, tagBuddySize, sz[:])
 		c.Send(buddy, tagBuddyData, e)
-		sz := make([]float64, 1)
-		c.Recv(prev, tagBuddySize, sz)
-		buf := make([]float64, int(sz[0]))
-		c.Recv(prev, tagBuddyData, buf)
-		recvd[r] = buf // rank r now holds the copy of rank prev
+		c.Recv(prev, tagBuddySize, sz[:])
+		// Rank r now holds the copy of rank prev.
+		words := int(sz[0])
+		g.store[prev] = slices.Grow(g.store[prev][:0], words)[:words]
+		c.Recv(prev, tagBuddyData, g.store[prev])
 	})
-	rs.BuddyBytes += w.TotalBytes()
+	rs.BuddyBytes += w.TotalBytes() - sent
 	if err != nil {
+		rj.repl = nil
 		return fmt.Errorf("core: buddy replication at step %d: %w", g.step, err)
 	}
-	enc := make([][]float64, n)
-	for r := 0; r < n; r++ {
-		enc[r] = recvd[(r+1)%n]
-	}
-	g.buddy = enc
+	copy(g.buddy, g.store)
 	return nil
+}
+
+// encodeVerified encodes rank r's live state into buf's storage and
+// verifies the encoding in place, PreShipHook between the two.
+func (rj *ResilientJob) encodeVerified(r, step int, buf []float64) ([]float64, error) {
+	encode := func() (err error) {
+		if buf, err = encodeRankSnapshotInto(buf, rj.local[r], step); err == nil && rj.PreShipHook != nil {
+			rj.PreShipHook(r, buf)
+		}
+		return err
+	}
+	if err := encode(); err != nil {
+		return nil, err
+	}
+	reg := rj.Job.Obs.R()
+	reg.Counter("integrity.preship.checks").Add(1)
+	if VerifyRankSnapshot(buf) == nil {
+		return buf, nil
+	}
+	reg.Counter("integrity.preship.rejects").Add(1)
+	// Re-encode once from the live state: a flip that landed in the
+	// encoded words (not the state) is repaired locally. A second failure
+	// means the state itself cannot serialize cleanly — do not ship it.
+	if err := encode(); err != nil {
+		return nil, err
+	}
+	if verr := VerifyRankSnapshot(buf); verr != nil {
+		return nil, fmt.Errorf("%w: rank %d snapshot fails pre-ship verification: %w", integrity.ErrCorrupt, r, verr)
+	}
+	return buf, nil
 }
 
 // fetchBuddy retrieves and decodes generation g's buddy-held copy of a
@@ -726,7 +724,7 @@ func (rj *ResilientJob) exchangeBuddies(rs *ResilientStats, g *ckptGeneration) e
 // CRC, the checkpoint step, and the shape expected by the failed rank's
 // plan.
 func (rj *ResilientJob) fetchBuddy(rs *ResilientStats, g *ckptGeneration, faulty int) (*dycore.State, error) {
-	if g.buddy == nil || g.buddy[faulty] == nil {
+	if g.buddy[faulty] == nil {
 		return nil, fmt.Errorf("%w: no buddy copy of rank %d", ErrBuddySnapshot, faulty)
 	}
 	enc := g.buddy[faulty]

@@ -94,9 +94,15 @@ func (s *State) Clone() *State {
 	return c
 }
 
+// SameShape reports whether s and o have the same dimensions, i.e.
+// whether one can be CopyFrom'd into the other.
+func (s *State) SameShape(o *State) bool {
+	return s.NElem() == o.NElem() && s.Np == o.Np && s.Nlev == o.Nlev && s.Qsize == o.Qsize
+}
+
 // CopyFrom overwrites s with o (same dims required).
 func (s *State) CopyFrom(o *State) {
-	if s.NElem() != o.NElem() || s.Np != o.Np || s.Nlev != o.Nlev || s.Qsize != o.Qsize {
+	if !s.SameShape(o) {
 		panic("dycore: CopyFrom dimension mismatch")
 	}
 	cp := func(dst, src [][]float64) {

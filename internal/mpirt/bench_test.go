@@ -43,3 +43,20 @@ func BenchmarkPayloadCRC(b *testing.B) {
 		crcSink = payloadCRC(buf)
 	}
 }
+
+// BenchmarkSendRecvRetry is one message through a world with the
+// ladder's retry policy on: payload copy from the freelist, retransmit
+// log entry, CRC both ends, acknowledgement, recycle. Warm, it
+// allocates nothing (no receive deadline, as in a fault-free ladder run:
+// a deadline costs its timer).
+func BenchmarkSendRecvRetry(b *testing.B) {
+	w, tx, rx := retryPair(nil)
+	w.SetRecvTimeout(0)
+	data, buf := make([]float64, 128), make([]float64, 128)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tx.Send(1, 0, data)
+		rx.Recv(0, 0, buf)
+	}
+}

@@ -1,6 +1,7 @@
 package mpirt
 
 import (
+	"bytes"
 	"hash/crc32"
 	"math"
 	"math/rand"
@@ -56,5 +57,37 @@ func TestPayloadCRCMatchesByteLoop(t *testing.T) {
 	}
 	if got := crcFloatsStaged(crcFloatsStaged(0, a), c); got != want {
 		t.Fatalf("folded staged CRC %#08x, byte loop %#08x", got, want)
+	}
+}
+
+// TestWireBytesStagedMatchesView holds the codec's big-endian fallback
+// to the in-place view on the host that can check it: the staged bytes
+// are the values' own little-endian memory, decoding them restores every
+// bit, and the stage is reused once large enough.
+func TestWireBytesStagedMatchesView(t *testing.T) {
+	if !hostLittleEndian {
+		t.Skip("the in-place view is the wire format only on a little-endian host")
+	}
+	rng := rand.New(rand.NewSource(11))
+	var stage []byte
+	for _, n := range []int{0, 1, 7, 128, 129, 64} {
+		vals := make([]float64, n)
+		for i := range vals {
+			vals[i] = math.Float64frombits(rng.Uint64())
+		}
+		staged := wireBytesStaged(vals, &stage)
+		if view := WireBytes(vals, nil); !bytes.Equal(staged, view) {
+			t.Fatalf("%d values: staged bytes differ from the in-place view", n)
+		}
+		back := make([]float64, n)
+		fromWireBytesStaged(back, staged)
+		for i := range vals {
+			if math.Float64bits(back[i]) != math.Float64bits(vals[i]) {
+				t.Fatalf("%d values: [%d] decoded to %#x, want %#x", n, i, math.Float64bits(back[i]), math.Float64bits(vals[i]))
+			}
+		}
+	}
+	if cap(stage) != 8*129 {
+		t.Errorf("stage grew to %d bytes, want the largest request (%d) and no regrowth after", cap(stage), 8*129)
 	}
 }

@@ -68,6 +68,12 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // []float64 already is its wire bytes.
 var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
+// floatBytes is the byte view of vals' own memory: on a little-endian
+// host, exactly their wire bytes.
+func floatBytes(vals []float64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vals))), 8*len(vals))
+}
+
 // CRCFloats folds vals into crc (CRC-32C) as little-endian IEEE-754 bit
 // patterns: the checksum a real transport computes over the wire bytes,
 // and the one internal/integrity seals resident state with. A
@@ -79,8 +85,48 @@ func CRCFloats(crc uint32, vals []float64) uint32 {
 	if !hostLittleEndian {
 		return crcFloatsStaged(crc, vals)
 	}
-	return crc32.Update(crc, crcTable,
-		unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vals))), 8*len(vals)))
+	return crc32.Update(crc, crcTable, floatBytes(vals))
+}
+
+// WireBytes returns the little-endian IEEE-754 bytes of vals, for a
+// codec that moves whole field slices (core's checkpoint format). On a
+// little-endian host that is the values' own memory — the result
+// aliases vals, nothing is copied and *stage is untouched; a big-endian
+// host encodes into *stage, grown as needed, which keeps the format
+// little-endian everywhere. A reader fills the returned bytes and then
+// calls FromWireBytes.
+func WireBytes(vals []float64, stage *[]byte) []byte {
+	if hostLittleEndian {
+		return floatBytes(vals)
+	}
+	return wireBytesStaged(vals, stage)
+}
+
+func wireBytesStaged(vals []float64, stage *[]byte) []byte {
+	if cap(*stage) < 8*len(vals) {
+		*stage = make([]byte, 8*len(vals))
+	}
+	b := (*stage)[:8*len(vals)]
+	for i, v := range vals {
+		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
+	}
+	return b
+}
+
+// FromWireBytes stores into vals the values whose wire bytes a reader
+// put in b, the slice WireBytes returned for vals: nothing to do where
+// b is vals' own memory, a decode of the staged bytes on a big-endian
+// host.
+func FromWireBytes(vals []float64, b []byte) {
+	if !hostLittleEndian {
+		fromWireBytesStaged(vals, b)
+	}
+}
+
+func fromWireBytesStaged(vals []float64, b []byte) {
+	for i := range vals {
+		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
 }
 
 func crcFloatsStaged(crc uint32, vals []float64) uint32 {
@@ -141,9 +187,11 @@ type mailbox struct {
 	retx    []message         // clean copies, send order (retry enabled only)
 	nextSeq map[seqKey]uint64 // next expected seq per (src, tag) stream
 	// free recycles delivered payload buffers back to senders (the
-	// steady-state zero-allocation path). Only used with retransmission
-	// disabled: the retx log holds references to sent payloads, so
-	// recycling them while retries are possible would corrupt the log.
+	// steady-state zero-allocation path). With retransmission on, the
+	// retx log and a delayed original can hold a second reference to a
+	// sent payload, so a buffer comes back only from an in-sequence
+	// delivery whose log entry the acknowledgement just removed
+	// (recvOnce) — never from recvRetx, never from a stale duplicate.
 	free [][]float64
 }
 
@@ -410,14 +458,9 @@ func (c *Comm) Send(dst, tag int, data []float64) {
 	}
 	f := c.faultPoint(true)
 	// The payload copy comes from the destination mailbox's freelist
-	// when retransmission is off (the receiver recycles it after the
-	// copy-out), so the steady-state exchange allocates nothing.
-	var buf []float64
-	if c.world.retry.enabled() {
-		buf = make([]float64, len(data))
-	} else {
-		buf = c.world.boxes[dst].getBuf(len(data))
-	}
+	// (the receiver recycles it after the copy-out), so the steady-state
+	// exchange allocates nothing.
+	buf := c.world.boxes[dst].getBuf(len(data))
 	copy(buf, data)
 	sk := seqKey{dst, tag}
 	seq := c.world.sendSeq[c.rank][sk]
@@ -547,15 +590,16 @@ func (c *Comm) recvOnce(src, tag int, buf []float64, d time.Duration) (uint64, e
 		return m.seq, fmt.Errorf("%w: from %d tag %d (%d values)", ErrCorrupt, src, tag, len(m.data))
 	}
 	// Acknowledge: the sender's retransmit log no longer needs this
-	// message.
-	if c.world.retry.enabled() {
-		c.world.boxes[c.rank].ackRetx(m.src, m.tag, m.seq)
-	}
+	// message. The log entry was the only other reference to the payload
+	// (a corrupted delivery is a private copy and failed its CRC above),
+	// so once the acknowledgement has removed it the buffer is free for
+	// the next sender targeting this rank; an entry the log's cap already
+	// evicted is left to the garbage collector.
+	box := c.world.boxes[c.rank]
+	recycle := !c.world.retry.enabled() || box.ackRetx(m.src, m.tag, m.seq)
 	copy(buf, m.data)
-	if !c.world.retry.enabled() {
-		// Recycle the payload for the next sender targeting this rank
-		// (with retries possible the retx log still references it).
-		c.world.boxes[c.rank].putBuf(m.data)
+	if recycle {
+		box.putBuf(m.data)
 	}
 	st := &c.world.stats[c.rank]
 	st.MsgsRecvd++

@@ -82,16 +82,18 @@ func (b *mailbox) logRetx(m message) {
 	b.mu.Unlock()
 }
 
-// ackRetx drops a successfully delivered message from the log.
-func (b *mailbox) ackRetx(src, tag int, seq uint64) {
+// ackRetx drops a successfully delivered message from the log and
+// reports whether it was still there.
+func (b *mailbox) ackRetx(src, tag int, seq uint64) bool {
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	for i := range b.retx {
 		if b.retx[i].src == src && b.retx[i].tag == tag && b.retx[i].seq == seq {
 			b.retx = append(b.retx[:i], b.retx[i+1:]...)
-			break
+			return true
 		}
 	}
-	b.mu.Unlock()
+	return false
 }
 
 // expectedSeq reports the next sequence number the (src, tag) stream
@@ -107,7 +109,8 @@ func (b *mailbox) expectedSeq(src, tag int) uint64 {
 // success the entry is consumed and the stream's expected sequence
 // number advanced past it, so the delayed original (if it ever arrives)
 // is discarded as stale by the mailbox instead of being delivered
-// twice.
+// twice. The payload is never recycled from here: that original, in
+// flight or queued, still references it.
 func (c *Comm) recvRetx(src, tag int, seq uint64, buf []float64) bool {
 	b := c.world.boxes[c.rank]
 	b.mu.Lock()

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // retryWorld builds a 2-rank world with the given fault plan and the
@@ -219,5 +220,118 @@ func TestFaultPlanShrink(t *testing.T) {
 	}
 	if pending[1].Rank != 2 || pending[1].Kind != DelayMsg {
 		t.Errorf("pending[1] = %+v (rank 3 should have shifted to 2)", pending[1])
+	}
+}
+
+// retryPair builds a 2-rank world under the ladder's retry policy and
+// hands back both ranks' handles, to be driven in lockstep from one
+// goroutine: every Send lands before its Recv looks, so the test sees
+// exactly which buffer carried which message.
+func retryPair(p *FaultPlan) (w *World, tx, rx *Comm) {
+	w = NewWorld(2)
+	if p != nil {
+		w.SetFaults(p)
+	}
+	w.SetRetry(DefaultRetryPolicy())
+	w.SetRecvTimeout(20 * time.Millisecond)
+	return w, &Comm{world: w, rank: 0}, &Comm{world: w, rank: 1}
+}
+
+// TestRetxPayloadNotRecycledWhileLogged: with retransmission on, Send
+// draws payload buffers from the destination's freelist, and a buffer
+// may come back only once nothing else refers to it. One stream takes a
+// corrupted, a dropped and a delayed message, then 64 clean ones that
+// churn the freelist: every delivery — retransmitted or not — must
+// equal what was sent, and the delayed original, which lands late and is
+// discarded as stale, must never have lent its buffer to a later sender.
+func TestRetxPayloadNotRecycledWhileLogged(t *testing.T) {
+	const tag, words = 7, 16
+	plan := NewFaultPlan(2).
+		Add(Fault{Rank: 0, AfterOp: 2, Kind: CorruptMsg}).
+		Add(Fault{Rank: 0, AfterOp: 3, Kind: DropMsg}).
+		Add(Fault{Rank: 0, AfterOp: 4, Kind: DelayMsg, Delay: 80 * time.Millisecond})
+	w, tx, rx := retryPair(plan)
+	box := w.boxes[1]
+
+	payload := func(i int) []float64 {
+		p := make([]float64, words)
+		for k := range p {
+			p[k] = float64(1000*i + k)
+		}
+		return p
+	}
+	buf := make([]float64, words)
+	recv := func(i int) {
+		t.Helper()
+		if err := rx.RecvErr(0, tag, buf); err != nil {
+			t.Fatalf("message %d: %v", i, err)
+		}
+		for k, v := range payload(i) {
+			if buf[k] != v {
+				t.Fatalf("message %d delivered [%d] = %v, sent %v", i, k, buf[k], v)
+			}
+		}
+	}
+
+	// Message 0 is clean and warms the freelist; 1 is corrupted on the
+	// wire, 2 dropped, 3 delayed past the receive deadline. All three
+	// arrive through the retransmit log.
+	for i := 0; i <= 3; i++ {
+		tx.Send(1, tag, payload(i))
+		recv(i)
+	}
+	if got := w.Stats(1).RetxRecovered; got != 3 {
+		t.Fatalf("RetxRecovered = %d, want 3 (corrupt, drop, delay)", got)
+	}
+
+	// Wait for the delayed original to land; it is the only pending
+	// message.
+	var late *float64
+	for deadline := time.Now().Add(2 * time.Second); late == nil; {
+		box.mu.Lock()
+		if len(box.pending) == 1 && box.pending[0].seq == 3 {
+			late = unsafe.SliceData(box.pending[0].data)
+		}
+		box.mu.Unlock()
+		if late == nil {
+			if time.Now().After(deadline) {
+				t.Fatal("the delayed original never arrived")
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	reused := false
+	var prev *float64
+	for i := 4; i < 4+64; i++ {
+		tx.Send(1, tag, payload(i))
+		box.mu.Lock()
+		m := box.pending[len(box.pending)-1]
+		carrier := unsafe.SliceData(m.data)
+		logged := len(box.retx) == 1 && unsafe.SliceData(box.retx[0].data) == carrier
+		box.mu.Unlock()
+		if carrier == late {
+			t.Fatalf("message %d was sent in the buffer the delayed original still holds", i)
+		}
+		if !logged {
+			t.Fatalf("message %d: the retransmit log does not hold exactly its payload", i)
+		}
+		reused = reused || carrier == prev
+		prev = carrier
+		recv(i)
+	}
+	if !reused {
+		t.Error("no payload buffer was ever recycled with retransmission on")
+	}
+	box.mu.Lock()
+	defer box.mu.Unlock()
+	if len(box.pending) != 0 || len(box.retx) != 0 {
+		t.Errorf("%d pending and %d logged messages left; the stale original should be gone and every delivery acknowledged",
+			len(box.pending), len(box.retx))
+	}
+	for _, f := range box.free {
+		if unsafe.SliceData(f) == late {
+			t.Error("the stale original's buffer reached the freelist")
+		}
 	}
 }
