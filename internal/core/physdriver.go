@@ -126,10 +126,23 @@ func surfaceT(lat, sst, sstDelta float64) float64 {
 func stepOneColumn(suite *physics.Suite, st *dycore.State, e *mesh.Element,
 	np, nlev, qsize int, col *physics.Column, le, n int, dt, sst, sstDelta float64) (precipW, area float64) {
 	npsq := np * np
+	dp, tt, u, v := st.DP[le], st.T[le], st.U[le], st.V[le]
+	// The moisture tracers' rows (nil past qsize), resolved once rather
+	// than per level.
+	var qv, qc, qr []float64
+	if qsize > 0 {
+		qv = st.QdpAt(le, 0)
+	}
+	if qsize > 1 {
+		qc = st.QdpAt(le, 1)
+	}
+	if qsize > 2 {
+		qr = st.QdpAt(le, 2)
+	}
 
 	ps := dycore.PTop
 	for k := 0; k < nlev; k++ {
-		col.DP[k] = st.DP[le][k*npsq+n]
+		col.DP[k] = dp[k*npsq+n]
 		ps += col.DP[k]
 	}
 	p := dycore.PTop
@@ -137,18 +150,18 @@ func stepOneColumn(suite *physics.Suite, st *dycore.State, e *mesh.Element,
 		i := k*npsq + n
 		col.P[k] = p + col.DP[k]/2
 		p += col.DP[k]
-		col.T[k] = st.T[le][i]
-		col.U[k] = st.U[le][i]
-		col.V[k] = st.V[le][i]
+		col.T[k] = tt[i]
+		col.U[k] = u[i]
+		col.V[k] = v[i]
 		col.Qv[k], col.Qc[k], col.Qr[k] = 0, 0, 0
-		if qsize > 0 {
-			col.Qv[k] = st.QdpAt(le, 0)[i] / col.DP[k]
+		if qv != nil {
+			col.Qv[k] = qv[i] / col.DP[k]
 		}
-		if qsize > 1 {
-			col.Qc[k] = st.QdpAt(le, 1)[i] / col.DP[k]
+		if qc != nil {
+			col.Qc[k] = qc[i] / col.DP[k]
 		}
-		if qsize > 2 {
-			col.Qr[k] = st.QdpAt(le, 2)[i] / col.DP[k]
+		if qr != nil {
+			col.Qr[k] = qr[i] / col.DP[k]
 		}
 	}
 	col.Ps = ps
@@ -160,17 +173,17 @@ func stepOneColumn(suite *physics.Suite, st *dycore.State, e *mesh.Element,
 
 	for k := 0; k < nlev; k++ {
 		i := k*npsq + n
-		st.T[le][i] = col.T[k]
-		st.U[le][i] = col.U[k]
-		st.V[le][i] = col.V[k]
-		if qsize > 0 {
-			st.QdpAt(le, 0)[i] = col.Qv[k] * col.DP[k]
+		tt[i] = col.T[k]
+		u[i] = col.U[k]
+		v[i] = col.V[k]
+		if qv != nil {
+			qv[i] = col.Qv[k] * col.DP[k]
 		}
-		if qsize > 1 {
-			st.QdpAt(le, 1)[i] = col.Qc[k] * col.DP[k]
+		if qc != nil {
+			qc[i] = col.Qc[k] * col.DP[k]
 		}
-		if qsize > 2 {
-			st.QdpAt(le, 2)[i] = col.Qr[k] * col.DP[k]
+		if qr != nil {
+			qr[i] = col.Qr[k] * col.DP[k]
 		}
 	}
 	return col.Precip * e.SphereMP[n], e.SphereMP[n]

@@ -6,7 +6,8 @@ import (
 )
 
 // FuzzRemapPPM: for arbitrary positive grids with matched totals, the
-// remap must conserve mass exactly and never panic or produce NaN.
+// remap must conserve mass exactly, never panic or produce NaN, and
+// match the pre-split oracle (remap_oracle_test.go) bit for bit.
 func FuzzRemapPPM(f *testing.F) {
 	f.Add(uint8(8), 1.0, 2.0, 0.5)
 	f.Add(uint8(30), 0.1, 5.0, -3.0)
@@ -43,6 +44,11 @@ func FuzzRemapPPM(f *testing.F) {
 		}
 		out := make([]float64, n)
 		RemapPPM(dpS, a, dpT, out)
+		want := make([]float64, n)
+		oracleRemapPPM(dpS, a, dpT, want)
+		if i := firstBitDiff(out, want); i >= 0 {
+			t.Fatalf("out[%d] = %v, oracle %v", i, out[i], want[i])
+		}
 		var mS, mT float64
 		for i := 0; i < n; i++ {
 			if math.IsNaN(out[i]) {

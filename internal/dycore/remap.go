@@ -18,14 +18,44 @@ type ppmCoef struct {
 	aL, da, a6 []float64
 }
 
-// RemapWorkspace holds the PPM reconstruction scratch for columns of one
-// fixed length, so steady-state remap calls are allocation-free. One
-// workspace serves one goroutine at a time; callers that remap columns
-// concurrently hold one workspace each.
+// slopeWeights are the dp-only factors of the CW84 limited slope of one
+// cell: s = w0 * (w1*(a[j+1]-a[j]) + w2*(a[j]-a[j-1])).
+type slopeWeights struct{ w0, w1, w2 float64 }
+
+// edgeWeights are the dp-only factors of the CW84 edge value between
+// cells j and j+1: a[j] + lin*da + inv*(jump*da - right*slope[j+1] +
+// left*slope[j]), with da = a[j+1]-a[j].
+type edgeWeights struct{ lin, inv, jump, right, left float64 }
+
+// remapStep locates one target interface in the source column: the
+// containing source cell j (-1 at or above the model top, where the
+// cumulative mass is 0) and the fraction x through it, with the x-only
+// terms of the parabola's integral.
+type remapStep struct {
+	j          int
+	x, x2, cub float64 // x, x*x, x*x/2 - x*x*x/3
+}
+
+// RemapWorkspace holds the PPM scratch for columns of one fixed length,
+// so steady-state remap calls are allocation-free, and the geometry of
+// the column being remapped. Prepare derives everything that depends
+// only on the source and target thicknesses — the totals check, the
+// slope and edge weights, and each target interface's source cell and
+// fraction — once per column; Apply then remaps one field, any number
+// of times. One workspace serves one goroutine at a time; callers that
+// remap columns concurrently hold one workspace each.
 type RemapWorkspace struct {
 	coef        ppmCoef
 	slope, edge []float64
 	cum         []float64
+
+	// Column geometry, written by Prepare and read by every Apply.
+	dpS, dpT   []float64 // copies of the source and target thicknesses
+	zS         []float64 // source interface depths (running sum of dpS)
+	slopeW     []slopeWeights
+	edgeW      []edgeWeights
+	den1, denN float64 // boundary-edge denominators
+	walk       []remapStep
 }
 
 // NewRemapWorkspace allocates scratch for columns of nlev cells.
@@ -36,48 +66,139 @@ func NewRemapWorkspace(nlev int) *RemapWorkspace {
 			da: make([]float64, nlev),
 			a6: make([]float64, nlev),
 		},
-		slope: make([]float64, nlev),
-		edge:  make([]float64, nlev+1),
-		cum:   make([]float64, nlev+1),
+		slope:  make([]float64, nlev),
+		edge:   make([]float64, nlev+1),
+		cum:    make([]float64, nlev+1),
+		dpS:    make([]float64, nlev),
+		dpT:    make([]float64, 0, nlev),
+		zS:     make([]float64, nlev+1),
+		slopeW: make([]slopeWeights, nlev),
+		edgeW:  make([]edgeWeights, nlev),
+		walk:   make([]remapStep, 0, nlev),
 	}
 }
 
-// buildPPM reconstructs monotonic parabolas for cell averages a on cell
-// widths dp (Colella & Woodward 1984, non-uniform grid). Boundary cells
-// fall back to piecewise-constant, as HOMME's remap does at the model
-// top and surface. slope (len n) and edge (len n+1) are caller scratch.
-func buildPPM(dp, a []float64, c *ppmCoef, slope, edge []float64) {
-	n := len(a)
-	// Limited slopes (CW84 eq. 1.7-1.8).
-	for j := range slope {
-		slope[j] = 0
+// Prepare sets the column geometry for remapping cell averages on
+// source thicknesses dpS onto target thicknesses dpT (same column total
+// within roundoff; the workspace must have been sized for len(dpS)
+// cells). The expressions and their association are exactly those the
+// per-field remap evaluated, so Prepare + Apply is bit-identical to it.
+func (rw *RemapWorkspace) Prepare(dpS, dpT []float64) {
+	n := len(rw.coef.aL)
+	if len(dpS) != n {
+		panic("dycore: RemapWorkspace sized for a different column length")
 	}
+	var totS, totT float64
+	for _, d := range dpS {
+		totS += d
+	}
+	for _, d := range dpT {
+		totT += d
+	}
+	if math.Abs(totS-totT) > 1e-8*math.Max(totS, 1) {
+		panic(fmt.Sprintf("dycore: RemapPPM column totals differ: %g vs %g", totS, totT))
+	}
+	dp := rw.dpS
+	copy(dp, dpS)
+	rw.dpT = append(rw.dpT[:0], dpT...)
+
+	// Slope weights (CW84 eq. 1.7).
 	for j := 1; j < n-1; j++ {
 		dm, d0, dp1 := dp[j-1], dp[j], dp[j+1]
-		s := d0 / (dm + d0 + dp1) *
-			((2*dm+d0)/(dp1+d0)*(a[j+1]-a[j]) + (d0+2*dp1)/(dm+d0)*(a[j]-a[j-1]))
-		if (a[j+1]-a[j])*(a[j]-a[j-1]) > 0 {
-			lim := math.Min(math.Abs(s), 2*math.Abs(a[j]-a[j-1]))
-			lim = math.Min(lim, 2*math.Abs(a[j+1]-a[j]))
+		rw.slopeW[j] = slopeWeights{
+			w0: d0 / (dm + d0 + dp1),
+			w1: (2*dm + d0) / (dp1 + d0),
+			w2: (d0 + 2*dp1) / (dm + d0),
+		}
+	}
+	// Edge weights (CW84 eq. 1.6) and the low-order boundary edges.
+	for j := 1; j < n-2; j++ {
+		dm, d0, d1, d2 := dp[j-1], dp[j], dp[j+1], dp[j+2]
+		sum := dm + d0 + d1 + d2
+		rw.edgeW[j] = edgeWeights{
+			lin:   d0 / (d0 + d1),
+			inv:   1 / sum,
+			jump:  2 * d1 * d0 / (d0 + d1) * ((dm+d0)/(2*d0+d1) - (d2+d1)/(2*d1+d0)),
+			right: d0 * (dm + d0) / (2*d0 + d1),
+			left:  d1 * (d1 + d2) / (d0 + 2*d1),
+		}
+	}
+	rw.den1 = dp[0] + dp[1]
+	rw.denN = dp[n-2] + dp[n-1]
+
+	// Locate every target interface but the last (which takes the exact
+	// column total) in the source column. Interface depths only grow, so
+	// one monotone walk replaces a scan from the top per interface: the
+	// cell holding depth z is the first j with z <= zS[j+1] (or the last
+	// cell), and every cell before the one holding a shallower depth
+	// fails that test for z too. A depth that does not grow (a negative
+	// or NaN thickness) restarts the walk from the top.
+	zS := rw.zS
+	zS[0] = 0
+	for j := 0; j < n; j++ {
+		zS[j+1] = zS[j] + dp[j]
+	}
+	m := len(dpT) - 1
+	if m < 0 {
+		m = 0
+	}
+	if cap(rw.walk) < m {
+		rw.walk = make([]remapStep, m)
+	}
+	rw.walk = rw.walk[:m]
+	zt, zPrev, j := 0.0, math.Inf(-1), 0
+	for t := range rw.walk {
+		zt += dpT[t]
+		if zt <= 0 {
+			rw.walk[t] = remapStep{j: -1}
+			continue
+		}
+		if !(zt >= zPrev) {
+			j = 0
+		}
+		for !(zt <= zS[j+1] || j == n-1) {
+			j++
+		}
+		zPrev = zt
+		x := (zt - zS[j]) / dp[j]
+		if x > 1 {
+			x = 1
+		}
+		x2 := x * x
+		rw.walk[t] = remapStep{j: j, x: x, x2: x2, cub: x2/2 - x2*x/3}
+	}
+}
+
+// buildPPM reconstructs monotonic parabolas for cell averages a on the
+// prepared source widths (Colella & Woodward 1984, non-uniform grid).
+// Boundary cells fall back to piecewise-constant, as HOMME's remap does
+// at the model top and surface.
+func (rw *RemapWorkspace) buildPPM(a []float64) {
+	n := len(a)
+	dp, slope, edge, c := rw.dpS, rw.slope, rw.edge, &rw.coef
+	// Limited slopes (CW84 eq. 1.7-1.8).
+	slope[0], slope[n-1] = 0, 0
+	for j := 1; j < n-1; j++ {
+		dl, dr := a[j]-a[j-1], a[j+1]-a[j]
+		slope[j] = 0
+		if dr*dl > 0 {
+			w := &rw.slopeW[j]
+			s := w.w0 * (w.w1*dr + w.w2*dl)
+			lim := math.Min(math.Abs(s), 2*math.Abs(dl))
+			lim = math.Min(lim, 2*math.Abs(dr))
 			slope[j] = math.Copysign(lim, s)
 		}
 	}
 	// Edge values between cells j and j+1 (CW84 eq. 1.6).
 	for j := 1; j < n-2; j++ {
-		dm, d0, d1, d2 := dp[j-1], dp[j], dp[j+1], dp[j+2]
-		sum := dm + d0 + d1 + d2
-		e := a[j] + d0/(d0+d1)*(a[j+1]-a[j]) +
-			1/sum*(2*d1*d0/(d0+d1)*((dm+d0)/(2*d0+d1)-(d2+d1)/(2*d1+d0))*(a[j+1]-a[j])-
-				d0*(dm+d0)/(2*d0+d1)*slope[j+1]+
-				d1*(d1+d2)/(d0+2*d1)*slope[j])
-		edge[j+1] = e
+		w := &rw.edgeW[j]
+		da := a[j+1] - a[j]
+		edge[j+1] = a[j] + w.lin*da + w.inv*(w.jump*da-w.right*slope[j+1]+w.left*slope[j])
 	}
 	// Low-order edges near the column boundaries.
 	edge[0] = a[0]
-	edge[1] = (a[0]*dp[1] + a[1]*dp[0]) / (dp[0] + dp[1])
-	if n >= 2 {
-		edge[n-1] = (a[n-2]*dp[n-1] + a[n-1]*dp[n-2]) / (dp[n-2] + dp[n-1])
-	}
+	edge[1] = (a[0]*dp[1] + a[1]*dp[0]) / rw.den1
+	edge[n-1] = (a[n-2]*dp[n-1] + a[n-1]*dp[n-2]) / rw.denN
 	edge[n] = a[n-1]
 
 	for j := 0; j < n; j++ {
@@ -100,47 +221,17 @@ func buildPPM(dp, a []float64, c *ppmCoef, slope, edge []float64) {
 	}
 }
 
-// cellMass integrates the parabola of cell j from its left edge to
-// fraction x in [0,1] of its width, returning mass (value * thickness).
-func (c *ppmCoef) cellMass(j int, dp, x float64) float64 {
-	x2 := x * x
-	return dp * (c.aL[j]*x + c.da[j]*x2/2 + c.a6[j]*(x2/2-x2*x/3))
-}
-
-// RemapPPM remaps cell averages a from source thicknesses dpS onto
-// target thicknesses dpT (same column total within roundoff), storing
-// target averages in out. It is exactly conservative: the cumulative
-// mass at the column bottom is reproduced to roundoff. The convenience
-// wrapper allocates a workspace per call; steady-state callers hold a
-// RemapWorkspace and use its method instead.
-func RemapPPM(dpS, a, dpT, out []float64) {
-	NewRemapWorkspace(len(a)).RemapPPM(dpS, a, dpT, out)
-}
-
-// RemapPPM is the allocation-free remap: identical arithmetic to the
-// package-level function, with the reconstruction scratch taken from the
-// workspace (which must have been sized for len(a) cells).
-func (rw *RemapWorkspace) RemapPPM(dpS, a, dpT, out []float64) {
-	n := len(a)
-	if len(dpS) != n || len(dpT) != len(out) {
+// Apply remaps one field of cell averages a on the prepared column into
+// the target averages out. It is exactly conservative: the cumulative
+// mass at the column bottom is reproduced to roundoff.
+func (rw *RemapWorkspace) Apply(a, out []float64) {
+	n := len(rw.dpS)
+	if len(a) != n || len(out) != len(rw.dpT) {
 		panic("dycore: RemapPPM length mismatch")
 	}
-	if len(rw.coef.aL) != n {
-		panic("dycore: RemapWorkspace sized for a different column length")
-	}
-	var totS, totT float64
-	for _, d := range dpS {
-		totS += d
-	}
-	for _, d := range dpT {
-		totT += d
-	}
-	if math.Abs(totS-totT) > 1e-8*math.Max(totS, 1) {
-		panic(fmt.Sprintf("dycore: RemapPPM column totals differ: %g vs %g", totS, totT))
-	}
-
+	rw.buildPPM(a)
 	c := &rw.coef
-	buildPPM(dpS, a, c, rw.slope, rw.edge)
+	dpS := rw.dpS
 
 	// Cumulative source mass at source interfaces.
 	cum := rw.cum
@@ -148,40 +239,37 @@ func (rw *RemapWorkspace) RemapPPM(dpS, a, dpT, out []float64) {
 	for j := 0; j < n; j++ {
 		cum[j+1] = cum[j] + a[j]*dpS[j]
 	}
-	// Walk target interfaces through the source column, evaluating the
-	// cumulative mass with the parabola inside the containing cell.
-	massAt := func(z float64) float64 {
-		if z <= 0 {
-			return 0
-		}
-		// Find containing source cell.
-		zl := 0.0
-		for j := 0; j < n; j++ {
-			zr := zl + dpS[j]
-			if z <= zr || j == n-1 {
-				x := (z - zl) / dpS[j]
-				if x > 1 {
-					x = 1
-				}
-				return cum[j] + c.cellMass(j, dpS[j], x)
-			}
-			zl = zr
-		}
-		return cum[n]
-	}
-	zt := 0.0
+	// Cumulative mass at each target interface: the prepared cell's
+	// cumulative mass plus the parabola's integral into it.
 	mPrev := 0.0
-	for j := range dpT {
-		zt += dpT[j]
+	last := len(rw.dpT) - 1
+	for t, d := range rw.dpT {
 		var m float64
-		if j == len(dpT)-1 {
+		switch {
+		case t == last:
 			m = cum[n] // exact conservation at the column end
-		} else {
-			m = massAt(zt)
+		case rw.walk[t].j >= 0:
+			s := &rw.walk[t]
+			j := s.j
+			m = cum[j] + dpS[j]*(c.aL[j]*s.x+c.da[j]*s.x2/2+c.a6[j]*s.cub)
 		}
-		out[j] = (m - mPrev) / dpT[j]
+		out[t] = (m - mPrev) / d
 		mPrev = m
 	}
+}
+
+// RemapPPM remaps cell averages a from source thicknesses dpS onto
+// target thicknesses dpT (same column total within roundoff), storing
+// target averages in out: Prepare + Apply on a workspace allocated per
+// call. Steady-state callers hold a RemapWorkspace, prepare each column
+// once, and apply it to every field.
+func RemapPPM(dpS, a, dpT, out []float64) {
+	if len(dpS) != len(a) || len(dpT) != len(out) {
+		panic("dycore: RemapPPM length mismatch")
+	}
+	rw := NewRemapWorkspace(len(a))
+	rw.Prepare(dpS, dpT)
+	rw.Apply(a, out)
 }
 
 // RemapStateElem remaps one element's state from its deformed Lagrangian
@@ -202,12 +290,13 @@ func RemapStateElem(h *HybridCoord, np, nlev, qsize int,
 			ps += colSrc[k]
 		}
 		h.ReferenceDP(ps, colRef)
+		rw.Prepare(colSrc, colRef)
 
 		remapField := func(f []float64) {
 			for k := 0; k < nlev; k++ {
 				colVal[k] = f[k*npsq+n]
 			}
-			rw.RemapPPM(colSrc, colVal, colRef, colOut)
+			rw.Apply(colVal, colOut)
 			for k := 0; k < nlev; k++ {
 				f[k*npsq+n] = colOut[k]
 			}
@@ -223,7 +312,7 @@ func RemapStateElem(h *HybridCoord, np, nlev, qsize int,
 			for k := 0; k < nlev; k++ {
 				colVal[k] = qdp[base+k*npsq+n] / colSrc[k]
 			}
-			rw.RemapPPM(colSrc, colVal, colRef, colOut)
+			rw.Apply(colVal, colOut)
 			for k := 0; k < nlev; k++ {
 				qdp[base+k*npsq+n] = colOut[k] * colRef[k]
 			}

@@ -24,6 +24,7 @@ type Workspace struct {
 	flxU     []float64
 	flxV     []float64
 	s1, s2   []float64 // slab scratch for the differential operators
+	cor      []float64 // Coriolis parameter per node
 }
 
 // NewWorkspace allocates scratch for elements with the given dimensions.
@@ -49,6 +50,7 @@ func NewWorkspace(np, nlev int) *Workspace {
 		flxV:   make([]float64, npsq),
 		s1:     make([]float64, npsq),
 		s2:     make([]float64, npsq),
+		cor:    make([]float64, npsq),
 	}
 }
 
@@ -151,6 +153,12 @@ func ComputeAndApplyRHSElem(e *mesh.Element, derivFlat []float64, w *Workspace, 
 		}
 	}
 
+	// Coriolis parameter: a function of the node alone, so once per call
+	// rather than once per (level, node).
+	for n := 0; n < npsq; n++ {
+		w.cor[n] = 2 * Omega * math.Sin(e.Lat[n])
+	}
+
 	for k := 0; k < nlev; k++ {
 		o := k * npsq
 		uk, vk := curU[o:o+npsq], curV[o:o+npsq]
@@ -169,8 +177,7 @@ func ComputeAndApplyRHSElem(e *mesh.Element, derivFlat []float64, w *Workspace, 
 		VorticitySlab(derivFlat, e.DFlat, e.Metdet, e.DAlpha, np, uk, vk, w.vort, w.s1, w.s2)
 
 		for n := 0; n < npsq; n++ {
-			f := 2 * Omega * math.Sin(e.Lat[n]) // Coriolis parameter
-			absv := w.vort[n] + f
+			absv := w.vort[n] + w.cor[n]
 			p := w.pMid[o+n]
 			vgradP := uk[n]*w.gpx[n] + vk[n]*w.gpy[n]
 			omega := vgradP - w.cumDiv[o+n]

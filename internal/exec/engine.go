@@ -79,11 +79,16 @@ type dynWorker struct {
 	// opScr the primitives' internal scratch.
 	kScr  [4][]float64
 	opScr [6][]float64
-	// PPM scratch of one column remap, live only inside a RemapPPM call:
-	// the CPE remap paths share it too, since one CPE of the worker's
-	// core group runs at a time. Host-side scratch, outside the LDM
-	// accounting.
-	rws *dycore.RemapWorkspace
+	// PPM scratch and prepared geometry of one column remap, live from a
+	// column's Prepare to its last Apply. The strided and OpenACC CPE
+	// remaps share it too: one CPE of the worker's core group runs at a
+	// time, and only register communication yields (DESIGN §9.0), which
+	// those lowerings never do inside a column. The §7.5 transposed remap
+	// does, between fields, so it holds two workspaces per CPE in
+	// cpeRWS (built on its first launch). Host-side scratch, outside the
+	// LDM accounting, like the PPM coefficients always were.
+	rws    *dycore.RemapWorkspace
+	cpeRWS []*dycore.RemapWorkspace
 	// Per-CPE launch scratch of the CPE slab lowerings (kernel.go).
 	cpeSlab []cpeSlab
 
@@ -117,6 +122,18 @@ func newDynWorker(np, nlev int) *dynWorker {
 		w.opScr[i] = make([]float64, npsq)
 	}
 	return w
+}
+
+// transposeRemapWS returns the transposed remap's per-CPE workspaces:
+// CPE id's node pair (c.Row, c.Row+8) uses entries 2*id and 2*id+1.
+func (w *dynWorker) transposeRemapWS(nlev int) []*dycore.RemapWorkspace {
+	if w.cpeRWS == nil {
+		w.cpeRWS = make([]*dycore.RemapWorkspace, 2*sw.CPEsPerCG)
+		for i := range w.cpeRWS {
+			w.cpeRWS[i] = dycore.NewRemapWorkspace(nlev)
+		}
+	}
+	return w.cpeRWS
 }
 
 // ensureCG builds the worker's simulated core group (and the per-CPE

@@ -92,6 +92,7 @@ func (en *Engine) verticalRemap(b Backend, h *dycore.HybridCoord, st *dycore.Sta
 						c.CountFlops(int64(nlev))
 						h.ReferenceDP(ps, colRef)
 						c.CountFlops(int64(4 * nlev))
+						rw.Prepare(colSrc, colRef)
 
 						remap := func(src, dst []float64, asMass bool) {
 							fetchColumn(src, colVal)
@@ -101,7 +102,7 @@ func (en *Engine) verticalRemap(b Backend, h *dycore.HybridCoord, st *dycore.Sta
 								}
 								c.CountFlops(int64(nlev))
 							}
-							rw.RemapPPM(colSrc, colVal, colRef, colOut)
+							rw.Apply(colVal, colOut)
 							c.CountFlops(int64(40 * nlev))
 							if asMass {
 								for k := 0; k < nlev; k++ {
@@ -146,6 +147,7 @@ func (en *Engine) verticalRemap(b Backend, h *dycore.HybridCoord, st *dycore.Sta
 						c.CountFlops(int64(nlev))
 						h.ReferenceDP(ps, colRef)
 						c.CountFlops(int64(4 * nlev))
+						rw.Prepare(colSrc, colRef)
 
 						remap := func(f []float64, asMass bool) {
 							c.DMA.GetStride(colVal, f[n:], 1, npsq, nlev)
@@ -155,7 +157,7 @@ func (en *Engine) verticalRemap(b Backend, h *dycore.HybridCoord, st *dycore.Sta
 								}
 								c.CountFlops(int64(nlev))
 							}
-							rw.RemapPPM(colSrc, colVal, colRef, colOut)
+							rw.Apply(colVal, colOut)
 							c.CountFlops(int64(40 * nlev))
 							if asMass {
 								for k := 0; k < nlev; k++ {

@@ -36,9 +36,12 @@ func (en *Engine) verticalRemapTransposed(h *dycore.HybridCoord, st *dycore.Stat
 
 	en.armCGs(en.allSub, false)
 	en.runTiles(en.allSub, func(wk *dynWorker, slots []int, _ *serialPartial) {
+		rws := wk.transposeRemapWS(nlev)
 		wk.cg.Spawn(func(c *sw.CPE) {
 			ldm := c.LDM
-			rw := wk.rws
+			// The geometry of both columns lives across the register
+			// exchanges between fields, so each CPE holds its own.
+			rwA, rwB := rws[2*c.ID], rws[2*c.ID+1]
 			s := c.Row * vl
 			slab := vl * npsq
 
@@ -126,18 +129,20 @@ func (en *Engine) verticalRemapTransposed(h *dycore.HybridCoord, st *dycore.Stat
 				h.ReferenceDP(psA, refA)
 				h.ReferenceDP(psB, refB)
 				c.CountFlops(int64(8 * nlev))
+				rwA.Prepare(srcA, refA)
+				rwB.Prepare(srcB, refB)
 
 				remapField := func(f []float64, asMass bool) {
 					c.DMA.Get(tile, f[s*npsq:s*npsq+slab])
 					toColumns(colA, colB)
-					doCol := func(col, src, ref []float64) {
+					doCol := func(col, src, ref []float64, rw *dycore.RemapWorkspace) {
 						if asMass {
 							for k := 0; k < nlev; k++ {
 								col[k] /= src[k]
 							}
 							c.CountFlops(int64(nlev))
 						}
-						rw.RemapPPM(src, col, ref, out)
+						rw.Apply(col, out)
 						c.CountFlops(int64(40 * nlev))
 						if asMass {
 							for k := 0; k < nlev; k++ {
@@ -148,8 +153,8 @@ func (en *Engine) verticalRemapTransposed(h *dycore.HybridCoord, st *dycore.Stat
 							copy(col, out)
 						}
 					}
-					doCol(colA, srcA, refA)
-					doCol(colB, srcB, refB)
+					doCol(colA, srcA, refA, rwA)
+					doCol(colB, srcB, refB, rwB)
 					fromColumns(colA, colB)
 					c.DMA.Put(f[s*npsq:s*npsq+slab], tile)
 				}

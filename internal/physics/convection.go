@@ -20,13 +20,17 @@ func DefaultConvParams() ConvParams {
 	return ConvParams{TauAdj: 7200, RHRef: 0.8, MinCAPE: 10}
 }
 
-// moistAdiabatFrom lifts a parcel from level k0 and returns the
-// temperature profile it implies for levels above (smaller k), following
-// a pseudoadiabat integrated in pressure.
-func moistAdiabatFrom(c *Column, k0 int, tRef []float64) {
+// moistAdiabatFrom lifts a parcel from level k0 and writes the
+// temperature profile it implies for levels above (smaller k) to tRef,
+// following a pseudoadiabat integrated in pressure, and that profile's
+// saturation humidity to qsRef. qsRef[k] == QSat(tRef[k], P[k]) by
+// construction: the lift already holds the value — qs on a dry level,
+// the post-condensation qp on a saturated one.
+func moistAdiabatFrom(c *Column, k0 int, tRef, qsRef []float64) {
 	tp := c.T[k0]
 	qp := c.Qv[k0]
 	tRef[k0] = tp
+	qsRef[k0] = QSat(tp, c.P[k0])
 	for k := k0 - 1; k >= 0; k-- {
 		dp := c.P[k] - c.P[k+1] // negative upward
 		// Dry-adiabatic estimate, then latent correction if saturated.
@@ -37,23 +41,23 @@ func moistAdiabatFrom(c *Column, k0 int, tRef []float64) {
 			// Condense: release latent heat, reduce parcel vapor, one
 			// Newton correction on the saturation balance.
 			excess := qp - qs
-			gamma := Lv / Cp * DQSatDT(tp, c.P[k])
+			gamma := Lv / Cp * dqsatdt(qs, tp)
 			dTl := Lv / Cp * excess / (1 + gamma)
 			tp += dTl
 			qp = QSat(tp, c.P[k])
+			qs = qp
 		}
 		tRef[k] = tp
+		qsRef[k] = qs
 	}
 }
 
-// CAPE computes the convective available potential energy of a parcel
-// lifted from the lowest model level, using virtual temperature excess.
-func CAPE(c *Column) float64 {
-	n := c.Nlev
-	tRef := c.scratch().tRef
-	moistAdiabatFrom(c, n-1, tRef)
+// capeOf is the convective available potential energy of the parcel
+// profile tRef lifted from the lowest model level, using virtual
+// temperature excess.
+func capeOf(c *Column, tRef []float64) float64 {
 	cape := 0.0
-	for k := n - 2; k >= 0; k-- {
+	for k := c.Nlev - 2; k >= 0; k-- {
 		buoy := (tRef[k] - c.T[k]) / c.T[k]
 		if buoy > 0 {
 			cape += Rd * (tRef[k] - c.T[k]) * math.Log(c.P[k+1]/c.P[k])
@@ -63,15 +67,16 @@ func CAPE(c *Column) float64 {
 }
 
 // BettsMiller applies one convective-adjustment step. Returns the
-// convective precipitation produced (kg/m^2).
+// convective precipitation produced (kg/m^2). The parcel is lifted once:
+// the trigger and the reference profile read the same adiabat.
 func BettsMiller(c *Column, cp ConvParams, dt float64) float64 {
 	n := c.Nlev
-	if CAPE(c) < cp.MinCAPE {
+	scr := c.scratch()
+	tRef, qsRef := scr.tRef, scr.qsRef
+	moistAdiabatFrom(c, n-1, tRef, qsRef)
+	if capeOf(c, tRef) < cp.MinCAPE {
 		return 0
 	}
-	scr := c.scratch()
-	tRef := scr.tRef
-	moistAdiabatFrom(c, n-1, tRef)
 
 	// Find the cloud top: highest level where the parcel is buoyant.
 	top := n - 1
@@ -94,7 +99,7 @@ func BettsMiller(c *Column, cp ConvParams, dt float64) float64 {
 	dT := scr.dT
 	dQ := scr.dQ
 	for k := top; k < n; k++ {
-		qRef := cp.RHRef * QSat(tRef[k], c.P[k])
+		qRef := cp.RHRef * qsRef[k]
 		dT[k] = frac * (tRef[k] - c.T[k])
 		dQ[k] = frac * (qRef - c.Qv[k])
 		dTsum += Cp * dT[k] * c.DP[k]

@@ -24,7 +24,7 @@ func DefaultMicroParams() MicroParams {
 // cloud into subsaturated air), with the latent-heat Newton correction.
 func saturationAdjust(c *Column, k int) {
 	qs := QSat(c.T[k], c.P[k])
-	gamma := Lv / Cp * DQSatDT(c.T[k], c.P[k])
+	gamma := Lv / Cp * dqsatdt(qs, c.T[k])
 	excess := (c.Qv[k] - qs) / (1 + gamma)
 	if excess > 0 {
 		// Condense.

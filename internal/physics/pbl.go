@@ -19,26 +19,45 @@ func DefaultPBLParams() PBLParams {
 	return PBLParams{KMax: 30, PBLTop: 85000, Cd: 1.2e-3, MinWind: 1}
 }
 
-// SolveTridiag solves the tridiagonal system (a: sub, b: diag, c: super)
-// x = d in place using the Thomas algorithm; a[0] and c[n-1] are ignored.
-// d is overwritten with the solution.
-func SolveTridiag(a, b, c, d []float64) {
-	solveTridiagCP(a, b, c, d, make([]float64, len(b)))
+// factorTridiag runs the forward elimination of the Thomas algorithm on
+// the tridiagonal matrix (a: sub, b: diag, c: super) once, independent
+// of any right-hand side: m[i] is row i's pivot and cp[i] = c[i]/m[i]
+// the eliminated super-diagonal. a[0] and c[n-1] are ignored.
+func factorTridiag(a, b, c, m, cp []float64) {
+	n := len(b)
+	m[0] = b[0]
+	cp[0] = c[0] / b[0]
+	for i := 1; i < n; i++ {
+		m[i] = b[i] - a[i]*cp[i-1]
+		cp[i] = c[i] / m[i]
+	}
 }
 
-// solveTridiagCP is SolveTridiag with a caller-supplied c' scratch
-// column — the allocation-free path the column schemes use.
-func solveTridiagCP(a, b, c, d, cp []float64) {
-	n := len(b)
-	cp[0] = c[0] / b[0]
-	d[0] = d[0] / b[0]
+// solveFactored4 solves the factored system for four right-hand sides
+// in place, in one interleaved pass so the four division chains of the
+// substitution overlap. Each x gets exactly the Thomas algorithm's
+// operations, so the result is bit-identical to four separate solves.
+func solveFactored4(a, m, cp, x0, x1, x2, x3 []float64) {
+	n := len(m)
+	a, cp = a[:n], cp[:n]
+	x0, x1, x2, x3 = x0[:n], x1[:n], x2[:n], x3[:n]
+	x0[0] /= m[0]
+	x1[0] /= m[0]
+	x2[0] /= m[0]
+	x3[0] /= m[0]
 	for i := 1; i < n; i++ {
-		m := b[i] - a[i]*cp[i-1]
-		cp[i] = c[i] / m
-		d[i] = (d[i] - a[i]*d[i-1]) / m
+		ai, mi := a[i], m[i]
+		x0[i] = (x0[i] - ai*x0[i-1]) / mi
+		x1[i] = (x1[i] - ai*x1[i-1]) / mi
+		x2[i] = (x2[i] - ai*x2[i-1]) / mi
+		x3[i] = (x3[i] - ai*x3[i-1]) / mi
 	}
 	for i := n - 2; i >= 0; i-- {
-		d[i] -= cp[i] * d[i+1]
+		ci := cp[i]
+		x0[i] -= ci * x0[i+1]
+		x1[i] -= ci * x1[i+1]
+		x2[i] -= ci * x2[i+1]
+		x3[i] -= ci * x3[i+1]
 	}
 }
 
@@ -86,34 +105,27 @@ func PBLDiffusion(c *Column, pp PBLParams, dt float64) (shf, lhf float64) {
 	}
 	gSfc := rho[n-1] * pp.Cd * wind // kg/m^2/s
 
-	// Mass per layer (kg/m^2).
-	mass := scr.mass
+	// The implicit operator is the same matrix for every diffused field
+	// (layer mass over dt on the diagonal, the conductances coupling
+	// neighbours, the surface exchange on the bottom row): build and
+	// eliminate it once.
+	md := scr.mass // layer mass (kg/m^2) over dt
+	a, b, cc := scr.ta, scr.tb, scr.tc
 	for k := 0; k < n; k++ {
-		mass[k] = c.DP[k] / Gravit
-	}
-
-	solve := func(x []float64, sfcValue float64, sfcCoupled bool) {
-		a, b, cc, d := scr.ta, scr.tb, scr.tc, scr.td
-		for k := 0; k < n; k++ {
-			a[k], cc[k] = 0, 0
-			b[k] = mass[k] / dt
-			d[k] = mass[k] / dt * x[k]
-			if k > 0 {
-				a[k] = -g[k]
-				b[k] += g[k]
-			}
-			if k < n-1 {
-				cc[k] = -g[k+1]
-				b[k] += g[k+1]
-			}
+		md[k] = c.DP[k] / Gravit / dt
+		a[k], cc[k] = 0, 0
+		b[k] = md[k]
+		if k > 0 {
+			a[k] = -g[k]
+			b[k] += g[k]
 		}
-		if sfcCoupled {
-			b[n-1] += gSfc
-			d[n-1] += gSfc * sfcValue
+		if k < n-1 {
+			cc[k] = -g[k+1]
+			b[k] += g[k+1]
 		}
-		solveTridiagCP(a, b, cc, d, scr.tcp)
-		copy(x, d)
 	}
+	b[n-1] += gSfc
+	factorTridiag(a, b, cc, scr.tm, scr.tcp)
 
 	// Heat diffuses as dry static energy s = cp*T + g*z, not raw
 	// temperature — diffusing T would mix the adiabatic lapse rate
@@ -133,15 +145,30 @@ func PBLDiffusion(c *Column, pp PBLParams, dt float64) (shf, lhf float64) {
 	}
 	s1Before := s[n-1]
 	q1Before := c.Qv[n-1]
-	solve(s, Cp*c.Ts, true) // surface DSE at z=0
+	qsSfc := QSat(c.Ts, c.Ps)
+
+	// Right-hand sides, formed in place: the old values times mass/dt,
+	// plus each field's surface exchange — surface DSE at z=0, the
+	// saturated ocean surface, and drag pulling the wind to zero.
+	for k := 0; k < n; k++ {
+		s[k] = md[k] * s[k]
+		c.Qv[k] = md[k] * c.Qv[k]
+		c.U[k] = md[k] * c.U[k]
+		c.V[k] = md[k] * c.V[k]
+	}
+	// (The zero-wind terms stay explicit: adding gSfc*0 is what rounds a
+	// -0 right-hand side to +0, as the per-field solve did.)
+	const uSfc, vSfc = 0.0, 0.0
+	s[n-1] += gSfc * (Cp * c.Ts)
+	c.Qv[n-1] += gSfc * qsSfc
+	c.U[n-1] += gSfc * uSfc
+	c.V[n-1] += gSfc * vSfc
+	solveFactored4(a, scr.tm, scr.tcp, s, c.Qv, c.U, c.V)
 	for k := 0; k < n; k++ {
 		c.T[k] = (s[k] - Gravit*z[k]) / Cp
 	}
-	solve(c.Qv, QSat(c.Ts, c.Ps), true) // saturated ocean surface
-	solve(c.U, 0, true)                 // surface drag pulls wind to zero
-	solve(c.V, 0, true)
 
 	shf = gSfc * (Cp*c.Ts - (s1Before+s[n-1])/2)
-	lhf = gSfc * Lv * (QSat(c.Ts, c.Ps) - (q1Before+c.Qv[n-1])/2)
+	lhf = gSfc * Lv * (qsSfc - (q1Before+c.Qv[n-1])/2)
 	return shf, lhf
 }

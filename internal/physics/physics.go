@@ -64,33 +64,36 @@ type Column struct {
 // fully before reading (so sharing a buffer between schemes of one Step
 // would be safe — they get distinct fields anyway for clarity).
 type colScratch struct {
-	// Radiation: interface optical depths/fluxes (nlev+1) and the
-	// per-layer Planck source.
+	// Radiation: interface optical depths/fluxes (nlev+1), the
+	// per-layer transmissivity exp(-dtau), shared by both beams, and the
+	// per-layer emission.
 	tau, down, up []float64
-	planck        []float64
-	// PBL: geometry, conductances, masses, heights, dry static energy,
-	// and the tridiagonal bands (+ the Thomas algorithm's c' column).
+	trans, emit   []float64
+	// PBL: geometry, conductances, masses over dt, heights, dry static
+	// energy, the tridiagonal bands, and their one elimination (pivots m
+	// and the Thomas algorithm's c' column).
 	dz, rho, g, mass, z, s []float64
-	ta, tb, tc, td, tcp    []float64
-	// Convection: the moist-adiabat reference profile and the
-	// first-guess adjustment tendencies.
-	tRef, dT, dQ []float64
+	ta, tb, tc, tm, tcp    []float64
+	// Convection: the moist-adiabat reference profile, its saturation
+	// humidity, and the first-guess adjustment tendencies.
+	tRef, qsRef, dT, dQ []float64
 }
 
 // scratch returns the column's pooled workspace, building it on first
 // use (or after a level-count change — columns are normally fixed-size,
 // but a reused struct with swapped slices stays correct).
 func (c *Column) scratch() *colScratch {
-	if c.scr == nil || len(c.scr.planck) != c.Nlev {
+	if c.scr == nil || len(c.scr.emit) != c.Nlev {
 		n := c.Nlev
 		c.scr = &colScratch{
 			tau: make([]float64, n+1), down: make([]float64, n+1), up: make([]float64, n+1),
-			planck: make([]float64, n),
-			dz:     make([]float64, n), rho: make([]float64, n), g: make([]float64, n),
+			trans: make([]float64, n), emit: make([]float64, n),
+			dz: make([]float64, n), rho: make([]float64, n), g: make([]float64, n),
 			mass: make([]float64, n), z: make([]float64, n), s: make([]float64, n),
 			ta: make([]float64, n), tb: make([]float64, n), tc: make([]float64, n),
-			td: make([]float64, n), tcp: make([]float64, n),
-			tRef: make([]float64, n), dT: make([]float64, n), dQ: make([]float64, n),
+			tm: make([]float64, n), tcp: make([]float64, n),
+			tRef: make([]float64, n), qsRef: make([]float64, n),
+			dT: make([]float64, n), dQ: make([]float64, n),
 		}
 	}
 	return c.scr
@@ -128,9 +131,10 @@ func QSat(tk, p float64) float64 {
 	return Epsilo * es / (p - (1-Epsilo)*es)
 }
 
-// DQSatDT returns d(qsat)/dT via Clausius-Clapeyron.
-func DQSatDT(tk, p float64) float64 {
-	return QSat(tk, p) * Lv / (Rv * tk * tk)
+// dqsatdt returns d(qsat)/dT via Clausius-Clapeyron, given
+// qs = QSat(tk, p), which every caller already holds.
+func dqsatdt(qs, tk float64) float64 {
+	return qs * Lv / (Rv * tk * tk)
 }
 
 // ColumnWater returns the mass-weighted total water (vapor + condensate

@@ -24,9 +24,14 @@ func DefaultRadParams() RadParams {
 
 const sbSigma = 5.670374419e-8 // Stefan-Boltzmann
 
-// lwTau returns longwave optical depth at normalized pressure s = p/ps.
-func (rp RadParams) lwTau(lat, s float64) float64 {
-	tau0 := rp.TauEq + (rp.TauPole-rp.TauEq)*math.Sin(lat)*math.Sin(lat)
+// tau0 returns the surface longwave optical depth at latitude lat.
+func (rp RadParams) tau0(lat float64) float64 {
+	return rp.TauEq + (rp.TauPole-rp.TauEq)*math.Sin(lat)*math.Sin(lat)
+}
+
+// lwTau returns longwave optical depth at normalized pressure s = p/ps
+// under the column's surface depth tau0.
+func (rp RadParams) lwTau(tau0, s float64) float64 {
 	return tau0 * (rp.LinFrac*s + (1-rp.LinFrac)*s*s*s*s)
 }
 
@@ -46,31 +51,31 @@ func GrayRadiation(c *Column, rp RadParams, dt float64) (olr float64) {
 	// Interface optical depths.
 	tau := scr.tau
 	tau[0] = 0
+	tau0 := rp.tau0(c.Lat)
 	pInt := 0.0
 	for k := 0; k < n; k++ {
 		pInt += c.DP[k]
-		tau[k+1] = rp.lwTau(c.Lat, pInt/c.Ps)
+		tau[k+1] = rp.lwTau(tau0, pInt/c.Ps)
 	}
-	// Planck source per layer.
-	b := scr.planck
+	// Per layer: transmissivity e = exp(-dtau) and emission B(1-e) from
+	// the Planck source B, each computed once and read by both beams.
+	trans, emit := scr.trans, scr.emit
 	for k := 0; k < n; k++ {
-		b[k] = sbSigma * c.T[k] * c.T[k] * c.T[k] * c.T[k]
+		e := math.Exp(-(tau[k+1] - tau[k]))
+		trans[k] = e
+		emit[k] = sbSigma * c.T[k] * c.T[k] * c.T[k] * c.T[k] * (1 - e)
 	}
 	// Downward beam: D(0) = 0; dD/dtau = B - D.
 	down := scr.down
 	down[0] = 0
 	for k := 0; k < n; k++ {
-		dtau := tau[k+1] - tau[k]
-		e := math.Exp(-dtau)
-		down[k+1] = down[k]*e + b[k]*(1-e)
+		down[k+1] = down[k]*trans[k] + emit[k]
 	}
 	// Upward beam from the surface: U(ns) = sigma Ts^4.
 	up := scr.up
 	up[n] = sbSigma * c.Ts * c.Ts * c.Ts * c.Ts
 	for k := n - 1; k >= 0; k-- {
-		dtau := tau[k+1] - tau[k]
-		e := math.Exp(-dtau)
-		up[k] = up[k+1]*e + b[k]*(1-e)
+		up[k] = up[k+1]*trans[k] + emit[k]
 	}
 	// Heating from net flux divergence.
 	for k := 0; k < n; k++ {
