@@ -24,7 +24,9 @@ type Sampler struct {
 }
 
 // NewSampler builds the nearest-node mapping for an nlon x nlat grid
-// (cell-centred: lon_i = (i+0.5)*2pi/nlon, lat_j from -pi/2 to pi/2).
+// (cell-centred: lon_i = (i+0.5)*2pi/nlon, lat_j from -pi/2 to pi/2),
+// the first strict minimum of mesh.GreatCircleDist over elements then
+// nodes, as mesh.NodeSearch finds it.
 func NewSampler(m *mesh.Mesh, nlon, nlat int) *Sampler {
 	if nlon < 1 || nlat < 1 {
 		panic(fmt.Sprintf("core: bad sampler grid %dx%d", nlon, nlat))
@@ -34,7 +36,11 @@ func NewSampler(m *mesh.Mesh, nlon, nlat int) *Sampler {
 		elem: make([]int32, nlon*nlat),
 		node: make([]int32, nlon*nlat),
 	}
-	npsq := m.Np * m.Np
+	search := mesh.NewNodeSearch(m)
+	// Each point seeds its search with the previous point's answer; the
+	// last point of a row neighbours the first of the next across the
+	// 0/2pi seam.
+	at := mesh.NodeRef{Elem: -1}
 	for j := 0; j < nlat; j++ {
 		lat := -math.Pi/2 + (float64(j)+0.5)*math.Pi/float64(nlat)
 		for i := 0; i < nlon; i++ {
@@ -44,22 +50,9 @@ func NewSampler(m *mesh.Mesh, nlon, nlat int) *Sampler {
 				math.Cos(lat) * math.Sin(lon),
 				math.Sin(lat),
 			}
-			bestD := math.Inf(1)
-			var be, bn int32
-			for ei, e := range m.Elements {
-				// Cheap reject: compare against the element's first node
-				// before scanning all nodes.
-				if d := mesh.GreatCircleDist(p, e.Pos[0]); d-2*e.DAlpha > bestD {
-					continue
-				}
-				for n := 0; n < npsq; n++ {
-					if d := mesh.GreatCircleDist(p, e.Pos[n]); d < bestD {
-						bestD, be, bn = d, int32(ei), int32(n)
-					}
-				}
-			}
-			s.elem[j*nlon+i] = be
-			s.node[j*nlon+i] = bn
+			at = search.Nearest(p, at)
+			s.elem[j*nlon+i] = int32(at.Elem)
+			s.node[j*nlon+i] = int32(at.Idx)
 		}
 	}
 	return s

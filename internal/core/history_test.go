@@ -9,6 +9,60 @@ import (
 	"swcam/internal/physics"
 )
 
+// oracleSampler is NewSampler's search before mesh.NodeSearch: every
+// element in order, every node of an element not rejected by its first
+// node, first strict minimum of GreatCircleDist. The reject is exact
+// (no node lies 2*DAlpha from its element's first node), so this is the
+// brute-force mapping at a tenth of its cost.
+func oracleSampler(m *mesh.Mesh, nlon, nlat int) (elem, node []int32) {
+	elem, node = make([]int32, nlon*nlat), make([]int32, nlon*nlat)
+	npsq := m.Np * m.Np
+	for j := 0; j < nlat; j++ {
+		lat := -math.Pi/2 + (float64(j)+0.5)*math.Pi/float64(nlat)
+		for i := 0; i < nlon; i++ {
+			lon := (float64(i) + 0.5) * 2 * math.Pi / float64(nlon)
+			p := mesh.Vec3{
+				math.Cos(lat) * math.Cos(lon),
+				math.Cos(lat) * math.Sin(lon),
+				math.Sin(lat),
+			}
+			bestD := math.Inf(1)
+			var be, bn int32
+			for ei, e := range m.Elements {
+				if d := mesh.GreatCircleDist(p, e.Pos[0]); d-2*e.DAlpha > bestD {
+					continue
+				}
+				for n := 0; n < npsq; n++ {
+					if d := mesh.GreatCircleDist(p, e.Pos[n]); d < bestD {
+						bestD, be, bn = d, int32(ei), int32(n)
+					}
+				}
+			}
+			elem[j*nlon+i], node[j*nlon+i] = be, bn
+		}
+	}
+	return elem, node
+}
+
+// TestSamplerMatchesOracle: the pruned, seeded search maps every grid
+// point to the same node as the old scan, on the three grids the
+// server's traffic uses.
+func TestSamplerMatchesOracle(t *testing.T) {
+	for _, ne := range []int{2, 4, 8} {
+		m := mesh.New(ne, 4)
+		for _, g := range [][2]int{{72, 36}, {144, 72}, {37, 19}} {
+			s := NewSampler(m, g[0], g[1])
+			elem, node := oracleSampler(m, g[0], g[1])
+			for k := range elem {
+				if s.elem[k] != elem[k] || s.node[k] != node[k] {
+					t.Fatalf("ne%d %dx%d point %d: (%d,%d), oracle (%d,%d)",
+						ne, g[0], g[1], k, s.elem[k], s.node[k], elem[k], node[k])
+				}
+			}
+		}
+	}
+}
+
 func TestSamplerCoversGrid(t *testing.T) {
 	m := mesh.New(3, 4)
 	s := NewSampler(m, 24, 12)

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -22,7 +23,7 @@ import (
 //
 // so clients branch on stable codes, never on prose. Codes in use:
 // bad_request, bad_deadline, unknown_field, unknown_member, queue_full,
-// deadline_exceeded, no_snapshot, snapshot_torn, no_members.
+// deadline_exceeded, no_snapshot, snapshot_torn, no_members, internal.
 
 type errEnvelope struct {
 	Error errBody `json:"error"`
@@ -33,10 +34,29 @@ type errBody struct {
 	Message string `json:"message"`
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// render encodes v as a response body: the bytes json.Encoder writes,
+// trailing newline included. It runs before any header is sent, so an
+// encode failure (a NaN or Inf in a snapshot) still becomes a typed 500
+// instead of an empty 200; it answers that 500 and returns false.
+func render(w http.ResponseWriter, v any) ([]byte, bool) {
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		writeErr(w, http.StatusInternalServerError, "internal", "rendering response: "+err.Error())
+		return nil, false
+	}
+	return buf.Bytes(), true
+}
+
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(body) // a failed write means the client went away
+}
+
+func writeJSON(w http.ResponseWriter, status int, v any) {
+	if body, ok := render(w, v); ok {
+		writeBody(w, status, body)
+	}
 }
 
 func writeErr(w http.ResponseWriter, status int, code, msg string) {
@@ -118,23 +138,64 @@ func floatParam(r *http.Request, name string, lo, hi float64) (float64, error) {
 	return v, nil
 }
 
-// fieldSlice resolves a field name against a state: the backing array,
-// its level count, and whether it had to be derived.
-func fieldSlice(s *dycore.Solver, st *dycore.State, name string) (data [][]float64, nlev int, err error) {
+// fieldParams validates ?field= (default def) and ?level= (default the
+// field's top level) against the model configuration, before any state
+// is read, so a bad query is a 400 whatever the store holds. Returns
+// ok=false after writing the error.
+func (s *Server) fieldParams(w http.ResponseWriter, r *http.Request, def string) (name string, level int, ok bool) {
+	name = r.URL.Query().Get("field")
+	if name == "" {
+		name = def
+	}
+	var nlev int
+	switch name {
+	case "U", "V", "T", "DP":
+		nlev = s.sup.solver.Cfg.Nlev
+	case "PHIS", "PS":
+		nlev = 1
+	default:
+		writeErr(w, http.StatusBadRequest, "unknown_field",
+			fmt.Sprintf("unknown field %q (U|V|T|DP|PHIS|PS)", name))
+		return "", 0, false
+	}
+	level, err := intParam(r, "level", nlev-1, 0, nlev-1)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, "bad_request", err.Error())
+		return "", 0, false
+	}
+	return name, level, true
+}
+
+// gridParams parses ?nlon= and ?nlat= (default 72x36). Returns ok=false
+// after writing the error.
+func gridParams(w http.ResponseWriter, r *http.Request) (nlon, nlat int, ok bool) {
+	nlon, err := intParam(r, "nlon", 72, 1, 2048)
+	if err == nil {
+		nlat, err = intParam(r, "nlat", 36, 1, 1024)
+	}
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, "bad_request", err.Error())
+		return 0, 0, false
+	}
+	return nlon, nlat, true
+}
+
+// fieldSlice returns a field fieldParams accepted: the state's backing
+// array, or for PS one derived pseudo-level of surface pressure.
+func fieldSlice(st *dycore.State, name string) [][]float64 {
 	switch name {
 	case "U":
-		return st.U, st.Nlev, nil
+		return st.U
 	case "V":
-		return st.V, st.Nlev, nil
+		return st.V
 	case "T":
-		return st.T, st.Nlev, nil
+		return st.T
 	case "DP":
-		return st.DP, st.Nlev, nil
+		return st.DP
 	case "PHIS":
-		return st.Phis, 1, nil
+		return st.Phis
 	case "PS":
-		// Derived: one pseudo-level of surface pressure.
-		npsq := s.Cfg.Np * s.Cfg.Np
+		npsq := st.NpSq()
 		ps := make([][]float64, len(st.DP))
 		for ei := range ps {
 			row := make([]float64, npsq)
@@ -143,9 +204,9 @@ func fieldSlice(s *dycore.Solver, st *dycore.State, name string) (data [][]float
 			}
 			ps[ei] = row
 		}
-		return ps, 1, nil
+		return ps
 	}
-	return nil, 0, fmt.Errorf("unknown field %q (U|V|T|DP|PHIS|PS)", name)
+	panic("serve: field " + name + " was not validated")
 }
 
 // readMember fetches the member's latest decoded snapshot, mapping
@@ -169,26 +230,51 @@ func (s *Server) readMember(w http.ResponseWriter, idx int) (*dycore.State, Meta
 	return nil, Meta{}, false
 }
 
-// samplers caches lat-lon samplers per grid shape: building one walks
-// the whole mesh, so a steady query mix pays that once per shape.
+// samplers caches lat-lon samplers per grid shape: building one searches
+// the mesh for every grid point, so a steady query mix pays that once
+// per shape.
 type samplers struct {
 	mu    sync.Mutex
 	cache map[[2]int]*core.Sampler
+
+	// build, when set, replaces core.NewSampler — the test lever for a
+	// slow build.
+	build func(m *mesh.Mesh, nlon, nlat int) *core.Sampler
 }
 
 func (sc *samplers) get(m *mesh.Mesh, nlon, nlat int) *core.Sampler {
+	key := [2]int{nlon, nlat}
+	sc.mu.Lock()
+	sp, ok := sc.cache[key]
+	sc.mu.Unlock()
+	if ok {
+		return sp
+	}
+	// Build outside the lock, so a first request for a new shape never
+	// stalls requests for cached ones. Concurrent first requests for one
+	// shape each build; the first stored sampler wins.
+	build := core.NewSampler
+	if sc.build != nil {
+		build = sc.build
+	}
+	sp = build(m, nlon, nlat)
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
+	if won, ok := sc.cache[key]; ok {
+		return won
+	}
 	if sc.cache == nil {
 		sc.cache = map[[2]int]*core.Sampler{}
 	}
-	key := [2]int{nlon, nlat}
-	if sp, ok := sc.cache[key]; ok {
-		return sp
-	}
-	sp := core.NewSampler(m, nlon, nlat)
 	sc.cache[key] = sp
 	return sp
+}
+
+// sample resamples one level of a field onto an nlon x nlat grid.
+func (s *Server) sample(data [][]float64, level, nlon, nlat int) []float64 {
+	grid := make([]float64, nlon*nlat)
+	s.samplers.get(s.sup.solver.Mesh, nlon, nlat).Sample(data, level, s.sup.solver.Cfg.Np*s.sup.solver.Cfg.Np, grid)
+	return grid
 }
 
 // GET /v1/config — the effective model and ensemble configuration, the
@@ -244,56 +330,51 @@ func (s *Server) handleMembers(w http.ResponseWriter, r *http.Request) {
 }
 
 // GET /v1/field?member=&field=T&level=&nlon=&nlat= — a lat-lon slice of
-// one member's field, sampled on a regular grid.
+// one member's field, sampled on a regular grid. The body is rendered
+// once per snapshot version; the staleness headers are per request.
 func (s *Server) handleField(w http.ResponseWriter, r *http.Request) {
 	idx, err := s.memberParam(r)
 	if err != nil {
 		writeErr(w, http.StatusNotFound, "unknown_member", err.Error())
 		return
 	}
-	name := r.URL.Query().Get("field")
-	if name == "" {
-		name = "PS"
-	}
-	nlon, err := intParam(r, "nlon", 72, 1, 2048)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "bad_request", err.Error())
-		return
-	}
-	nlat, err := intParam(r, "nlat", 36, 1, 1024)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "bad_request", err.Error())
-		return
-	}
-
-	st, meta, ok := s.readMember(w, idx)
+	nlon, nlat, ok := gridParams(w, r)
 	if !ok {
 		return
 	}
-	data, nlev, err := fieldSlice(s.sup.solver, st, name)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "unknown_field", err.Error())
+	name, level, ok := s.fieldParams(w, r, "PS")
+	if !ok {
 		return
 	}
-	level, err := intParam(r, "level", nlev-1, 0, nlev-1)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "bad_request", err.Error())
-		return
+	key := bodyKey{member: idx, field: name, level: level, nlon: nlon, nlat: nlat}
+	vers := make([]int64, len(s.sup.members))
+	var body []byte
+	meta, ok := s.sup.store.Latest(idx)
+	if ok {
+		vers[idx] = meta.Version
+		body, ok = s.bodies.get(key, vers)
 	}
-	sp := s.samplers.get(s.sup.solver.Mesh, nlon, nlat)
-	grid := make([]float64, nlon*nlat)
-	npsq := s.sup.solver.Cfg.Np * s.sup.solver.Cfg.Np
-	sp.Sample(data, level, npsq, grid)
-
+	if !ok {
+		var st *dycore.State
+		if st, meta, ok = s.readMember(w, idx); !ok {
+			return
+		}
+		body, ok = render(w, map[string]any{
+			"member": idx, "field": name, "level": level,
+			"nlon": nlon, "nlat": nlat,
+			"step": meta.Step, "sim_hours": meta.SimHours,
+			"snapshot_version": meta.Version,
+			"values":           s.sample(fieldSlice(st, name), level, nlon, nlat),
+		})
+		if !ok {
+			return
+		}
+		vers[idx] = meta.Version
+		s.bodies.put(key, vers, body)
+	}
 	reason, ageMs := s.staleness(s.sup.members[idx], meta)
 	setStaleHeaders(w, reason, ageMs)
-	writeJSON(w, http.StatusOK, map[string]any{
-		"member": idx, "field": name, "level": level,
-		"nlon": nlon, "nlat": nlat,
-		"step": meta.Step, "sim_hours": meta.SimHours,
-		"snapshot_version": meta.Version,
-		"values":           grid,
-	})
+	writeBody(w, http.StatusOK, body)
 }
 
 // GET /v1/point?member=&field=&level=&lon=&lat= — point forecast at the
@@ -314,48 +395,36 @@ func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
 	}
-	name := r.URL.Query().Get("field")
-	if name == "" {
-		name = "T"
+	name, level, ok := s.fieldParams(w, r, "T")
+	if !ok {
+		return
 	}
 	st, meta, ok := s.readMember(w, idx)
 	if !ok {
 		return
 	}
-	data, nlev, err := fieldSlice(s.sup.solver, st, name)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "unknown_field", err.Error())
-		return
-	}
-	level, err := intParam(r, "level", nlev-1, 0, nlev-1)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "bad_request", err.Error())
-		return
-	}
 
-	target := lonLatToCart(lonDeg*math.Pi/180, latDeg*math.Pi/180)
-	npsq := s.sup.solver.Cfg.Np * s.sup.solver.Cfg.Np
-	bestD := math.Inf(1)
-	bestE, bestN := 0, 0
-	for ei, e := range s.sup.solver.Mesh.Elements {
-		for n := 0; n < npsq; n++ {
-			if d := mesh.GreatCircleDist(target, e.Pos[n]); d < bestD {
-				bestD, bestE, bestN = d, ei, n
-			}
-		}
-	}
-	el := s.sup.solver.Mesh.Elements[bestE]
-
-	reason, ageMs := s.staleness(s.sup.members[idx], meta)
-	setStaleHeaders(w, reason, ageMs)
-	writeJSON(w, http.StatusOK, map[string]any{
+	at := s.nearest(lonDeg, latDeg)
+	el := s.sup.solver.Mesh.Elements[at.Elem]
+	body, ok := render(w, map[string]any{
 		"member": idx, "field": name, "level": level,
 		"lon_deg": lonDeg, "lat_deg": latDeg,
-		"node_lon_deg": el.Lon[bestN] * 180 / math.Pi,
-		"node_lat_deg": el.Lat[bestN] * 180 / math.Pi,
-		"value":        data[bestE][level*npsq+bestN],
+		"node_lon_deg": el.Lon[at.Idx] * 180 / math.Pi,
+		"node_lat_deg": el.Lat[at.Idx] * 180 / math.Pi,
+		"value":        fieldSlice(st, name)[at.Elem][level*st.NpSq()+at.Idx],
 		"step":         meta.Step, "sim_hours": meta.SimHours,
 	})
+	if !ok {
+		return
+	}
+	reason, ageMs := s.staleness(s.sup.members[idx], meta)
+	setStaleHeaders(w, reason, ageMs)
+	writeBody(w, http.StatusOK, body)
+}
+
+// nearest is the GLL node nearest (lon, lat) in degrees.
+func (s *Server) nearest(lonDeg, latDeg float64) mesh.NodeRef {
+	return s.nodes.Nearest(lonLatToCart(lonDeg*math.Pi/180, latDeg*math.Pi/180), mesh.NodeRef{Elem: -1})
 }
 
 // GET /v1/ensemble?field=&level=&nlon=&nlat= — pointwise mean and
@@ -363,36 +432,66 @@ func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request) {
 // contribute a snapshot. Quarantined members are excluded; if fewer
 // than the full ensemble contribute, the X-Swcam-Ensemble-Members
 // header reports the k/n subensemble and the response is marked stale
-// if any contributor is.
+// if any contributor is. The body is rendered once per set of
+// contributing versions; the headers are per request.
 func (s *Server) handleEnsemble(w http.ResponseWriter, r *http.Request) {
-	name := r.URL.Query().Get("field")
-	if name == "" {
-		name = "PS"
-	}
-	nlon, err := intParam(r, "nlon", 72, 1, 2048)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "bad_request", err.Error())
+	nlon, nlat, ok := gridParams(w, r)
+	if !ok {
 		return
 	}
-	nlat, err := intParam(r, "nlat", 36, 1, 1024)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "bad_request", err.Error())
+	name, level, ok := s.fieldParams(w, r, "PS")
+	if !ok {
 		return
 	}
-
+	key := bodyKey{member: -1, field: name, level: level, nlon: nlon, nlat: nlat}
 	n := len(s.sup.members)
-	npsq := s.sup.solver.Cfg.Np * s.sup.solver.Cfg.Np
-	var sp *core.Sampler
-	grid := make([]float64, nlon*nlat)
-	mean := make([]float64, nlon*nlat)
-	m2 := make([]float64, nlon*nlat)
-	level := -1
+	vers, metas := make([]int64, n), make([]Meta, n)
+	for i, m := range s.sup.members {
+		if m.State() == MemberQuarantined {
+			continue
+		}
+		if meta, ok := s.sup.store.Latest(i); ok {
+			vers[i], metas[i] = meta.Version, meta
+		}
+	}
+	body, ok := s.bodies.get(key, vers)
+	if !ok {
+		if body, ok = s.renderEnsemble(w, key, vers, metas); !ok {
+			return
+		}
+	}
 	contributors := 0
 	worstReason := ""
 	var worstAge int64
-	minStep, maxStep := math.MaxInt32, -1
-
 	for i, m := range s.sup.members {
+		if vers[i] == 0 {
+			continue
+		}
+		contributors++
+		if reason, age := s.staleness(m, metas[i]); reason != "" {
+			worstReason = reason
+			if age > worstAge {
+				worstAge = age
+			}
+		}
+	}
+	w.Header().Set(headerMembers, fmt.Sprintf("%d/%d", contributors, n))
+	setStaleHeaders(w, worstReason, worstAge)
+	writeBody(w, http.StatusOK, body)
+}
+
+// renderEnsemble reads every member that can contribute, renders and
+// caches the ensemble body, and overwrites vers and metas with the
+// snapshots read (version 0 for a member left out). Returns ok=false
+// after writing the error.
+func (s *Server) renderEnsemble(w http.ResponseWriter, key bodyKey, vers []int64, metas []Meta) ([]byte, bool) {
+	size := key.nlon * key.nlat
+	mean := make([]float64, size)
+	m2 := make([]float64, size)
+	contributors := 0
+	minStep, maxStep := math.MaxInt32, -1
+	for i, m := range s.sup.members {
+		vers[i] = 0
 		if m.State() == MemberQuarantined {
 			// A quarantined member's frozen snapshot would poison the
 			// statistics with an old state; the ensemble degrades to the
@@ -403,20 +502,8 @@ func (s *Server) handleEnsemble(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			continue
 		}
-		data, nlev, ferr := fieldSlice(s.sup.solver, st, name)
-		if ferr != nil {
-			writeErr(w, http.StatusBadRequest, "unknown_field", ferr.Error())
-			return
-		}
-		if level < 0 {
-			level, err = intParam(r, "level", nlev-1, 0, nlev-1)
-			if err != nil {
-				writeErr(w, http.StatusBadRequest, "bad_request", err.Error())
-				return
-			}
-			sp = s.samplers.get(s.sup.solver.Mesh, nlon, nlat)
-		}
-		sp.Sample(data, level, npsq, grid)
+		vers[i], metas[i] = meta.Version, meta
+		grid := s.sample(fieldSlice(st, key.field), key.level, key.nlon, key.nlat)
 		contributors++
 		// Welford accumulation: numerically stable spread in one pass.
 		for g := range grid {
@@ -424,37 +511,29 @@ func (s *Server) handleEnsemble(w http.ResponseWriter, r *http.Request) {
 			mean[g] += d / float64(contributors)
 			m2[g] += d * (grid[g] - mean[g])
 		}
-		if reason, age := s.staleness(m, meta); reason != "" {
-			worstReason = reason
-			if age > worstAge {
-				worstAge = age
-			}
-		}
-		if meta.Step < minStep {
-			minStep = meta.Step
-		}
-		if meta.Step > maxStep {
-			maxStep = meta.Step
-		}
+		minStep = min(minStep, meta.Step)
+		maxStep = max(maxStep, meta.Step)
 	}
 	if contributors == 0 {
 		writeErr(w, http.StatusServiceUnavailable, "no_members",
 			"no member can currently contribute a snapshot")
-		return
+		return nil, false
 	}
 	spread := m2 // reuse
 	for g := range spread {
 		spread[g] = math.Sqrt(m2[g] / float64(contributors))
 	}
-	w.Header().Set(headerMembers, fmt.Sprintf("%d/%d", contributors, n))
-	setStaleHeaders(w, worstReason, worstAge)
-	writeJSON(w, http.StatusOK, map[string]any{
-		"field": name, "level": level,
-		"nlon": nlon, "nlat": nlat,
-		"members": contributors, "ensemble_size": n,
+	body, ok := render(w, map[string]any{
+		"field": key.field, "level": key.level,
+		"nlon": key.nlon, "nlat": key.nlat,
+		"members": contributors, "ensemble_size": len(s.sup.members),
 		"min_step": minStep, "max_step": maxStep,
 		"mean": mean, "spread": spread,
 	})
+	if ok {
+		s.bodies.put(key, vers, body)
+	}
+	return body, ok
 }
 
 // GET /v1/track?member= — the member's TC track: every fix located so
@@ -497,13 +576,17 @@ func (s *Server) handleTrack(w http.ResponseWriter, r *http.Request) {
 	warm := hist.warm
 	s.trackMu.Unlock()
 
-	reason, ageMs := s.staleness(s.sup.members[idx], meta)
-	setStaleHeaders(w, reason, ageMs)
-	writeJSON(w, http.StatusOK, map[string]any{
+	body, ok := render(w, map[string]any{
 		"member": idx, "warm_core": warm,
 		"step": meta.Step, "sim_hours": meta.SimHours,
 		"fixes": fixes,
 	})
+	if !ok {
+		return
+	}
+	reason, ageMs := s.staleness(s.sup.members[idx], meta)
+	setStaleHeaders(w, reason, ageMs)
+	writeBody(w, http.StatusOK, body)
 }
 
 // GET /v1/metrics — the obs registry counters and gauges, for scraping.

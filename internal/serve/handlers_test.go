@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -80,6 +81,10 @@ func TestHandlerErrorTable(t *testing.T) {
 	srv := NewServer(sup, ServerConfig{})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
+	// A server whose members have published nothing: a malformed query
+	// is still rejected as such, before any state is read.
+	empty := httptest.NewServer(NewServer(testSupervisor(t, 2, nil), ServerConfig{}))
+	defer empty.Close()
 
 	tests := []struct {
 		name       string
@@ -107,10 +112,21 @@ func TestHandlerErrorTable(t *testing.T) {
 		{"deadline: not a number", "/v1/members?deadline_ms=abc", http.StatusBadRequest, "bad_deadline"},
 		{"deadline: zero", "/v1/members?deadline_ms=0", http.StatusBadRequest, "bad_deadline"},
 		{"deadline: beyond cap", "/v1/members?deadline_ms=61000", http.StatusBadRequest, "bad_deadline"},
+		{"empty store: field: unknown field name", "/v1/field?field=BOGUS", http.StatusBadRequest, "unknown_field"},
+		{"empty store: field: level out of range", "/v1/field?field=PS&level=1", http.StatusBadRequest, "bad_request"},
+		{"empty store: field: no snapshot", "/v1/field?field=T", http.StatusNotFound, "no_snapshot"},
+		{"empty store: point: unknown field name", "/v1/point?field=BOGUS&lon=0&lat=0", http.StatusBadRequest, "unknown_field"},
+		{"empty store: ensemble: unknown field", "/v1/ensemble?field=BOGUS", http.StatusBadRequest, "unknown_field"},
+		{"empty store: ensemble: level out of range", "/v1/ensemble?field=T&level=4", http.StatusBadRequest, "bad_request"},
+		{"empty store: ensemble: no members", "/v1/ensemble?field=T", http.StatusServiceUnavailable, "no_members"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			resp, body := getJSON(t, ts.URL+tt.path)
+			base := ts.URL
+			if strings.HasPrefix(tt.name, "empty store: ") {
+				base = empty.URL
+			}
+			resp, body := getJSON(t, base+tt.path)
 			if resp.StatusCode != tt.wantStatus {
 				t.Errorf("status = %d, want %d (body %v)", resp.StatusCode, tt.wantStatus, body)
 			}

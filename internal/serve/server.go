@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"swcam/internal/mesh"
 	"swcam/internal/obs"
 )
 
@@ -64,6 +65,8 @@ type Server struct {
 	slowHook func(ctx context.Context)
 
 	samplers samplers
+	bodies   bodyCache
+	nodes    *mesh.NodeSearch
 	trackMu  sync.Mutex
 	tracks   map[int]*trackHistory
 
@@ -76,6 +79,9 @@ func NewServer(sup *Supervisor, cfg ServerConfig) *Server {
 		sup: sup,
 		cfg: cfg.withDefaults(),
 		reg: sup.reg(),
+
+		bodies: bodyCache{store: sup.store, budget: bodyCacheBytes},
+		nodes:  mesh.NewNodeSearch(sup.solver.Mesh),
 	}
 	s.sem = make(chan struct{}, s.cfg.MaxConcurrent)
 	s.mux = http.NewServeMux()
