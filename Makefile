@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race fuzz bench bench-tiled bench-overlap bench-phys bench-integrity kernel-parity scaling trace figures outputs serve loadgen clean
+.PHONY: all build vet test race fuzz bench kernel-parity scaling trace figures outputs serve loadgen clean
 
 all: build vet test
 
@@ -19,87 +19,45 @@ race:
 	$(GO) test -race ./...
 
 # Native fuzzing over every untrusted-bytes decoder (checkpoint,
-# history, BENCH json, buddy-snapshot wire payloads), 30s each on top
-# of the checked-in seed corpora.
+# history, buddy-snapshot wire payloads), 30s each on top of the
+# checked-in seed corpora.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/core/ -run '^$$' -fuzz '^FuzzReadCheckpoint$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -run '^$$' -fuzz '^FuzzReadHistory$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/obs/ -run '^$$' -fuzz '^FuzzDecodeBench$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -run '^$$' -fuzz '^FuzzDecodeRankSnapshot$$' -fuzztime $(FUZZTIME)
 
 # The reference benchmark (BENCHMARK.json): six frozen fault-free
 # workloads on both clocks, with the in-run correctness gate. Compare a
 # change against its parent commit on the same box. (The per-figure
-# `go test -bench` benchmarks run under `make outputs`; the profiler's
-# BENCH_<n>.json points under the bench-* targets below.)
+# `go test -bench` benchmarks run under `make outputs`.)
 bench:
 	$(GO) run ./benchmark
 
-# The serial/tiled BENCH pair: two regression points with identical
-# model configuration differing only in -dyn-workers, so the speedup
-# reads directly off consecutive BENCH_<n>.json wall_seconds.
-bench-tiled:
-	$(GO) run ./cmd/swprof -ne 4 -nlev 8 -steps 5 -ranks 2 -dyn-workers 1 -dir bench
-	$(GO) run ./cmd/swprof -ne 4 -nlev 8 -steps 5 -ranks 2 -dyn-workers 4 -dir bench
-
-# The original/overlap BENCH pair (§7.6): identical configuration, the
-# first run under the blocking exchange, the second under the
-# boundary-first redesign with the measured per-backend overlap_ratio
-# recorded (and required to be > 0).
-bench-overlap:
-	$(GO) run ./cmd/swprof -ne 4 -nlev 8 -steps 5 -ranks 4 -overlap=false -dir bench
-	$(GO) run ./cmd/swprof -ne 4 -nlev 8 -steps 5 -ranks 4 -require-overlap -dir bench
-
-# The parallel-physics BENCH point: moist physics on the work-stealing
-# column pool, recording the steal ledger, per-worker utilization, and
-# a paired serial-vs-parallel physics SYPD measurement in the phys
-# block (results are bit-identical for any -phys-workers value).
-bench-phys:
-	$(GO) run ./cmd/swprof -ne 3 -nlev 8 -steps 6 -ranks 2 \
-	    -physics moist -phys-every 2 -phys-workers 4 -dir bench
-
-# The integrity BENCH point: seeded bit flips into resident state,
-# checkpoints, and buddy copies, with per-step CRC scrubbing, the
-# conservation ledgers, and a 3-generation verified checkpoint ring.
-# swprof exits nonzero unless every flip is detected and the recovered
-# trajectory is bit-identical to fault-free; the integrity block
-# records detections vs injected and the measured scrub overhead.
-bench-integrity:
-	$(GO) run ./cmd/swprof -ne 2 -nlev 4 -steps 6 -ranks 3 \
-	    -faults 'chaosflip:6@42' -recovery ladder \
-	    -scrub-every 1 -ckpt-generations 3 -dir bench
-
-# Kernel Cost parity: re-run the BENCH_9 configuration on the
-# single-source lowered kernels and diff every per-backend kernel Cost
-# column (calls, flops, bytes) — exact against the landed
-# bench/BENCH_9.json, and against the pre-fix bench/BENCH_8.json with
-# the one documented exemption for the hypervis_dp2 flop re-derivation.
-# Mirrors the CI kernel-parity job.
+# Kernel Cost parity: the lowered-kernel differential tests and the
+# four-backend golden, which re-runs the flip-chaos configuration
+# recorded in bench/BENCH_9.json on every backend and requires every
+# per-kernel calls/flops/bytes column to match it exactly, every
+# injected flip to be detected, and the recovered state to hash equal
+# to a fault-free replica's. Mirrors the CI kernel-parity job.
 kernel-parity:
 	$(GO) test -race -count=1 \
-	    -run 'TestLoweredKernel|TestHypervisUpdateFlopParity|TestAthreadDP2VectorCounters|TestAnalyticFormulasDerivedFromSpecs|TestRowLevelsEdgeCases' \
-	    ./internal/exec/
-	mkdir -p parity-out
-	$(GO) run ./cmd/swprof -ne 2 -nlev 4 -steps 6 -ranks 3 \
-	    -faults 'chaosflip:6@42' -recovery ladder \
-	    -scrub-every 1 -ckpt-generations 3 -dir parity-out
-	$(GO) run ./cmd/benchtab -parity parity-out/BENCH_1.json -against bench/BENCH_9.json
-	$(GO) run ./cmd/benchtab -parity parity-out/BENCH_1.json \
-	    -against bench/BENCH_8.json -allow-flops hypervis_dp2
+	    -run 'TestLoweredKernel|TestHypervisUpdateFlopParity|TestAthreadDP2VectorCounters|TestAnalyticFormulasDerivedFromSpecs|TestRowLevelsEdgeCases|TestBench9ConfigGoldens' \
+	    ./internal/exec/ ./internal/core/
 
 # The measured scaling campaign (internal/scale): real weak+strong
 # goroutine-rank sweeps on this box up to 256 ranks, the calibrated
 # cost-model fit, and the full-machine SYPD-vs-resolution
-# extrapolation table, appended to bench/ as a BENCH `scaling` block.
+# extrapolation table, printed to stdout.
 scaling:
 	$(GO) run ./cmd/scaling -mode calibrate -ne 8 -min-np 16 -max-np 256 \
-	    -backend athread -dir bench
+	    -backend athread
 
-# A Chrome trace of all four backends on a small configuration; load
-# swcam.trace.json in chrome://tracing or ui.perfetto.dev.
+# A Chrome trace of a two-rank Athread run on a small configuration;
+# load swcam.trace.json in chrome://tracing or ui.perfetto.dev.
 trace:
-	$(GO) run ./cmd/swprof -ne 2 -nlev 4 -steps 5 -ranks 2 -dir . -trace swcam.trace.json
+	$(GO) run ./cmd/camsw -ne 2 -nlev 4 -hours 0.5 -physics none -parallel 2 \
+	    -backend athread -trace swcam.trace.json
 
 # The ensemble forecast service under fire: three perturbed members,
 # seeded member kills and a chaos fault plan, so the degradation paths
@@ -114,11 +72,10 @@ serve:
 	    -kills '1@4,2@7' -faults 'chaos:2@42'
 
 # Seeded closed-loop load against a running `make serve`: prints the
-# latency percentiles and status histogram, and appends a BENCH file
-# with the `serving` block to bench/.
+# latency percentiles and status histogram.
 loadgen:
 	$(GO) run ./cmd/swload -addr http://127.0.0.1:8090 -duration 15s \
-	    -workers 4 -seed 7 -bench-dir bench
+	    -workers 4 -seed 7
 
 # Print every table and figure of the paper's evaluation.
 figures:
@@ -131,4 +88,4 @@ outputs:
 
 clean:
 	$(GO) clean ./...
-	rm -f test_output.txt bench_output.txt swcam.trace.json BENCH_*.json
+	rm -f test_output.txt bench_output.txt swcam.trace.json

@@ -13,8 +13,8 @@ import (
 )
 
 // jsonMain emits the selected tables/figures as one JSON document on
-// stdout, through the shared obs encoder (the same one BENCH_<n>.json
-// and the registry dumps use). Section keys mirror the flag names.
+// stdout, through the shared obs encoder (the same one the registry
+// dumps use). Section keys mirror the flag names.
 func jsonMain(all, attrs bool, table, fig int) {
 	out := map[string]any{}
 	if all || attrs {

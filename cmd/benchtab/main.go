@@ -12,10 +12,6 @@
 //	benchtab -fig 9       hurricane resolution sensitivity + track verification
 //	benchtab -all         everything
 //
-// It also checks kernel-cost parity between two BENCH files:
-//
-//	benchtab -parity NEW.json -against bench/BENCH_8.json [-allow-flops k1,k2]
-//
 // Paper values are printed alongside for comparison; EXPERIMENTS.md
 // records the full correspondence.
 package main
@@ -39,10 +35,6 @@ func main() {
 	fig := flag.Int("fig", 0, "print figure N (4-9; 10 = extra overlap ablation)")
 	all := flag.Bool("all", false, "print everything")
 	jsonOut := flag.Bool("json", false, "emit the selected sections as JSON (shared obs encoder) instead of text")
-	bench := flag.String("bench", "", "print the performance trajectory from BENCH_<n>.json files (comma-separated paths and/or directories)")
-	parity := flag.String("parity", "", "BENCH file whose per-backend kernel Cost columns (calls/flops/bytes) must match -against; exits nonzero on any drift")
-	against := flag.String("against", "", "reference BENCH file for -parity")
-	allowFlops := flag.String("allow-flops", "", "comma-separated base kernel names whose flop column may differ under -parity (intended accounting fixes)")
 	flag.Parse()
 
 	if *jsonOut {
@@ -51,24 +43,6 @@ func main() {
 	}
 
 	ran := false
-	if *parity != "" {
-		if *against == "" {
-			fmt.Fprintln(os.Stderr, "benchtab: -parity requires -against")
-			os.Exit(2)
-		}
-		if err := benchParity(*parity, *against, *allowFlops); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		ran = true
-	}
-	if *bench != "" {
-		if err := benchTrajectory(*bench); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		ran = true
-	}
 	if *all || *attrs {
 		attributes()
 		ran = true

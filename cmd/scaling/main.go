@@ -1,11 +1,11 @@
 // Command scaling runs the scaling campaign. Two measured modes drive
-// real goroutine-rank sweeps of the distributed runtime on this box
-// (internal/scale) and land a validated `scaling` block in the BENCH
-// trajectory; three model modes print the analytic TaihuLight machine
-// model's curves (the old CSV tool, renamed model-*).
+// real goroutine-rank sweeps of the distributed runtime on the host
+// (internal/scale) and print the measured curves, plus (calibrate) the
+// fitted cost model and the extrapolation table; three model modes
+// print the analytic TaihuLight machine model's curves.
 //
-//	scaling -mode measured  -ne 8 -min-np 16 -max-np 256 -dir bench
-//	scaling -mode calibrate -ne 8 -min-np 16 -max-np 256 -dir bench
+//	scaling -mode measured  -ne 8 -min-np 16 -max-np 256
+//	scaling -mode calibrate -ne 8 -min-np 16 -max-np 256
 //	scaling -mode model-strong  -ne 256 -base 4096 -min-np 4096 -max-np 131072
 //	scaling -mode model-weak    -elems 650 -min-np 512 -max-np 131072
 //	scaling -mode model-overlap -ne 1024 -min-np 4096 -max-np 131072
@@ -19,7 +19,6 @@ import (
 	"strings"
 
 	"swcam/internal/exec"
-	"swcam/internal/obs"
 	"swcam/internal/perf"
 	"swcam/internal/scale"
 )
@@ -39,7 +38,6 @@ func main() {
 	budgetMB := flag.Int("budget-mb", 512, "per-rank memory budget for measured sweeps, MiB (0 = unlimited)")
 	weakElems := flag.Int("weak-elems", 6, "weak-curve target elements per rank")
 	overlap := flag.Bool("overlap", true, "measured sweeps use the §7.6 boundary-first exchange")
-	dir := flag.String("dir", "", "write BENCH_<n>.json with the scaling block to this directory")
 	projectNe := flag.String("project-ne", "30,120,256,1024,3072,4000",
 		"comma-separated resolutions for the calibrated extrapolation table")
 	machineRanks := flag.Int("machine-ranks", perf.TotalCGs,
@@ -49,7 +47,7 @@ func main() {
 	switch *mode {
 	case "measured", "calibrate":
 		runMeasured(*mode, *ne, *minNp, *maxNp, *backendName, *nlev, *qsize, *steps,
-			*budgetMB, *weakElems, *overlap, *dir, *projectNe, *machineRanks)
+			*budgetMB, *weakElems, *overlap, *projectNe, *machineRanks)
 	case "model-strong":
 		h := perf.DefaultHOMMEConfig(defInt(*ne, 256))
 		lo, hi := defInt(*minNp, 4096), defInt(*maxNp, 131072)
@@ -119,7 +117,7 @@ func parseBackend(name string) exec.Backend {
 
 func runMeasured(mode string, ne, minNp, maxNp int, backendName string,
 	nlev, qsize, steps, budgetMB, weakElems int, overlap bool,
-	dir, projectNe string, machineRanks int) {
+	projectNe string, machineRanks int) {
 	backend := parseBackend(backendName)
 	ne = defInt(ne, 8)
 	lo, hi := defInt(minNp, 16), defInt(maxNp, 256)
@@ -153,18 +151,11 @@ func runMeasured(mode string, ne, minNp, maxNp int, backendName string,
 		fatal(err)
 	}
 
-	block := &obs.BenchScaling{
-		Mode:        "measured",
-		Backend:     backendName,
-		BudgetBytes: c.Cfg.BudgetBytes,
-		Weak:        weak,
-		Strong:      strong,
-	}
 	printCurve("strong scaling (measured)", strong)
 	printCurve("weak scaling (measured)", weak)
 
 	if mode == "calibrate" {
-		all := append(append([]obs.BenchScalingPoint{}, strong...), weak...)
+		all := append(append([]scale.Point{}, strong...), weak...)
 		fit, err := scale.Fit(all)
 		if err != nil {
 			fatal(err)
@@ -181,9 +172,6 @@ func runMeasured(mode string, ne, minNp, maxNp int, backendName string,
 		if err != nil {
 			fatal(err)
 		}
-		block.Mode = "calibrated"
-		block.Fit = &fit
-		block.Projection = proj
 		fmt.Printf("\ncalibrated cost model (%d points, residual RMS %.1f%%):\n",
 			fit.Points, 100*fit.ResidualRMS)
 		fmt.Printf("  %.3g ns/flop  %.3g ns/byte  %.3g ns/msg  %.3g ns/wire-byte  %.3g ns fixed\n",
@@ -195,24 +183,9 @@ func runMeasured(mode string, ne, minNp, maxNp int, backendName string,
 			fmt.Printf("%d,%.3g,%d,%.4g,%.4g\n", r.Ne, r.ResKm, r.Ranks, r.SYPD, r.ModelSYPD)
 		}
 	}
-
-	if dir != "" {
-		strongest := strong[0]
-		f := obs.NewBenchFile(obs.BenchConfig{
-			Ne: strongest.Ne, Nlev: nlev, Qsize: qsize,
-			Steps: strongest.Steps, Ranks: strongest.Ranks,
-		})
-		f.Backends = nil
-		f.Scaling = block
-		path, err := obs.WriteBenchFile(dir, f)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "scaling: wrote %s\n", path)
-	}
 }
 
-func printCurve(title string, pts []obs.BenchScalingPoint) {
+func printCurve(title string, pts []scale.Point) {
 	fmt.Printf("\n%s:\n", title)
 	fmt.Println("ne,ranks,elems_per_rank,per_step_ms,sypd,dyn_ms,halo_ms,coll_ms,wire_mb,rank_mb")
 	for _, p := range pts {

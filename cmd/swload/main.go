@@ -1,17 +1,15 @@
 // Command swload drives a running swserve with a representative read
-// mix, measures latency percentiles from the client side, asserts the
-// service-level objectives, and writes the result as the `serving`
-// block of a BENCH file.
+// mix, measures latency percentiles from the client side, and asserts
+// the service-level objectives.
 //
 //	swload -addr http://127.0.0.1:8090 -duration 20s -workers 4 \
-//	       -bench-dir bench -max-p99-ms 250 -require-stale -max-5xx 0
+//	       -max-p99-ms 250 -require-stale -max-5xx 0
 //
 // Exit status is nonzero if any enabled assertion fails: the command is
 // CI's service-smoke check as much as a benchmark tool.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net/http"
@@ -19,7 +17,6 @@ import (
 	"sort"
 	"time"
 
-	"swcam/internal/obs"
 	"swcam/internal/serve"
 )
 
@@ -29,7 +26,6 @@ func main() {
 	workers := flag.Int("workers", 4, "concurrent closed-loop clients")
 	deadlineMs := flag.Int("deadline-ms", 0, "per-request deadline sent to the server (0 = server default)")
 	seed := flag.Int64("seed", 1, "request-mix seed")
-	benchDir := flag.String("bench-dir", "", "write BENCH_<n>.json with a serving block here")
 	maxP99 := flag.Float64("max-p99-ms", 0, "fail if p99 latency exceeds this (0 = no bound)")
 	max5xx := flag.Int64("max-5xx", 0, "fail if more than this many 5xx responses (default 0: any 5xx fails)")
 	requireStale := flag.Bool("require-stale", false, "fail unless at least one response was served stale (proves degraded serving happened)")
@@ -69,18 +65,6 @@ func main() {
 		fmt.Printf("swload:   %d: %d\n", s, res.ByStatus[s])
 	}
 	fmt.Printf("swload: %d shed (429), %d stale serves, %d 5xx\n", res.Shed429, res.Stale, res.Errors5xx)
-
-	sv, cfg := buildServing(client, *addr, res, p50, p90, p99)
-	if *benchDir != "" {
-		f := obs.NewBenchFile(cfg)
-		f.Serving = sv
-		path, err := obs.WriteBenchFile(*benchDir, f)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "swload: bench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("swload: wrote %s\n", path)
-	}
 
 	failed := false
 	if res.Requests == 0 {
@@ -126,73 +110,4 @@ func awaitReady(client *http.Client, base string, budget time.Duration) error {
 		}
 		time.Sleep(200 * time.Millisecond)
 	}
-}
-
-// buildServing assembles the BENCH serving block, pulling the model
-// configuration and degradation counters from the service itself.
-func buildServing(client *http.Client, base string, res *serve.LoadResult, p50, p90, p99 float64) (*obs.BenchServing, obs.BenchConfig) {
-	cfg := obs.BenchConfig{Ne: 4, Nlev: 8, Steps: 1, Ranks: 1}
-	members := 1
-	if resp, err := client.Get(base + "/v1/config"); err == nil {
-		var c struct {
-			Members    int `json:"members"`
-			Ne         int `json:"ne"`
-			Nlev       int `json:"nlev"`
-			Qsize      int `json:"qsize"`
-			CycleSteps int `json:"cycle_steps"`
-			Ranks      int `json:"ranks"`
-		}
-		if jerr := jsonDecode(resp, &c); jerr == nil && c.Members > 0 {
-			members = c.Members
-			cfg = obs.BenchConfig{Ne: c.Ne, Nlev: c.Nlev, Qsize: c.Qsize, Steps: c.CycleSteps, Ranks: c.Ranks}
-		}
-	}
-	sv := &obs.BenchServing{
-		Members:      members,
-		DurationSecs: res.Duration.Seconds(),
-		Requests:     res.Requests,
-		QPS:          res.QPS(),
-		P50Ms:        p50,
-		P90Ms:        p90,
-		P99Ms:        p99,
-		Errors5xx:    res.Errors5xx,
-		Shed429:      res.Shed429,
-		StaleServes:  res.Stale,
-	}
-	if resp, err := client.Get(base + "/v1/members"); err == nil {
-		var body struct {
-			Members []struct {
-				State    string `json:"state"`
-				Restarts int64  `json:"restarts"`
-			} `json:"members"`
-		}
-		if jerr := jsonDecode(resp, &body); jerr == nil {
-			for _, m := range body.Members {
-				sv.Restarts += m.Restarts
-				if m.State == "quarantined" {
-					sv.Quarantines++
-				}
-			}
-		}
-	}
-	if resp, err := client.Get(base + "/v1/metrics"); err == nil {
-		var metrics []struct {
-			Name  string  `json:"name"`
-			Type  string  `json:"type"`
-			Value float64 `json:"value"`
-		}
-		if jerr := jsonDecode(resp, &metrics); jerr == nil {
-			for _, m := range metrics {
-				if m.Name == "serve.snapshots.torn" {
-					sv.TornSnapshots = int64(m.Value)
-				}
-			}
-		}
-	}
-	return sv, cfg
-}
-
-func jsonDecode(resp *http.Response, v any) error {
-	defer resp.Body.Close()
-	return json.NewDecoder(resp.Body).Decode(v)
 }

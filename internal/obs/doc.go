@@ -19,13 +19,13 @@
 //     interface with a deterministic text and JSON dump and cross-rank
 //     merging.
 //
-//   - KernelTable / StepReport (report.go) and the BENCH_<n>.json schema
-//     (bench.go): the aggregation layer. KernelTable accumulates
-//     per-(kernel, backend) wall time and architectural events;
-//     StepReport turns a run into per-kernel time shares, SYPD, PFlops
-//     and the communication/computation overlap ratio; bench.go writes
-//     the machine-readable benchmark-regression files cmd/swprof emits
-//     and CI diffs.
+//   - KernelTable / StepReport (report.go): the aggregation layer.
+//     KernelTable accumulates per-(kernel, backend) wall time and
+//     architectural events; StepReport turns a run into per-kernel time
+//     shares, SYPD, PFlops and the communication/computation overlap
+//     ratio. The per-kernel counts are pinned per backend by
+//     internal/core's TestBench9ConfigGoldens; host timings are measured
+//     by the reference benchmark (go run ./benchmark).
 //
 // # Nil safety
 //

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
-	"path/filepath"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -237,217 +235,6 @@ func TestKernelTableMerge(t *testing.T) {
 	}
 }
 
-func TestBenchFileRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	kt := NewKernelTable()
-	kt.Record("euler_step", "Athread", 1000, 10, 20, 1, 2)
-
-	f := NewBenchFile(BenchConfig{Ne: 2, Nlev: 4, Qsize: 3, Steps: 5, Ranks: 2})
-	f.AddBackend("athread", kt, 12.5, 0.25)
-	p1, err := WriteBenchFile(dir, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if filepath.Base(p1) != "BENCH_1.json" {
-		t.Errorf("first file = %s, want BENCH_1.json", p1)
-	}
-	p2, err := WriteBenchFile(dir, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if filepath.Base(p2) != "BENCH_2.json" {
-		t.Errorf("second file = %s, want BENCH_2.json", p2)
-	}
-	got, err := LoadBenchFile(p1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Schema != BenchSchema || got.Config.Ne != 2 {
-		t.Errorf("loaded %+v", got)
-	}
-	b := got.Backends["athread"]
-	if b.SYPD != 12.5 || b.Kernels["euler_step"].Ns != 1000 {
-		t.Errorf("loaded backend %+v", b)
-	}
-}
-
-func TestBenchFileValidate(t *testing.T) {
-	good := func() *BenchFile {
-		kt := NewKernelTable()
-		kt.Record("euler_step", "Athread", 1000, 10, 20, 1, 2)
-		f := NewBenchFile(BenchConfig{Ne: 2, Nlev: 4, Qsize: 3, Steps: 5, Ranks: 2})
-		f.AddBackend("athread", kt, 12.5, 0.25)
-		return f
-	}
-	if err := good().Validate(); err != nil {
-		t.Fatalf("good file invalid: %v", err)
-	}
-	cases := []struct {
-		name   string
-		mutate func(*BenchFile)
-	}{
-		{"unknown schema", func(f *BenchFile) { f.Schema = "swcam-bench/v999" }},
-		{"zero ne", func(f *BenchFile) { f.Config.Ne = 0 }},
-		{"no backends", func(f *BenchFile) { f.Backends = nil }},
-		{"zero sypd", func(f *BenchFile) {
-			b := f.Backends["athread"]
-			b.SYPD = 0
-			f.Backends["athread"] = b
-		}},
-		{"nan sypd", func(f *BenchFile) {
-			b := f.Backends["athread"]
-			b.SYPD = math.NaN()
-			f.Backends["athread"] = b
-		}},
-		{"no kernels", func(f *BenchFile) {
-			b := f.Backends["athread"]
-			b.Kernels = nil
-			f.Backends["athread"] = b
-		}},
-		{"zero-call kernel", func(f *BenchFile) {
-			f.Backends["athread"].Kernels["euler_step"] = BenchKernel{Calls: 0, Ns: 1}
-		}},
-		{"zero-ns kernel", func(f *BenchFile) {
-			f.Backends["athread"].Kernels["euler_step"] = BenchKernel{Calls: 1, Ns: 0}
-		}},
-		{"negative recovery counter", func(f *BenchFile) {
-			f.Recovery = &BenchRecovery{Localized: -1}
-		}},
-		{"retransmitted exceeds retransmits", func(f *BenchFile) {
-			f.Recovery = &BenchRecovery{Retransmits: 1, Retransmitted: 2}
-		}},
-		{"zero phys workers", func(f *BenchFile) {
-			f.Phys = &BenchPhys{Workers: 0, Columns: 10}
-		}},
-		{"negative phys counter", func(f *BenchFile) {
-			f.Phys = &BenchPhys{Workers: 2, Chunks: -1}
-		}},
-		{"phys steals exceed attempts", func(f *BenchFile) {
-			f.Phys = &BenchPhys{Workers: 2, Steals: 3, StealAttempts: 1}
-		}},
-		{"phys worker slot mismatch", func(f *BenchFile) {
-			f.Phys = &BenchPhys{Workers: 4, Chunks: 6, WorkerChunks: []int64{6}}
-		}},
-		{"phys worker chunks don't sum", func(f *BenchFile) {
-			f.Phys = &BenchPhys{Workers: 2, Chunks: 6, WorkerChunks: []int64{1, 2}}
-		}},
-		{"nan phys sypd", func(f *BenchFile) {
-			f.Phys = &BenchPhys{Workers: 2, SerialSYPD: math.NaN()}
-		}},
-		{"zero integrity generations", func(f *BenchFile) {
-			f.Integrity = &BenchIntegrity{ScrubEvery: 1, Generations: 0}
-		}},
-		{"negative integrity scrub_every", func(f *BenchFile) {
-			f.Integrity = &BenchIntegrity{ScrubEvery: -1, Generations: 1}
-		}},
-		{"negative integrity counter", func(f *BenchFile) {
-			f.Integrity = &BenchIntegrity{ScrubEvery: 1, Generations: 1, ScrubDetections: -1}
-		}},
-		{"nan integrity overhead", func(f *BenchFile) {
-			f.Integrity = &BenchIntegrity{ScrubEvery: 1, Generations: 1, OverheadPct: math.NaN()}
-		}},
-	}
-	for _, tc := range cases {
-		f := good()
-		tc.mutate(f)
-		if err := f.Validate(); err == nil {
-			t.Errorf("%s: Validate accepted a bad file", tc.name)
-		}
-	}
-	var nilFile *BenchFile
-	if err := nilFile.Validate(); err == nil {
-		t.Error("nil file validated")
-	}
-	// A well-formed recovery block is accepted and survives the disk
-	// round trip; a file without one stays backward compatible (nil).
-	f := good()
-	f.Recovery = &BenchRecovery{
-		Retransmits: 4, Retransmitted: 3, Checkpoints: 7,
-		Localized: 2, Shrinks: 1, RecoveryWallNs: 5e6,
-	}
-	if err := f.Validate(); err != nil {
-		t.Fatalf("recovery block rejected: %v", err)
-	}
-	dir := t.TempDir()
-	p, err := WriteBenchFile(dir, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadBenchFile(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Recovery == nil || *got.Recovery != *f.Recovery {
-		t.Errorf("recovery round trip: got %+v, want %+v", got.Recovery, f.Recovery)
-	}
-	if _, err := WriteBenchFile(dir, good()); err != nil {
-		t.Fatal(err)
-	}
-	got2, err := LoadBenchFile(filepath.Join(dir, "BENCH_2.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got2.Recovery != nil {
-		t.Errorf("fault-free file grew a recovery block: %+v", got2.Recovery)
-	}
-	if got2.Phys != nil {
-		t.Errorf("adiabatic file grew a phys block: %+v", got2.Phys)
-	}
-
-	// A well-formed phys block round-trips, worker slices included.
-	pf := good()
-	pf.Config.Physics = "moist"
-	pf.Config.PhysWorkers = 4
-	pf.Phys = &BenchPhys{
-		Workers: 4, Columns: 1536, Chunks: 96, Steals: 11, StealAttempts: 40,
-		WorkerChunks: []int64{30, 24, 22, 20},
-		WorkerBusyNs: []int64{5e6, 4e6, 4e6, 3e6},
-		SerialSYPD:   1.5, ParallelSYPD: 2.25,
-	}
-	if err := pf.Validate(); err != nil {
-		t.Fatalf("phys block rejected: %v", err)
-	}
-	pp, err := WriteBenchFile(dir, pf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pgot, err := LoadBenchFile(pp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pgot.Phys == nil || pgot.Phys.Workers != 4 || pgot.Phys.Steals != 11 ||
-		len(pgot.Phys.WorkerChunks) != 4 || pgot.Phys.WorkerChunks[0] != 30 ||
-		pgot.Config.Physics != "moist" || pgot.Config.PhysWorkers != 4 {
-		t.Errorf("phys round trip: got %+v / config %+v", pgot.Phys, pgot.Config)
-	}
-	if pgot.Integrity != nil {
-		t.Errorf("defense-free file grew an integrity block: %+v", pgot.Integrity)
-	}
-
-	// A well-formed integrity block round-trips.
-	inf := good()
-	inf.Integrity = &BenchIntegrity{
-		ScrubEvery: 1, Generations: 3, Seals: 40, Verifies: 38,
-		FlipsInjected: 5, ScrubDetections: 3, LedgerDetections: 1,
-		PoisonedCopies: 1, Escalations: 1, PreShipRejects: 0,
-		ScrubNs: 2e6, StepNs: 9e7, OverheadPct: 2.2,
-	}
-	if err := inf.Validate(); err != nil {
-		t.Fatalf("integrity block rejected: %v", err)
-	}
-	ip, err := WriteBenchFile(dir, inf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	igot, err := LoadBenchFile(ip)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if igot.Integrity == nil || *igot.Integrity != *inf.Integrity {
-		t.Errorf("integrity round trip: got %+v, want %+v", igot.Integrity, inf.Integrity)
-	}
-}
-
 func TestStepReportRecoverySummary(t *testing.T) {
 	kt := NewKernelTable()
 	kt.Record("euler_step", "Athread", 100, 10, 20, 1, 1)
@@ -485,101 +272,5 @@ func TestStepReportRecoverySummary(t *testing.T) {
 	}
 	if txt := rep.Text(); !strings.Contains(txt, "recovery: 4/5 retransmits recovered") {
 		t.Errorf("report text missing recovery line:\n%s", txt)
-	}
-}
-
-// goodScaling builds a valid scaling block for mutation tests.
-func goodScaling() *BenchScaling {
-	pt := BenchScalingPoint{
-		Ne: 4, Ranks: 16, ElemsPerRank: 6, Steps: 3,
-		WallNs: 5e8, PerStepNs: 17e7, DynNs: 3e8, HaloNs: 1e8, CollNs: 2e7,
-		WireBytes: 1 << 20, Msgs: 4096, RankBytes: 8 << 20,
-		SYPD: 0.8, Flops: 1e9, MemBytes: 4e9,
-	}
-	pt2 := pt
-	pt2.Ranks, pt2.ElemsPerRank = 32, 3
-	return &BenchScaling{
-		Mode: "calibrated", Backend: "athread", BudgetBytes: 512 << 20,
-		Weak:   []BenchScalingPoint{pt},
-		Strong: []BenchScalingPoint{pt, pt2},
-		Fit: &BenchScalingFit{
-			NsPerFlop: 0.4, NsPerByte: 0.1, NsPerMsg: 1200,
-			NsPerWireByte: 0.05, FixedNs: 3e5, Points: 3, ResidualRMS: 0.07,
-		},
-		Projection: []BenchScalingProjection{
-			{Ne: 256, ResKm: 11.7, Ranks: 38400, SYPD: 2.1, ModelSYPD: 3.4},
-			{Ne: 4000, ResKm: 0.75, Ranks: 163840, SYPD: 0.02, ModelSYPD: 0.09},
-		},
-	}
-}
-
-// TestBenchScalingValidate: the scaling block's invariants, and that a
-// scaling-only file (no backends) is a legal benchmark.
-func TestBenchScalingValidate(t *testing.T) {
-	good := func() *BenchFile {
-		f := NewBenchFile(BenchConfig{Ne: 4, Nlev: 8, Qsize: 2, Steps: 3, Ranks: 16})
-		f.Backends = nil
-		f.Scaling = goodScaling()
-		return f
-	}
-	if err := good().Validate(); err != nil {
-		t.Fatalf("good scaling-only file invalid: %v", err)
-	}
-	cases := []struct {
-		name   string
-		mutate func(*BenchFile)
-	}{
-		{"bad mode", func(f *BenchFile) { f.Scaling.Mode = "guessed" }},
-		{"no backend", func(f *BenchFile) { f.Scaling.Backend = "" }},
-		{"negative budget", func(f *BenchFile) { f.Scaling.BudgetBytes = -1 }},
-		{"no points", func(f *BenchFile) { f.Scaling.Weak, f.Scaling.Strong = nil, nil }},
-		{"zero-rank point", func(f *BenchFile) { f.Scaling.Weak[0].Ranks = 0 }},
-		{"zero-wall point", func(f *BenchFile) { f.Scaling.Strong[1].WallNs = 0 }},
-		{"nan sypd point", func(f *BenchFile) { f.Scaling.Weak[0].SYPD = math.NaN() }},
-		{"negative phase ns", func(f *BenchFile) { f.Scaling.Strong[0].CollNs = -5 }},
-		{"calibrated without fit", func(f *BenchFile) { f.Scaling.Fit = nil }},
-		{"nan fit coefficient", func(f *BenchFile) { f.Scaling.Fit.NsPerMsg = math.Inf(1) }},
-		{"zero-point fit", func(f *BenchFile) { f.Scaling.Fit.Points = 0 }},
-		{"zero-res projection", func(f *BenchFile) { f.Scaling.Projection[0].ResKm = 0 }},
-		{"inf projection sypd", func(f *BenchFile) { f.Scaling.Projection[1].SYPD = math.Inf(1) }},
-		{"negative model sypd", func(f *BenchFile) { f.Scaling.Projection[0].ModelSYPD = -1 }},
-	}
-	for _, tc := range cases {
-		f := good()
-		tc.mutate(f)
-		if err := f.Validate(); err == nil {
-			t.Errorf("%s: Validate accepted a bad scaling block", tc.name)
-		}
-	}
-	// measured mode needs no fit.
-	f := good()
-	f.Scaling.Mode = "measured"
-	f.Scaling.Fit = nil
-	f.Scaling.Projection = nil
-	if err := f.Validate(); err != nil {
-		t.Errorf("measured-mode block without fit rejected: %v", err)
-	}
-}
-
-// TestBenchScalingRoundTrip: the block survives the disk round trip
-// bit-for-bit at the field level.
-func TestBenchScalingRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	f := NewBenchFile(BenchConfig{Ne: 4, Nlev: 8, Qsize: 2, Steps: 3, Ranks: 16})
-	f.Backends = nil
-	f.Scaling = goodScaling()
-	p, err := WriteBenchFile(dir, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadBenchFile(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Scaling == nil {
-		t.Fatal("scaling block lost in round trip")
-	}
-	if !reflect.DeepEqual(got.Scaling, f.Scaling) {
-		t.Errorf("round trip changed the block:\n got %+v\nwant %+v", got.Scaling, f.Scaling)
 	}
 }

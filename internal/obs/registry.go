@@ -349,7 +349,7 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 
 // EncodeJSON writes v as indented JSON with a trailing newline — the
 // one JSON encoder every obs output format (registry dumps, StepReport,
-// BENCH files, benchtab -json) shares.
+// benchtab -json) shares.
 func EncodeJSON(w io.Writer, v any) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

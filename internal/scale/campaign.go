@@ -51,6 +51,27 @@ type Campaign struct {
 	Cfg Config
 }
 
+// Point is one measured configuration of a scaling sweep: a real
+// goroutine-rank run at (Ne, Ranks) with its per-phase wall-time
+// attribution and memory accounting.
+type Point struct {
+	Ne           int
+	Ranks        int
+	ElemsPerRank int // max local elements on any rank
+	Steps        int
+	WallNs       int64   // whole-run wall time
+	DynNs        int64   // kernel time, summed over ranks
+	HaloNs       int64   // DSS exchange time, summed over ranks
+	CollNs       int64   // collective time, summed over ranks
+	WireBytes    int64   // halo bytes crossing rank boundaries
+	Msgs         int64   // point-to-point messages sent
+	RankBytes    int64   // per-rank resident state footprint
+	SYPD         float64 // simulated years per day at this point
+	Flops        int64   // accounted kernel flops, whole run
+	MemBytes     int64   // accounted kernel bytes, whole run
+	PerStepNs    int64   // WallNs / Steps, the curve's y-axis
+}
+
 // ErrBudget reports a configuration refused by the memory budget.
 type ErrBudget struct {
 	Ne, Ranks    int
@@ -94,11 +115,11 @@ func (c *Campaign) CheckBudget(ne, ranks int) error {
 }
 
 // RunPoint measures one (ne, ranks) configuration: a real distributed
-// run of Cfg.Steps dynamics steps, instrumented, returning the BENCH
+// run of Cfg.Steps dynamics steps, instrumented, returning the
 // scaling point with its per-phase attribution. The per-rank budget is
 // enforced before the job is built.
-func (c *Campaign) RunPoint(ne, ranks int) (obs.BenchScalingPoint, error) {
-	var pt obs.BenchScalingPoint
+func (c *Campaign) RunPoint(ne, ranks int) (Point, error) {
+	var pt Point
 	cfg := c.dycoreCfg(ne)
 	elems := 6 * ne * ne
 	if ranks > elems {
@@ -152,7 +173,7 @@ func (c *Campaign) RunPoint(ne, ranks int) (obs.BenchScalingPoint, error) {
 		}
 	}
 	reg := probe.R()
-	pt = obs.BenchScalingPoint{
+	pt = Point{
 		Ne:           ne,
 		Ranks:        ranks,
 		ElemsPerRank: epr,
@@ -175,8 +196,8 @@ func (c *Campaign) RunPoint(ne, ranks int) (obs.BenchScalingPoint, error) {
 // StrongSweep holds ne fixed and scales the rank count — the strong-
 // scaling curve. Rank counts exceeding the element count or the memory
 // budget are skipped (reported via the skip callback when non-nil).
-func (c *Campaign) StrongSweep(ne int, ranks []int, skip func(ranks int, why error)) ([]obs.BenchScalingPoint, error) {
-	var out []obs.BenchScalingPoint
+func (c *Campaign) StrongSweep(ne int, ranks []int, skip func(ranks int, why error)) ([]Point, error) {
+	var out []Point
 	for _, r := range ranks {
 		pt, err := c.RunPoint(ne, r)
 		if err != nil {
@@ -201,14 +222,14 @@ func (c *Campaign) StrongSweep(ne int, ranks []int, skip func(ranks int, why err
 // ranks, picking for each rank count the ne whose cube-sphere comes
 // closest to ranks × target elements. Duplicate (ne, ranks) pairs after
 // rounding are dropped.
-func (c *Campaign) WeakSweep(ranks []int, skip func(ranks int, why error)) ([]obs.BenchScalingPoint, error) {
+func (c *Campaign) WeakSweep(ranks []int, skip func(ranks int, why error)) ([]Point, error) {
 	target := c.Cfg.WeakElemsPerRank
 	if target < 1 {
 		target = 6
 	}
 	type key struct{ ne, ranks int }
 	seen := make(map[key]bool)
-	var out []obs.BenchScalingPoint
+	var out []Point
 	for _, r := range ranks {
 		// 6·ne² ≈ r·target
 		ne := int(math.Round(math.Sqrt(float64(r*target) / 6)))

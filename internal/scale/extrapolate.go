@@ -21,7 +21,7 @@ type unitCosts struct {
 	wireUnit         float64 // wire bytes per rank-step per √(elems/rank)
 }
 
-func deriveUnits(points []obs.BenchScalingPoint) (unitCosts, error) {
+func deriveUnits(points []Point) (unitCosts, error) {
 	var u unitCosts
 	if len(points) == 0 {
 		return u, fmt.Errorf("scale: no measured points to derive unit costs from")
@@ -43,6 +43,18 @@ func deriveUnits(points []obs.BenchScalingPoint) (unitCosts, error) {
 	return u, nil
 }
 
+// Projection is one row of the NGGPS-style extrapolation table: a
+// resolution, the rank count it would run at, and the SYPD the
+// calibrated model (the host's measured coefficients scaled out) and the
+// TaihuLight machine model predict.
+type Projection struct {
+	Ne        int
+	ResKm     float64
+	Ranks     int
+	SYPD      float64 // calibrated-coefficients projection
+	ModelSYPD float64 // analytic TaihuLight model
+}
+
 // Extrapolate produces the NGGPS-style SYPD-vs-resolution table: for
 // each target ne it sizes the full-machine run (one rank per core
 // group, capped at one element per rank), bills ONE rank's per-step
@@ -55,8 +67,8 @@ func deriveUnits(points []obs.BenchScalingPoint) (unitCosts, error) {
 // the table shows measured-calibrated and modeled predictions side by
 // side the way the paper's Fig. 10 compares measured points against its
 // model curve.
-func Extrapolate(fit obs.BenchScalingFit, points []obs.BenchScalingPoint,
-	nes []int, machineRanks, nlev, qsize int) ([]obs.BenchScalingProjection, error) {
+func Extrapolate(fit Coeffs, points []Point,
+	nes []int, machineRanks, nlev, qsize int) ([]Projection, error) {
 	if machineRanks < 1 {
 		machineRanks = perf.TotalCGs
 	}
@@ -64,7 +76,7 @@ func Extrapolate(fit obs.BenchScalingFit, points []obs.BenchScalingPoint,
 	if err != nil {
 		return nil, err
 	}
-	var rows []obs.BenchScalingProjection
+	var rows []Projection
 	for _, ne := range nes {
 		if ne < 1 {
 			return nil, fmt.Errorf("scale: extrapolation ne %d", ne)
@@ -91,7 +103,7 @@ func Extrapolate(fit obs.BenchScalingFit, points []obs.BenchScalingPoint,
 		stepSec, _ := hc.StepTime(ranks, true)
 		modelSypd := obs.SYPD(dt, stepSec)
 
-		rows = append(rows, obs.BenchScalingProjection{
+		rows = append(rows, Projection{
 			Ne:        ne,
 			ResKm:     3000 / float64(ne),
 			Ranks:     ranks,

@@ -3,9 +3,20 @@ package scale
 import (
 	"fmt"
 	"math"
-
-	"swcam/internal/obs"
 )
+
+// Coeffs is the calibrated cost model: per-step rank time fitted as
+// a·flops + b·membytes + c·msgs + d·wirebytes + e over the measured
+// points.
+type Coeffs struct {
+	NsPerFlop     float64
+	NsPerByte     float64
+	NsPerMsg      float64
+	NsPerWireByte float64
+	FixedNs       float64
+	Points        int     // measurements fitted
+	ResidualRMS   float64 // RMS relative residual over the fit
+}
 
 // Fit least-squares calibrates the additive cost model
 //
@@ -28,15 +39,15 @@ import (
 // noisy sweep from fitting a negative latency or fixed term that would
 // predict negative step times downstream. At least 5 points with
 // genuinely varying predictors are required, and more are better.
-func Fit(points []obs.BenchScalingPoint) (obs.BenchScalingFit, error) {
-	var fit obs.BenchScalingFit
+func Fit(points []Point) (Coeffs, error) {
+	var fit Coeffs
 	if len(points) < 5 {
 		return fit, fmt.Errorf("scale: fit needs >= 5 measured points, have %d", len(points))
 	}
 	const k = 4
 	var ata [k][k]float64
 	var atb [k]float64
-	predictors := func(p obs.BenchScalingPoint) [k]float64 {
+	predictors := func(p Point) [k]float64 {
 		steps := float64(p.Steps)
 		return [k]float64{
 			float64(p.Flops) / steps,
@@ -59,7 +70,7 @@ func Fit(points []obs.BenchScalingPoint) (obs.BenchScalingFit, error) {
 	if err != nil {
 		return fit, err
 	}
-	fit = obs.BenchScalingFit{
+	fit = Coeffs{
 		NsPerFlop:     coef[0],
 		NsPerMsg:      coef[1],
 		NsPerWireByte: coef[2],
@@ -88,7 +99,7 @@ func Fit(points []obs.BenchScalingPoint) (obs.BenchScalingFit, error) {
 }
 
 // PredictPerStepNs evaluates a fitted model on per-step workload totals.
-func PredictPerStepNs(fit obs.BenchScalingFit, flops, memBytes, msgs, wireBytes float64) float64 {
+func PredictPerStepNs(fit Coeffs, flops, memBytes, msgs, wireBytes float64) float64 {
 	return fit.NsPerFlop*flops + fit.NsPerByte*memBytes +
 		fit.NsPerMsg*msgs + fit.NsPerWireByte*wireBytes + fit.FixedNs
 }

@@ -6,13 +6,11 @@ import (
 	"testing"
 
 	"swcam/internal/exec"
-	"swcam/internal/obs"
 )
 
 // TestCampaignMeasuredPoint runs one real tiny sweep point end to end
 // and checks the measurement is complete: every phase bucket saw time,
-// the workload counters are populated, and the point passes the BENCH
-// scaling-block validation embedded in a file.
+// and the workload counters are populated.
 func TestCampaignMeasuredPoint(t *testing.T) {
 	c := &Campaign{Cfg: Config{
 		Backend: exec.Intel, Nlev: 4, Qsize: 1, Steps: 2, Overlap: true,
@@ -52,16 +50,6 @@ func TestCampaignMeasuredPoint(t *testing.T) {
 	if pt.SYPD <= 0 || math.IsNaN(pt.SYPD) {
 		t.Errorf("SYPD %v", pt.SYPD)
 	}
-	f := obs.NewBenchFile(obs.BenchConfig{Ne: 2, Nlev: 4, Qsize: 1, Steps: 2, Ranks: 4})
-	f.Backends = nil
-	f.Scaling = &obs.BenchScaling{
-		Mode: "measured", Backend: "intel",
-		BudgetBytes: c.Cfg.BudgetBytes,
-		Strong:      []obs.BenchScalingPoint{pt},
-	}
-	if err := f.Validate(); err != nil {
-		t.Errorf("measured point fails BENCH validation: %v", err)
-	}
 }
 
 // TestCampaignBudgetRefusal: a configuration whose busiest rank would
@@ -91,8 +79,7 @@ func TestCampaignBudgetRefusal(t *testing.T) {
 }
 
 // TestCampaignStrongSweep measures a real three-point strong curve and
-// checks it is usable: per-rank load falls as ranks grow, every point
-// validates.
+// checks it is usable: per-rank load falls as ranks grow.
 func TestCampaignStrongSweep(t *testing.T) {
 	c := &Campaign{Cfg: Config{Backend: exec.Intel, Nlev: 4, Qsize: 1, Steps: 1, Overlap: true}}
 	pts, err := c.StrongSweep(2, []int{2, 4, 8}, nil)
@@ -136,13 +123,13 @@ func TestCampaignWeakSweep(t *testing.T) {
 // equations, pivoting, or predictor assembly were wrong, exact synthetic
 // data would not round-trip.
 func TestFitRecoversSyntheticCoefficients(t *testing.T) {
-	want := obs.BenchScalingFit{
+	want := Coeffs{
 		NsPerFlop:     0.37,
 		NsPerMsg:      1450,
 		NsPerWireByte: 0.052,
 		FixedNs:       2.4e5,
 	}
-	var pts []obs.BenchScalingPoint
+	var pts []Point
 	for i, w := range []struct {
 		flops, msgs, wire float64
 	}{
@@ -157,7 +144,7 @@ func TestFitRecoversSyntheticCoefficients(t *testing.T) {
 		const steps = 2
 		y := want.NsPerFlop*w.flops +
 			want.NsPerMsg*w.msgs + want.NsPerWireByte*w.wire + want.FixedNs
-		pts = append(pts, obs.BenchScalingPoint{
+		pts = append(pts, Point{
 			Ne: 2 + i, Ranks: 4, ElemsPerRank: 6, Steps: steps,
 			Flops: int64(w.flops * steps), MemBytes: int64(w.flops * steps * 3),
 			Msgs: int64(w.msgs * steps), WireBytes: int64(w.wire * steps),
@@ -194,13 +181,13 @@ func TestFitRecoversSyntheticCoefficients(t *testing.T) {
 // would be singular; the fit must handle this family, because it is
 // what every single-configuration campaign produces.
 func TestFitAcceptsProportionalMemBytes(t *testing.T) {
-	var pts []obs.BenchScalingPoint
+	var pts []Point
 	wires := []float64{6e5, 4e5, 2.5e6, 1e6, 7e6, 9e5}
 	for i, f := range []float64{1e7, 2e7, 4e7, 8e7, 1.6e8, 3e7} {
 		msgs := float64(200 + 700*i%1100)
 		wire := wires[i]
 		y := 0.5*f + 1000*msgs + 0.04*wire + 1e5
-		pts = append(pts, obs.BenchScalingPoint{
+		pts = append(pts, Point{
 			Ne: 2 + i, Ranks: 4, ElemsPerRank: 6, Steps: 1,
 			Flops: int64(f), MemBytes: int64(2.75 * f), // exactly collinear
 			Msgs: int64(msgs), WireBytes: int64(wire),
@@ -222,11 +209,11 @@ func TestFitAcceptsProportionalMemBytes(t *testing.T) {
 // — negative rates predict negative step times once extrapolated.
 func TestFitClampsNegativeCoefficients(t *testing.T) {
 	wires := []float64{6e5, 4e5, 2.5e6, 1e6, 7e6, 9e5}
-	var pts []obs.BenchScalingPoint
+	var pts []Point
 	for i, f := range []float64{1e7, 2e7, 4e7, 8e7, 1.6e8, 3e7} {
 		msgs := float64(200 + 700*i%1100)
 		y := 0.5*f + 0.04*wires[i] + 1e5 - 800*msgs // negative msg "cost"
-		pts = append(pts, obs.BenchScalingPoint{
+		pts = append(pts, Point{
 			Ne: 2 + i, Ranks: 4, ElemsPerRank: 6, Steps: 1,
 			Flops: int64(f), MemBytes: int64(3 * f),
 			Msgs: int64(msgs), WireBytes: int64(wires[i]),
@@ -258,12 +245,12 @@ func TestFitRejectsDegenerate(t *testing.T) {
 		t.Error("empty fit accepted")
 	}
 	// Seven identical points: the normal equations are rank-1.
-	p := obs.BenchScalingPoint{
+	p := Point{
 		Ne: 2, Ranks: 4, ElemsPerRank: 6, Steps: 1,
 		Flops: 1e7, MemBytes: 3e7, Msgs: 100, WireBytes: 5e5,
 		PerStepNs: 1e7, WallNs: 1e7, SYPD: 1,
 	}
-	pts := make([]obs.BenchScalingPoint, 7)
+	pts := make([]Point, 7)
 	for i := range pts {
 		pts[i] = p
 	}
@@ -273,14 +260,14 @@ func TestFitRejectsDegenerate(t *testing.T) {
 }
 
 // TestExtrapolateTable: the projection rows are well-formed, rank
-// counts cap at the machine size, resolution sharpens with ne, and the
-// whole thing passes the BENCH schema validation.
+// counts cap at the machine size, resolution sharpens with ne, and both
+// SYPD columns are finite and positive.
 func TestExtrapolateTable(t *testing.T) {
-	fit := obs.BenchScalingFit{
+	fit := Coeffs{
 		NsPerFlop: 0.4, NsPerByte: 0.1, NsPerMsg: 1200,
 		NsPerWireByte: 0.05, FixedNs: 3e5, Points: 6, ResidualRMS: 0.05,
 	}
-	measured := []obs.BenchScalingPoint{
+	measured := []Point{
 		{Ne: 4, Ranks: 16, ElemsPerRank: 6, Steps: 2,
 			Flops: 2e9, MemBytes: 6e9, Msgs: 2000, WireBytes: 4e7,
 			PerStepNs: 5e8, WallNs: 1e9, SYPD: 0.5},
@@ -312,14 +299,10 @@ func TestExtrapolateTable(t *testing.T) {
 		if i > 0 && r.SYPD > rows[i-1].SYPD {
 			t.Errorf("calibrated SYPD rose with resolution: %+v", rows)
 		}
-	}
-	f := obs.NewBenchFile(obs.BenchConfig{Ne: 4, Nlev: 4, Qsize: 1, Steps: 2, Ranks: 16})
-	f.Backends = nil
-	f.Scaling = &obs.BenchScaling{
-		Mode: "calibrated", Backend: "intel",
-		Strong: measured, Fit: &fit, Projection: rows,
-	}
-	if err := f.Validate(); err != nil {
-		t.Errorf("extrapolation table fails BENCH validation: %v", err)
+		for _, v := range []float64{r.SYPD, r.ModelSYPD} {
+			if v <= 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Errorf("row %d SYPD %v not positive-finite: %+v", i, v, r)
+			}
+		}
 	}
 }

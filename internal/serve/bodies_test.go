@@ -465,6 +465,28 @@ func TestSamplersBuildOutsideLock(t *testing.T) {
 	wg.Wait()
 }
 
+// TestSamplersBoundedLRU: a stream of distinct shapes keeps at most
+// maxSamplerShapes cached, a shape in steady use keeps its one sampler
+// throughout, and a shape that fell out is rebuilt on its next request.
+func TestSamplersBoundedLRU(t *testing.T) {
+	m := mesh.New(2, 4)
+	sc := samplers{build: func(*mesh.Mesh, int, int) *core.Sampler { return new(core.Sampler) }}
+	hot := sc.get(m, 16, 8)
+	first := sc.get(m, 100, 4)
+	for i := 1; i < 100; i++ {
+		sc.get(m, 100+i, 4)
+		if sp := sc.get(m, 16, 8); sp != hot {
+			t.Fatalf("after %d distinct shapes the shape in steady use got a new sampler", i)
+		}
+		if n := len(sc.cache); n > maxSamplerShapes {
+			t.Fatalf("after %d distinct shapes %d are cached, cap %d", i, n, maxSamplerShapes)
+		}
+	}
+	if sc.get(m, 100, 4) == first {
+		t.Error("the least recently used shape was never evicted")
+	}
+}
+
 // TestPointNodeMatchesBruteForce: /v1/point's node is the old
 // brute-force scan's for seeded random points, the poles, cube edges
 // and cube corners, and its body is the old renderer's.

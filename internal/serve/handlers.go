@@ -230,24 +230,48 @@ func (s *Server) readMember(w http.ResponseWriter, idx int) (*dycore.State, Meta
 	return nil, Meta{}, false
 }
 
+// maxSamplerShapes bounds the sampler cache. A client may request any
+// grid shape up to the validation limits, so the cache keeps only the
+// most recently used shapes; a steady query mix uses far fewer.
+const maxSamplerShapes = 8
+
 // samplers caches lat-lon samplers per grid shape: building one searches
 // the mesh for every grid point, so a steady query mix pays that once
-// per shape.
+// per shape. At most maxSamplerShapes are kept, least recently used
+// evicted first.
 type samplers struct {
 	mu    sync.Mutex
-	cache map[[2]int]*core.Sampler
+	cache map[[2]int]*samplerEntry
+	tick  uint64 // use clock: an entry's used is the tick of its last get
 
 	// build, when set, replaces core.NewSampler — the test lever for a
 	// slow build.
 	build func(m *mesh.Mesh, nlon, nlat int) *core.Sampler
 }
 
+type samplerEntry struct {
+	sp   *core.Sampler
+	used uint64
+}
+
+// lookup returns the cached sampler for key and marks it used. The
+// caller holds sc.mu.
+func (sc *samplers) lookup(key [2]int) *core.Sampler {
+	e, ok := sc.cache[key]
+	if !ok {
+		return nil
+	}
+	sc.tick++
+	e.used = sc.tick
+	return e.sp
+}
+
 func (sc *samplers) get(m *mesh.Mesh, nlon, nlat int) *core.Sampler {
 	key := [2]int{nlon, nlat}
 	sc.mu.Lock()
-	sp, ok := sc.cache[key]
+	sp := sc.lookup(key)
 	sc.mu.Unlock()
-	if ok {
+	if sp != nil {
 		return sp
 	}
 	// Build outside the lock, so a first request for a new shape never
@@ -260,13 +284,24 @@ func (sc *samplers) get(m *mesh.Mesh, nlon, nlat int) *core.Sampler {
 	sp = build(m, nlon, nlat)
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	if won, ok := sc.cache[key]; ok {
+	if won := sc.lookup(key); won != nil {
 		return won
 	}
 	if sc.cache == nil {
-		sc.cache = map[[2]int]*core.Sampler{}
+		sc.cache = map[[2]int]*samplerEntry{}
 	}
-	sc.cache[key] = sp
+	if len(sc.cache) >= maxSamplerShapes {
+		var lru [2]int
+		oldest := ^uint64(0)
+		for k, e := range sc.cache {
+			if e.used < oldest {
+				lru, oldest = k, e.used
+			}
+		}
+		delete(sc.cache, lru)
+	}
+	sc.tick++
+	sc.cache[key] = &samplerEntry{sp: sp, used: sc.tick}
 	return sp
 }
 
