@@ -34,7 +34,9 @@ fuzz:
 bench:
 	$(GO) run ./benchmark
 
-# Kernel Cost parity: the lowered-kernel differential tests and the
+# Kernel Cost parity: the lowered-kernel differential tests, the full
+# compute_and_apply_rhs Cost golden on all four backends, the column
+# scan collective against its point-to-point oracle, and the
 # four-backend golden, which re-runs the flip-chaos configuration
 # recorded in bench/BENCH_9.json on every backend and requires every
 # per-kernel calls/flops/bytes column to match it exactly, every
@@ -42,8 +44,8 @@ bench:
 # to a fault-free replica's. Mirrors the CI kernel-parity job.
 kernel-parity:
 	$(GO) test -race -count=1 \
-	    -run 'TestLoweredKernel|TestHypervisUpdateFlopParity|TestAthreadDP2VectorCounters|TestAnalyticFormulasDerivedFromSpecs|TestRowLevelsEdgeCases|TestBench9ConfigGoldens' \
-	    ./internal/exec/ ./internal/core/
+	    -run 'TestLoweredKernel|TestHypervisUpdateFlopParity|TestAthreadDP2VectorCounters|TestAnalyticFormulasDerivedFromSpecs|TestRowLevelsEdgeCases|TestRHSCostGoldens|TestColumnScanBatchMatchesChain|TestColumnScanCollectiveFaults|TestBench9ConfigGoldens' \
+	    ./internal/exec/ ./internal/core/ ./internal/sw/
 
 # The measured scaling campaign (internal/scale): real weak+strong
 # goroutine-rank sweeps on this box up to 256 ranks, the calibrated

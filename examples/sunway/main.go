@@ -32,7 +32,11 @@ func main() {
 	})
 
 	// 2. The three-stage column scan of §7.4: a 128-level prefix sum
-	// distributed over the 8 mesh rows.
+	// distributed over the 8 mesh rows. Each row sums its 16 levels, the
+	// carries pass down the mesh column — charged as one register message
+	// per row, run as one collective of the column — and each row adds
+	// its carry. sw.ColumnScanBatch does the same for many node columns
+	// at once.
 	fmt.Println("\n== register-communication scan (Figure 2) ==")
 	const perCPE = 16
 	results := make([]float64, 128)

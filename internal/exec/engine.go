@@ -233,13 +233,6 @@ func (en *Engine) maxRowLevels() int {
 	return base
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // collect merges the per-worker core-group counters into one Cost and
 // resets them. Counters are merged per CPE id — CPE i's events summed
 // across every worker's core group — which reconstructs exactly the

@@ -227,12 +227,22 @@ func (en *Engine) rhsOpenACC(sub Subset, sel *ElemSubset, cur, base, out *dycore
 	return en.collectSplit(OpenACC, sub.Phase)
 }
 
+// level4 views the np = 4 level slab of s at offset o as an array, so
+// loops over its 16 nodes carry no bounds checks.
+func level4(s []float64, o int) *[16]float64 { return (*[16]float64)(s[o : o+16]) }
+
 // rhsAthread is the fine-grained redesign: one element per CPE-mesh
 // column, the vertical split into 8 row blocks (Figure 2), and the three
 // vertical dependency chains — pressure, geopotential, omega — carried
-// across rows by register communication (§7.4). Inner loops are
-// vectorized. The scan regrouping changes floating-point rounding at the
-// 1e-15 relative level against the serial backends.
+// across rows by register communication (§7.4). Each chain is one
+// batched column scan over the element's np² nodes (sw.ColumnScanBatch),
+// which charges every CPE what one scalar register chain per node costs.
+// The pointwise blocks — mass flux, kinetic energy, tendencies — are
+// charged as the Vec4 loops of the paper's vectorized kernel and run as
+// plain np = 4 loops, each node's operations in the order of its Vec4
+// lane. Once a row holds more than one level, the scan regrouping
+// changes floating-point rounding at the 1e-15 relative level against
+// the serial backends.
 func (en *Engine) rhsAthread(sub Subset, sel *ElemSubset, cur, base, out *dycore.State, dt float64) Cost {
 	np := en.Np
 	npsq := np * np
@@ -262,8 +272,12 @@ func (en *Engine) rhsAthread(sub Subset, sel *ElemSubset, cur, base, out *dycore
 			divDp := ldm.MustAlloc("divDp", maxSlab)[:slab]
 			cumDiv := ldm.MustAlloc("cumDiv", maxSlab)[:slab]
 
-			colIn := ldm.MustAlloc("colIn", maxVl)[:vl]
-			colOut := ldm.MustAlloc("colOut", maxVl)[:vl]
+			// The paper's kernel stages one node's levels for its scalar
+			// register chain. The batched scan reads the slabs in place,
+			// but the LDM plan keeps the staging, so the modelled
+			// footprint stays the §7.4 kernel's.
+			ldm.MustAlloc("colIn", maxVl)
+			ldm.MustAlloc("colOut", maxVl)
 
 			flxU := ldm.MustAlloc("flxU", npsq)
 			flxV := ldm.MustAlloc("flxV", npsq)
@@ -302,74 +316,67 @@ func (en *Engine) rhsAthread(sub Subset, sel *ElemSubset, cur, base, out *dycore
 				c.DMA.Get(tT, cur.T[le][s*npsq:s*npsq+slab])
 				c.DMA.Get(dpT, cur.DP[le][s*npsq:s*npsq+slab])
 
-				// Pressure: exclusive column scan of dp per node, carried
-				// down the CPE column by register communication, then the
-				// midpoint offset.
-				for n := 0; n < npsq; n++ {
-					for k := 0; k < vl; k++ {
-						colIn[k] = dpT[k*npsq+n]
-					}
-					sw.ColumnScanExclusive(c, colIn, colOut, dycore.PTop)
-					for k := 0; k < vl; k++ {
-						pMid[k*npsq+n] = colOut[k] + colIn[k]/2
-					}
-					c.CountFlops(int64(2 * vl))
+				// Coriolis parameter 2Ω·sin(lat), once per element, in place.
+				for n, x := range lat {
+					lat[n] = 2 * dycore.Omega * math.Sin(x)
 				}
+				f := level4(lat, 0)
 
-				// Mass-flux divergence per level (vectorized).
+				// Pressure: exclusive column scan of dp from the model top,
+				// then the midpoint offset.
+				for n := range gv1 {
+					gv1[n] = dycore.PTop
+				}
+				sw.ColumnScanBatch(c, sw.ScanExclusive, dpT, pMid, gv1, 0)
+				for i, dp := range dpT {
+					pMid[i] += dp / 2
+				}
+				c.CountFlops(int64(2 * slab))
+
+				// Mass-flux divergence per level.
+				fu, fv := level4(flxU, 0), level4(flxV, 0)
 				for k := 0; k < vl; k++ {
 					o := k * npsq
-					for j := 0; j < np; j++ {
-						uv := sw.LoadVec4(uT, o+4*j)
-						vv := sw.LoadVec4(vT, o+4*j)
-						dv := sw.LoadVec4(dpT, o+4*j)
-						uv.Mul(dv).Store(flxU, 4*j)
-						vv.Mul(dv).Store(flxV, 4*j)
+					u, v, dp := level4(uT, o), level4(vT, o), level4(dpT, o)
+					for n := range fu {
+						fu[n] = u[n] * dp[n]
+						fv[n] = v[n] * dp[n]
 					}
 					c.CountVecFlops(int64(2 * npsq))
 					divergenceSlabVec4(c, deriv, dinv, metdet, e.DAlpha, flxU, flxV, divDp[o:o+npsq], gv1, gv2)
 				}
 
 				// Geopotential: reverse (surface-to-top) scan of
-				// Rd T dp / pMid with the half-level fraction.
-				for n := 0; n < npsq; n++ {
-					for k := 0; k < vl; k++ {
-						i := k*npsq + n
-						colIn[k] = dycore.Rd * tT[i] * dpT[i] / pMid[i]
-					}
-					c.CountFlops(int64(3 * vl))
-					sw.ColumnScanReverse(c, colIn, colOut, phis[n], 0.5)
-					for k := 0; k < vl; k++ {
-						phi[k*npsq+n] = colOut[k]
-					}
+				// Rd T dp / pMid with the half-level fraction, in place.
+				for i := range phi {
+					phi[i] = dycore.Rd * tT[i] * dpT[i] / pMid[i]
 				}
+				c.CountFlops(int64(3 * slab))
+				sw.ColumnScanBatch(c, sw.ScanReverse, phi, phi, phis, 0.5)
 
 				// Omega running sum: exclusive scan of divDp plus half-level.
-				for n := 0; n < npsq; n++ {
-					for k := 0; k < vl; k++ {
-						colIn[k] = divDp[k*npsq+n]
-					}
-					sw.ColumnScanExclusive(c, colIn, colOut, 0)
-					for k := 0; k < vl; k++ {
-						cumDiv[k*npsq+n] = colOut[k] + colIn[k]/2
-					}
-					c.CountFlops(int64(2 * vl))
+				clear(gv1)
+				sw.ColumnScanBatch(c, sw.ScanExclusive, divDp, cumDiv, gv1, 0)
+				for i, d := range divDp {
+					cumDiv[i] += d / 2
 				}
+				c.CountFlops(int64(2 * slab))
 
 				c.DMA.Get(oU, base.U[le][s*npsq:s*npsq+slab])
 				c.DMA.Get(oV, base.V[le][s*npsq:s*npsq+slab])
 				c.DMA.Get(oT, base.T[le][s*npsq:s*npsq+slab])
 				c.DMA.Get(oDP, base.DP[le][s*npsq:s*npsq+slab])
 
-				// Per-level horizontal terms and vectorized tendencies.
+				// Per-level horizontal terms and tendencies.
+				ke4, vort4 := level4(ke, 0), level4(vort, 0)
+				gx4, gy4, gpx4, gpy4 := level4(gx, 0), level4(gy, 0), level4(gpx, 0), level4(gpy, 0)
+				tx4, ty4 := level4(tx, 0), level4(ty, 0)
 				for k := 0; k < vl; k++ {
 					o := k * npsq
-					for j := 0; j < np; j++ {
-						uv := sw.LoadVec4(uT, o+4*j)
-						vv := sw.LoadVec4(vT, o+4*j)
-						pv := sw.LoadVec4(phi, o+4*j)
-						kev := uv.Mul(uv).Add(vv.Mul(vv)).Scale(0.5).Add(pv)
-						kev.Store(ke, 4*j)
+					u, v, t, p := level4(uT, o), level4(vT, o), level4(tT, o), level4(pMid, o)
+					ph := level4(phi, o)
+					for n := range ke4 {
+						ke4[n] = (u[n]*u[n]+v[n]*v[n])*0.5 + ph[n]
 					}
 					c.CountVecFlops(int64(4 * npsq))
 					gradientSlabVec4(c, deriv, dinv, e.DAlpha, ke, gx, gy, gv1, gv2)
@@ -377,33 +384,20 @@ func (en *Engine) rhsAthread(sub Subset, sel *ElemSubset, cur, base, out *dycore
 					gradientSlabVec4(c, deriv, dinv, e.DAlpha, tT[o:o+npsq], tx, ty, gv1, gv2)
 					vorticitySlabVec4(c, deriv, dflat, metdet, e.DAlpha, uT[o:o+npsq], vT[o:o+npsq], vort, gv1, gv2)
 
-					for j := 0; j < np; j++ {
-						fv := sw.Vec4{
-							2 * dycore.Omega * math.Sin(lat[4*j]),
-							2 * dycore.Omega * math.Sin(lat[4*j+1]),
-							2 * dycore.Omega * math.Sin(lat[4*j+2]),
-							2 * dycore.Omega * math.Sin(lat[4*j+3]),
-						}
-						uv := sw.LoadVec4(uT, o+4*j)
-						vv := sw.LoadVec4(vT, o+4*j)
-						tv := sw.LoadVec4(tT, o+4*j)
-						pv := sw.LoadVec4(pMid, o+4*j)
-						absv := sw.LoadVec4(vort, 4*j).Add(fv)
-						vgradP := uv.Mul(sw.LoadVec4(gpx, 4*j)).Add(vv.Mul(sw.LoadVec4(gpy, 4*j)))
-						omega := vgradP.Sub(sw.LoadVec4(cumDiv, o+4*j))
-						omegaP := omega.Div(pv)
-						rt := sw.Splat(dycore.Rd).Mul(tv).Div(pv)
-						ut := absv.Mul(vv).Sub(sw.LoadVec4(gx, 4*j)).Sub(rt.Mul(sw.LoadVec4(gpx, 4*j)))
-						vt := absv.Neg().Mul(uv).Sub(sw.LoadVec4(gy, 4*j)).Sub(rt.Mul(sw.LoadVec4(gpy, 4*j)))
-						tt := uv.Mul(sw.LoadVec4(tx, 4*j)).Add(vv.Mul(sw.LoadVec4(ty, 4*j))).Neg().
-							Add(sw.Splat(dycore.Kappa).Mul(tv).Mul(omegaP))
-						dpt := sw.LoadVec4(divDp, o+4*j).Neg()
-
-						dtv := sw.Splat(dt)
-						sw.LoadVec4(oU, o+4*j).Add(dtv.Mul(ut)).Store(oU, o+4*j)
-						sw.LoadVec4(oV, o+4*j).Add(dtv.Mul(vt)).Store(oV, o+4*j)
-						sw.LoadVec4(oT, o+4*j).Add(dtv.Mul(tt)).Store(oT, o+4*j)
-						sw.LoadVec4(oDP, o+4*j).Add(dtv.Mul(dpt)).Store(oDP, o+4*j)
+					cd, dd := level4(cumDiv, o), level4(divDp, o)
+					ou, ov, ot, odp := level4(oU, o), level4(oV, o), level4(oT, o), level4(oDP, o)
+					for n := range ou {
+						absv := vort4[n] + f[n]
+						vgradP := u[n]*gpx4[n] + v[n]*gpy4[n]
+						omegaP := (vgradP - cd[n]) / p[n]
+						rt := dycore.Rd * t[n] / p[n]
+						ut := absv*v[n] - gx4[n] - rt*gpx4[n]
+						vt := -absv*u[n] - gy4[n] - rt*gpy4[n]
+						tt := -(u[n]*tx4[n] + v[n]*ty4[n]) + dycore.Kappa*t[n]*omegaP
+						ou[n] += dt * ut
+						ov[n] += dt * vt
+						ot[n] += dt * tt
+						odp[n] += dt * -dd[n]
 					}
 					c.CountVecFlops(int64(38 * npsq))
 				}

@@ -39,6 +39,10 @@ func TestServiceChaosSoak(t *testing.T) {
 			Backend:    exec.Athread,
 			Ranks:      2,
 			CycleSteps: 1,
+			// A forecast horizon, as the service runs with: free-running
+			// ne2 members blow up in the remap past cycle 400, which a
+			// fast enough host reaches inside the soak.
+			MaxCycles:  120,
 			DynWorkers: 1,
 			IC:         "vortex",
 			Seed:       1234,
@@ -173,10 +177,14 @@ func TestServiceChaosSoak(t *testing.T) {
 	}
 
 	// Let the killed members finish recovering, then stop publishing.
+	recovered := func(m *Member) bool {
+		st := m.State()
+		return st == MemberRunning || st == MemberCompleted
+	}
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
 		if sup.members[1].Restarts() >= 2 && sup.members[2].Restarts() >= 1 &&
-			sup.members[1].State() == MemberRunning && sup.members[2].State() == MemberRunning {
+			recovered(sup.members[1]) && recovered(sup.members[2]) {
 			break
 		}
 		time.Sleep(20 * time.Millisecond)

@@ -172,24 +172,6 @@ func TestDMAMismatchPanics(t *testing.T) {
 	})
 }
 
-func TestDMAReplyDoubleWaitPanics(t *testing.T) {
-	cg := NewCoreGroup(0)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("double wait did not panic")
-		}
-	}()
-	cg.Spawn(func(c *CPE) {
-		if c.ID != 0 {
-			return
-		}
-		tile := c.LDM.MustAlloc("t", 8)
-		r := c.DMA.GetAsync(tile, make([]float64, 8))
-		r.Wait()
-		r.Wait()
-	})
-}
-
 func TestDMAGetSharedAmortizes(t *testing.T) {
 	cg := NewCoreGroup(0)
 	src := make([]float64, 64)

@@ -4,10 +4,9 @@ import "fmt"
 
 // DMA is the per-CPE DMA engine moving data between shared main memory
 // (ordinary Go slices owned by the core group) and the CPE's LDM buffers.
-// Transfers complete synchronously in the functional simulation; the
-// asynchronous get/put + wait flavor of Athread is modeled by GetAsync /
-// PutAsync returning replies that must be waited on, so kernels keep the
-// same issue/wait structure as the real code.
+// Transfers complete synchronously in the functional simulation, and no
+// kernel here issues the asynchronous get/put + wait flavor of Athread:
+// overlap of DMA with compute is not modelled.
 //
 // Every transfer is accounted against the owning CPE's PerfCounter; the
 // roofline model charges bytes against the CG memory bandwidth and a
@@ -24,24 +23,6 @@ type DMA struct {
 	// tile covering the first block, so counters stay invariant to how
 	// the host tiles the launch.
 	mute bool
-}
-
-// Reply is the completion handle of an asynchronous DMA transfer.
-// The functional simulator completes transfers at issue time, so Wait
-// only validates that the handle is pending, preserving the program
-// structure (issue early, wait late) without real asynchrony.
-type Reply struct {
-	pending bool
-}
-
-// Wait blocks until the transfer completes. Waiting twice on the same
-// reply panics, which catches the double-wait bugs the real athread_syn
-// interface turns into hangs.
-func (r *Reply) Wait() {
-	if !r.pending {
-		panic("sw: DMA Wait on non-pending reply")
-	}
-	r.pending = false
 }
 
 // Get copies n = len(dst) float64 values from main memory src into the
@@ -69,18 +50,6 @@ func (d *DMA) Put(dst, src []float64) {
 	}
 	d.ctr.DMABytesOut += int64(len(src) * F64Bytes)
 	d.ctr.DMAOps++
-}
-
-// GetAsync issues Get and returns a completion handle.
-func (d *DMA) GetAsync(dst, src []float64) *Reply {
-	d.Get(dst, src)
-	return &Reply{pending: true}
-}
-
-// PutAsync issues Put and returns a completion handle.
-func (d *DMA) PutAsync(dst, src []float64) *Reply {
-	d.Put(dst, src)
-	return &Reply{pending: true}
 }
 
 // GetStride gathers count rows of rowLen float64 values from main memory,

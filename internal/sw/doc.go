@@ -21,7 +21,9 @@
 //   - RegComm: depth-4 receive buffers between CPEs sharing a row or
 //     column, with message accounting and back-pressure, used for the
 //     paper's scan (§7.4) and transpose (§7.5) algorithms, which are
-//     provided as reusable primitives.
+//     provided as reusable primitives. The scan's carry chain runs as
+//     one collective per mesh column, charged message for message as
+//     the register chain it models.
 //   - Spawn: the athread_spawn/athread_join launch. The 64 CPE bodies run
 //     as resident coroutines, one at a time, on a schedule that is a
 //     function of the kernel alone: a CPE that would block on register

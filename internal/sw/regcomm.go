@@ -40,9 +40,10 @@ type regFabric struct {
 	// column; the two slots per CPE that would name itself stay unused,
 	// leaving the mesh's 896 real links.
 	links [CPEsPerCG * 2 * MeshDim]regLink
-	// moved counts registers entering or leaving any link. The scheduler
-	// reads it as its progress witness: a CPE that waits twice at one
-	// value of moved waits in a cycle nothing can break.
+	// moved counts registers entering or leaving any link, and column
+	// scan joins. The scheduler reads it as its progress witness: a CPE
+	// that waits twice at one value of moved waits in a cycle nothing can
+	// break.
 	moved uint64
 }
 
@@ -62,6 +63,16 @@ func (f *regFabric) link(srow, scol, drow, dcol int) *regLink {
 	}
 	panic(fmt.Sprintf("sw: register communication between CPE(%d,%d) and CPE(%d,%d): not in same row or column",
 		srow, scol, drow, dcol))
+}
+
+// checkIdle panics unless the link from CPE (srow,scol) to CPE
+// (drow,dcol) is empty: a column scan collective must not overtake
+// point-to-point registers on a link its chain would use.
+func (f *regFabric) checkIdle(srow, scol, drow, dcol int) {
+	if n := f.link(srow, scol, drow, dcol).n; n != 0 {
+		panic(fmt.Sprintf("sw: column scan would overtake %d register(s) in flight from CPE(%d,%d) to CPE(%d,%d)",
+			n, srow, scol, drow, dcol))
+	}
 }
 
 // drain empties every link, discarding registers in flight.
@@ -101,17 +112,6 @@ func (c *CPE) RegRecv(srow, scol int) Vec4 {
 	l.n--
 	f.moved++
 	return v
-}
-
-// RegSendScalar sends a single float64 through the register fabric
-// (occupying a full register slot, as on hardware).
-func (c *CPE) RegSendScalar(drow, dcol int, x float64) {
-	c.RegSend(drow, dcol, Vec4{x, 0, 0, 0})
-}
-
-// RegRecvScalar receives a single float64 sent with RegSendScalar.
-func (c *CPE) RegRecvScalar(srow, scol int) float64 {
-	return c.RegRecv(srow, scol)[0]
 }
 
 // ExchangeBlock swaps a data block with the CPE at (drow,dcol) over the

@@ -155,30 +155,6 @@ func TestColumnScanExclusive(t *testing.T) {
 	}
 }
 
-func TestColumnScanExclusiveNeedsFullColumnMesh(t *testing.T) {
-	// Columns other than 0 must not deadlock when only column 0 scans:
-	// the scan in the test above sends only along column 0, and the
-	// spawn joined, which is itself the assertion (no deadlock).
-}
-
-func TestColumnReduce(t *testing.T) {
-	cg := NewCoreGroup(0)
-	totals := make([]float64, CPEsPerCG)
-	cg.Spawn(func(c *CPE) {
-		totals[c.ID] = ColumnReduce(c, float64(c.ID))
-	})
-	for id, got := range totals {
-		col := id % MeshDim
-		want := 0.0
-		for row := 0; row < MeshDim; row++ {
-			want += float64(row*MeshDim + col)
-		}
-		if got != want {
-			t.Fatalf("CPE %d column total = %v, want %v", id, got, want)
-		}
-	}
-}
-
 func TestColumnScanReverse(t *testing.T) {
 	cg := NewCoreGroup(0)
 	const perCPE = 4

@@ -3,6 +3,7 @@ package sw
 import (
 	"fmt"
 	"iter"
+	"math/bits"
 	"sync"
 )
 
@@ -13,18 +14,18 @@ import (
 //
 //   - CPEs start in id order, each running until it returns or waits.
 //   - A CPE that cannot proceed — RegRecv on an empty link, RegSend on a
-//     full one — yields the id of the peer it waits on, and that peer
-//     runs next (started if it has not run yet, resumed if it waits
-//     itself).
+//     full one, a column scan whose collective is incomplete — yields the
+//     id of the peer it waits on, and that peer runs next (started if it
+//     has not run yet, resumed if it waits itself).
 //   - A CPE that returns hands control to the most recently suspended
 //     CPE; with none suspended the next unstarted id begins.
 //
 // A wait nothing can satisfy — on a peer that has returned, or a second
-// wait with no register moved in between, which closes a cycle — is a
-// register communication deadlock and faults the launch, as does a panic
-// in a body. A faulted launch resumes every suspended CPE so it unwinds
-// out of its wait, empties the fabric, and re-raises the first fault on
-// the caller.
+// wait with no register moved and no scan joined in between, which
+// closes a cycle — is a register communication deadlock and faults the
+// launch, as does a panic in a body. A faulted launch resumes every
+// suspended CPE so it unwinds out of its wait, empties the fabric, and
+// re-raises the first fault on the caller.
 
 // Scheduler-side states of a CPE within one launch.
 const (
@@ -73,6 +74,23 @@ type crew struct {
 	// fault is the first fault of the launch, "" while it is healthy;
 	// once set the launch is aborting and every wait unwinds.
 	fault string
+
+	// The column scan collectives of the launch (see joinScan): the open
+	// collective of each mesh column, reset as every launch starts (so an
+	// aborted one leaves nothing behind), and each CPE's register slots —
+	// its per-node block totals on joining, its carries once the
+	// collective completes. The slots model registers, so they live here
+	// and not in the LDM; they grow to the widest scan once per crew.
+	cols     [MeshDim]colScan
+	scanRegs [CPEsPerCG][]float64
+}
+
+// colScan is one mesh column's scan collective in the current launch.
+type colScan struct {
+	joined  uint8 // bit r: row r has joined the open collective
+	reverse bool  // shape of the open collective, set by its first member
+	m       int
+	done    uint32 // collectives this column has completed in the launch
 }
 
 // crews is the pool of parked crews. Its size — and so the number of
@@ -158,6 +176,95 @@ func (c *CPE) waitOn(peer int) {
 	}
 }
 
+// scanSlot returns CPE id's m register slots for a column scan.
+func (cr *crew) scanSlot(id, m int) []float64 {
+	if cap(cr.scanRegs[id]) < m {
+		cr.scanRegs[id] = make([]float64, m)
+	}
+	return cr.scanRegs[id][:m]
+}
+
+// joinScan is stage 2 of a column scan: this CPE joins its mesh column's
+// collective with its scan slots holding what it passes on — its block
+// totals, or base+run on the head row — and returns once every row of
+// the column has joined, its slots then holding its carries (the head
+// row's are untouched: its carry is its base). The last member to join
+// walks the chain. Until then a member waits on the lowest row that has
+// not joined, so the schedule stays a function of the kernel, and a
+// member that has returned without joining is a deadlock like any
+// other wait on it. A join moves the collective on, so it counts as
+// progress for the cycle check.
+//
+// Members must agree on the direction and node count. A chain link into
+// a member that has joined must be empty: on hardware the member's scan
+// receive would take a point-to-point register still queued there, so
+// the carry must not overtake it. Registers the receiver drains before
+// it joins are fine, so a sender may run ahead.
+func (c *CPE) joinScan(reverse bool, m int) {
+	cr := c.cg.crew
+	f := c.cg.fabric
+	col := &cr.cols[c.Col]
+	if col.joined == 0 {
+		col.reverse, col.m = reverse, m
+	} else if col.reverse != reverse || col.m != m {
+		panic(fmt.Sprintf("sw: column scan (%s, m=%d) joins a collective (%s, m=%d)",
+			scanDir(reverse), m, scanDir(col.reverse), col.m))
+	}
+	prev, next := c.Row-1, c.Row+1
+	if reverse {
+		prev, next = next, prev
+	}
+	if uint(prev) < MeshDim {
+		f.checkIdle(prev, c.Col, c.Row, c.Col)
+	}
+	if uint(next) < MeshDim && col.joined&(1<<next) != 0 {
+		f.checkIdle(c.Row, c.Col, next, c.Col)
+	}
+	col.joined |= 1 << c.Row
+	f.moved++
+	if col.joined == 1<<MeshDim-1 {
+		cr.walkScan(c.Col)
+		return
+	}
+	done := col.done
+	for col.done == done {
+		c.waitOn(cpeID(bits.TrailingZeros8(^col.joined), c.Col))
+	}
+}
+
+// walkScan runs the carry chain of column col's completed collective for
+// every node in row order, carry_{r+1} = carry_r + run_r, leaving each
+// non-head member's carries in its slots, and opens the column's next
+// collective.
+func (cr *crew) walkScan(col int) {
+	cs := &cr.cols[col]
+	head, step := 0, 1
+	if cs.reverse {
+		head, step = MeshDim-1, -1
+	}
+	var regs [MeshDim][]float64
+	for r := range regs {
+		regs[r] = cr.scanRegs[cpeID(r, col)][:cs.m]
+	}
+	for j := 0; j < cs.m; j++ {
+		carry := regs[head][j]
+		for r := head + step; uint(r) < MeshDim; r += step {
+			run := regs[r][j]
+			regs[r][j] = carry
+			carry += run
+		}
+	}
+	cs.joined = 0
+	cs.done++
+}
+
+func scanDir(reverse bool) string {
+	if reverse {
+		return "up"
+	}
+	return "down"
+}
+
 // Spawn runs fn on all 64 CPEs (the athread_spawn / athread_join
 // pattern) and returns when every CPE has. Each CPE's LDM is reset
 // before fn starts, matching a fresh kernel launch. The bodies run one
@@ -194,6 +301,7 @@ func (cg *CoreGroup) Spawn(fn func(c *CPE)) {
 func (cr *crew) run() (fault string) {
 	cr.state = [CPEsPerCG]uint8{}
 	cr.waitMoved = [CPEsPerCG]uint64{}
+	cr.cols = [MeshDim]colScan{}
 	cr.next[noCPE], cr.prev[noCPE] = noCPE, noCPE
 	for root := 0; root < CPEsPerCG; root++ {
 		// With nobody suspended, every CPE that has started has returned.

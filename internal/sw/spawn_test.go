@@ -68,21 +68,34 @@ func TestSpawnFaultWhilePeersWait(t *testing.T) {
 			scan(c, local)
 		}
 	}
-	// The upward scan starts at the bottom row: when CPE(7,0) faults the
+	// The upward chain starts at the bottom row: when CPE(7,0) faults the
 	// seven CPEs above it are suspended waiting down the column, and each
 	// has to be unwound.
 	msg := spawnFault(t, cg, overflowAt(cpeID(7, 0), func(c *CPE, local []float64) {
+		chainScan1(c, ScanReverse, local, local, 0, 1)
+	}))
+	if !strings.HasPrefix(msg, "sw: CPE(7,0) faulted: sw: LDM overflow") {
+		t.Fatalf("fault = %q", msg)
+	}
+	// The head of a downward chain faulting before it sends: its column
+	// peers can never be served.
+	msg = spawnFault(t, cg, overflowAt(cpeID(0, 0), func(c *CPE, local []float64) {
+		chainScan1(c, ScanInclusive, local, local, 0, 0)
+	}))
+	if !strings.HasPrefix(msg, "sw: CPE(0,0) faulted: sw: LDM overflow") {
+		t.Fatalf("fault = %q", msg)
+	}
+	// The same faults while the rest of the column waits in a collective.
+	msg = spawnFault(t, cg, overflowAt(cpeID(7, 0), func(c *CPE, local []float64) {
 		ColumnScanReverse(c, local, local, 0, 1)
 	}))
 	if !strings.HasPrefix(msg, "sw: CPE(7,0) faulted: sw: LDM overflow") {
 		t.Fatalf("fault = %q", msg)
 	}
-	// The head of a downward scan faulting before it sends: its column
-	// peers can never be served.
-	msg = spawnFault(t, cg, overflowAt(cpeID(0, 0), func(c *CPE, local []float64) {
+	msg = spawnFault(t, cg, overflowAt(cpeID(3, 0), func(c *CPE, local []float64) {
 		ColumnScan(c, local, local, 0)
 	}))
-	if !strings.HasPrefix(msg, "sw: CPE(0,0) faulted: sw: LDM overflow") {
+	if !strings.HasPrefix(msg, "sw: CPE(3,0) faulted: sw: LDM overflow") {
 		t.Fatalf("fault = %q", msg)
 	}
 	// The crew that unwound is reusable and the core group launches again.
@@ -177,6 +190,12 @@ func TestSpawnZeroAlloc(t *testing.T) {
 			local := c.LDM.MustAlloc("l", 16)
 			ColumnScan(c, local, local, 0)
 		},
+		"batched scan": func(c *CPE) {
+			local := c.LDM.MustAlloc("l", 3*16)
+			base := c.LDM.MustAlloc("b", 16)
+			ColumnScanBatch(c, ScanExclusive, local, local, base, 0)
+			ColumnScanBatch(c, ScanReverse, local, local, base, 0.5)
+		},
 	} {
 		cg.Spawn(fn) // warm: borrow or build the crew
 		if got := testing.AllocsPerRun(20, func() { cg.Spawn(fn) }); got != 0 {
@@ -186,8 +205,8 @@ func TestSpawnZeroAlloc(t *testing.T) {
 }
 
 // scheduleOf returns the sequence of CPE resumptions of one launch of a
-// kernel that scans down every column and then transposes across every
-// row: both register-communication shapes the dycore uses.
+// kernel that carries point-to-point chains down every column, scans
+// every column collectively, and then transposes across every row.
 func scheduleOf(cg *CoreGroup) []uint8 {
 	var order []uint8
 	cg.onResume = func(id int) { order = append(order, uint8(id)) }
@@ -195,6 +214,9 @@ func scheduleOf(cg *CoreGroup) []uint8 {
 	cg.Spawn(func(c *CPE) {
 		local := c.LDM.MustAlloc("l", 8)
 		for rep := 0; rep < 6; rep++ { // past the buffer depth: back-pressure switches too
+			chainScan1(c, ScanInclusive, local, local, 1, 0)
+		}
+		for rep := 0; rep < 3; rep++ {
 			ColumnScan(c, local, local, 1)
 		}
 		var blocks [MeshDim][]float64
