@@ -18,14 +18,16 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Native fuzzing over every untrusted-bytes decoder (checkpoint,
-# history, buddy-snapshot wire payloads), 30s each on top of the
-# checked-in seed corpora.
+# Native fuzzing, 30s per target on top of the checked-in seed corpora:
+# every untrusted-bytes decoder (checkpoint, history, buddy-snapshot wire
+# payloads), and the np=4 operator encodings held bit for bit to the
+# generic loop on arbitrary float64 inputs.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/core/ -run '^$$' -fuzz '^FuzzReadCheckpoint$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -run '^$$' -fuzz '^FuzzReadHistory$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -run '^$$' -fuzz '^FuzzDecodeRankSnapshot$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/dycore/ -run '^$$' -fuzz '^FuzzNp4Slabs$$' -fuzztime $(FUZZTIME)
 
 # The reference benchmark (BENCHMARK.json): six frozen fault-free
 # workloads on both clocks, with the in-run correctness gate. Compare a

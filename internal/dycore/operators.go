@@ -14,12 +14,15 @@ import "swcam/internal/mesh"
 // to rounding.
 //
 // At np = 4 — CAM-SE's production order, the only one the Athread
-// lowering accepts — every *Slab form runs one fixed-size body (the *4
-// functions), shared by all lowerings: array views, so no bounds check
-// survives, and both m-reductions written out in the generic loop's
-// operand order, leading 0.0 + included so a -0 product still becomes +0.
-// The generic loops are the np != 4 path and the oracle that
-// TestNp4SlabsMatchGeneric holds the np = 4 body to, bit for bit.
+// lowering accepts — every *Slab form runs one fixed-size arithmetic,
+// shared by all lowerings: array views, so no bounds check survives, and
+// both m-reductions written out in the generic loop's operand order,
+// leading 0.0 + included so a -0 product still becomes +0. It has two
+// encodings: the Go bodies below (the *4 functions), and on amd64 with
+// AVX2 the same operations four lanes wide (operators_amd64.s), chosen
+// once by a CPUID probe. The generic loops are the np != 4 path and the
+// oracle that TestNp4SlabsMatchGeneric and FuzzNp4Slabs hold both
+// encodings to, bit for bit.
 
 type slab4 = [16]float64   // one np=4 level slab, or the 4x4 derivative matrix
 type metric4 = [64]float64 // the four D / Dinv coefficients of each node
@@ -96,7 +99,7 @@ func GradientSlab(derivFlat, dinvFlat []float64, dAlpha float64, np int, s, gx, 
 		gradientSlabGeneric(derivFlat, dinvFlat, dAlpha, np, s, gx, gy, da, db)
 		return
 	}
-	gradient4((*slab4)(derivFlat), (*metric4)(dinvFlat), 2/dAlpha,
+	runGradient4((*slab4)(derivFlat), (*metric4)(dinvFlat), 2/dAlpha,
 		(*slab4)(s), (*slab4)(gx), (*slab4)(gy), (*slab4)(da), (*slab4)(db))
 }
 
@@ -123,7 +126,7 @@ func DivergenceSlab(derivFlat, dinvFlat, metdet []float64, dAlpha float64, np in
 		divergenceSlabGeneric(derivFlat, dinvFlat, metdet, dAlpha, np, u, v, div, gv1, gv2)
 		return
 	}
-	divergence4((*slab4)(derivFlat), (*metric4)(dinvFlat), (*slab4)(metdet), 2/dAlpha,
+	runDivergence4((*slab4)(derivFlat), (*metric4)(dinvFlat), (*slab4)(metdet), 2/dAlpha,
 		(*slab4)(u), (*slab4)(v), (*slab4)(div), (*slab4)(gv1), (*slab4)(gv2))
 }
 
@@ -164,7 +167,7 @@ func VorticitySlab(derivFlat, dFlat, metdet []float64, dAlpha float64, np int, u
 		vorticitySlabGeneric(derivFlat, dFlat, metdet, dAlpha, np, u, v, vort, cov1, cov2)
 		return
 	}
-	vorticity4((*slab4)(derivFlat), (*metric4)(dFlat), (*slab4)(metdet), 2/dAlpha,
+	runVorticity4((*slab4)(derivFlat), (*metric4)(dFlat), (*slab4)(metdet), 2/dAlpha,
 		(*slab4)(u), (*slab4)(v), (*slab4)(vort), (*slab4)(cov1), (*slab4)(cov2))
 }
 

@@ -58,6 +58,12 @@ type Engine struct {
 	// Current kernel context for per-tile spans, set by kernelProbe on
 	// the rank goroutine before tiles launch.
 	curKernel, curBackend string
+
+	// Slab-kernel launches (kernel.go): every spec's analytic flops per
+	// level at this engine's np, counted once, and the bindings of the
+	// launch in flight, kept here so that a launch allocates neither.
+	slabFlops map[*slabSpec]int64
+	bind      slabBind
 }
 
 // dynWorker is one intra-rank worker's private execution resources: a
@@ -89,8 +95,10 @@ type dynWorker struct {
 	// LDM accounting, like the PPM coefficients always were.
 	rws    *dycore.RemapWorkspace
 	cpeRWS []*dycore.RemapWorkspace
-	// Per-CPE launch scratch of the CPE slab lowerings (kernel.go).
-	cpeSlab []cpeSlab
+	// Launch scratch of the slab lowerings (kernel.go): the serial one's,
+	// and one slot per CPE for the CPE lowerings.
+	serialSlab serialSlab
+	cpeSlab    []cpeSlab
 
 	// Pooled snapshot storage for the OpenACC vertical remap (the one
 	// kernel that reads whole element rows while writing single values
@@ -188,6 +196,10 @@ func NewEngine(m *mesh.Mesh, elems []int, nlev, qsize int) *Engine {
 	en := &Engine{
 		M: m, Elems: elems,
 		Np: m.Np, Nlev: nlev, Qsize: qsize,
+		slabFlops: make(map[*slabSpec]int64, len(slabSpecs)),
+	}
+	for _, k := range slabSpecs {
+		en.slabFlops[k] = k.levelFlops(m.Np)
 	}
 	en.SetWorkers(1)
 	return en

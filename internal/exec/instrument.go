@@ -49,14 +49,17 @@ func (en *Engine) bindObsRegistry() {
 var obsNoop = func(Cost) {}
 
 // kernelProbe opens a span and returns the completion func the kernel
-// calls with its cost record. It also publishes the kernel name and
-// backend for the per-tile worker spans (kernel methods run one at a
-// time per engine, and the fields are written before any tile goroutine
-// launches, so tiles read them race-free).
-func (en *Engine) kernelProbe(name string, b Backend) func(Cost) {
+// calls with its cost record; a split launch records under the kernel
+// name plus the subset's suffix, built only when observation is on. It
+// also publishes the kernel name and backend for the per-tile worker
+// spans (kernel methods run one at a time per engine, and the fields are
+// written before any tile goroutine launches, so tiles read them
+// race-free).
+func (en *Engine) kernelProbe(name string, sub Subset, b Backend) func(Cost) {
 	if en.obsTr == nil && en.obsKT == nil {
 		return obsNoop
 	}
+	name += sub.suffix()
 	en.curKernel, en.curBackend = "exec."+name, b.String()
 	sp := en.obsTr.Begin(en.obsRank, "exec."+name, b.String())
 	kt := en.obsKT
@@ -81,7 +84,7 @@ func (en *Engine) ComputeAndApplyRHS(b Backend, cur, base, out *dycore.State, dt
 // the Open row carries wall time only, the Close row the whole
 // kernel's deferred cost.
 func (en *Engine) ComputeAndApplyRHSOn(sub Subset, b Backend, cur, base, out *dycore.State, dt float64) Cost {
-	done := en.kernelProbe("compute_and_apply_rhs"+sub.suffix(), b)
+	done := en.kernelProbe("compute_and_apply_rhs", sub, b)
 	c := en.computeAndApplyRHS(sub, b, cur, base, out, dt)
 	done(c)
 	return c
@@ -98,7 +101,7 @@ func (en *Engine) EulerStep(b Backend, st *dycore.State, dt float64) Cost {
 // EulerStepOn is EulerStep restricted to an element subset, with
 // split-phase cost accounting (subset.go).
 func (en *Engine) EulerStepOn(sub Subset, b Backend, st *dycore.State, dt float64) Cost {
-	done := en.kernelProbe("euler_step"+sub.suffix(), b)
+	done := en.kernelProbe("euler_step", sub, b)
 	c := en.eulerStep(sub, b, st, dt)
 	done(c)
 	return c
@@ -108,7 +111,7 @@ func (en *Engine) EulerStepOn(sub Subset, b Backend, st *dycore.State, dt float6
 // the chosen backend, remapping every local element's state back to the
 // reference hybrid grid.
 func (en *Engine) VerticalRemap(b Backend, h *dycore.HybridCoord, st *dycore.State) Cost {
-	done := en.kernelProbe("vertical_remap", b)
+	done := en.kernelProbe("vertical_remap", Subset{}, b)
 	c := en.verticalRemap(b, h, st)
 	done(c)
 	return c
@@ -124,7 +127,7 @@ func (en *Engine) HypervisDP1(b Backend, st *dycore.State, lapU, lapV, lapT, lap
 // HypervisDP1On is HypervisDP1 restricted to an element subset, with
 // split-phase cost accounting (subset.go).
 func (en *Engine) HypervisDP1On(sub Subset, b Backend, st *dycore.State, lapU, lapV, lapT, lapDP [][]float64) Cost {
-	done := en.kernelProbe("hypervis_dp1"+sub.suffix(), b)
+	done := en.kernelProbe("hypervis_dp1", sub, b)
 	c := en.hypervisDP1(sub, b, st, lapU, lapV, lapT, lapDP)
 	done(c)
 	return c
@@ -141,7 +144,7 @@ func (en *Engine) HypervisDP2(b Backend, lapU, lapV, lapT, lapDP [][]float64,
 // split-phase cost accounting (subset.go).
 func (en *Engine) HypervisDP2On(sub Subset, b Backend, lapU, lapV, lapT, lapDP [][]float64,
 	st *dycore.State, dt, nuV, nuS float64) Cost {
-	done := en.kernelProbe("hypervis_dp2"+sub.suffix(), b)
+	done := en.kernelProbe("hypervis_dp2", sub, b)
 	c := en.hypervisDP2(sub, b, lapU, lapV, lapT, lapDP, st, dt, nuV, nuS)
 	done(c)
 	return c
@@ -150,7 +153,7 @@ func (en *Engine) HypervisDP2On(sub Subset, b Backend, lapU, lapV, lapT, lapDP [
 // BiharmonicDP3D runs the weak biharmonic of dp3d (Table 1 row 6): one
 // Laplacian pass per call (the caller DSSes and calls again for grad^4).
 func (en *Engine) BiharmonicDP3D(b Backend, in, out [][]float64) Cost {
-	done := en.kernelProbe("biharmonic_dp3d", b)
+	done := en.kernelProbe("biharmonic_dp3d", Subset{}, b)
 	c := en.biharmonicDP3D(b, in, out)
 	done(c)
 	return c
@@ -161,7 +164,7 @@ func (en *Engine) BiharmonicDP3D(b Backend, in, out [][]float64) Cost {
 // design notes); instrumented like the Table-1 kernels so the ablation
 // shows up in traces too.
 func (en *Engine) VerticalRemapTransposed(h *dycore.HybridCoord, st *dycore.State) Cost {
-	done := en.kernelProbe("vertical_remap_transposed", Athread)
+	done := en.kernelProbe("vertical_remap_transposed", Subset{}, Athread)
 	c := en.verticalRemapTransposed(h, st)
 	done(c)
 	return c

@@ -190,6 +190,10 @@ var biharmonicDP3DSpec = slabSpec{
 	},
 }
 
+// slabSpecs lists every slab kernel, so that an engine can count each
+// one's flops once.
+var slabSpecs = [...]*slabSpec{&hypervisDP1Spec, &hypervisDP2Spec, &biharmonicDP3DSpec}
+
 // slabBind binds one kernel invocation to its element-row arrays and
 // hoisted coefficients. in[i][le] / out[i][le] are level-major rows.
 type slabBind struct {
@@ -233,6 +237,15 @@ type serialSlabOps struct {
 	e  *mesh.Element
 }
 
+// serialSlab is a worker's scratch for a serial slab launch. Like
+// cpeSlab, it lives in the worker because the body takes it by pointer
+// through an indirect call, which would heap-allocate it once per tile
+// per launch as a local.
+type serialSlab struct {
+	ops serialSlabOps
+	io  slabIO
+}
+
 func (s *serialSlabOps) VecLaplace(u, v, lu, lv []float64) {
 	w := s.w
 	dycore.VecLaplaceSlab(s.en.M.DerivFlat, s.e.DFlat, s.e.DinvFlat, s.e.Metdet, s.e.DAlpha, s.en.Np,
@@ -255,12 +268,11 @@ func (en *Engine) lowerSlabSerial(k *slabSpec, sub Subset, b Backend, bind *slab
 	sel := en.sel(sub)
 	np, nlev := en.Np, en.Nlev
 	npsq := np * np
-	perElemFlops := k.levelFlops(np) * int64(nlev)
+	perElemFlops := en.slabFlops[k] * int64(nlev)
 	perElemBytes := k.serialBytes(np, nlev)
 	flops, bytes := en.runTiles(sel, func(w *dynWorker, slots []int, p *serialPartial) {
-		ops := serialSlabOps{en: en, w: w}
-		var io slabIO
-		io.coef = bind.coef
+		w.serialSlab = serialSlab{ops: serialSlabOps{en: en, w: w}, io: slabIO{coef: bind.coef}}
+		ops, io := &w.serialSlab.ops, &w.serialSlab.io
 		for i := 0; i < k.nScr; i++ {
 			io.scr[i] = w.kScr[i]
 		}
@@ -274,7 +286,7 @@ func (en *Engine) lowerSlabSerial(k *slabSpec, sub Subset, b Backend, bind *slab
 				for i := 0; i < k.nOut; i++ {
 					io.out[i] = bind.out[i][le][o : o+npsq]
 				}
-				k.body(&ops, &io)
+				k.body(ops, io)
 			}
 			p.flops += perElemFlops
 			p.bytes += perElemBytes

@@ -298,44 +298,95 @@ func TestTilePanicPropagates(t *testing.T) {
 // Steady-state allocation guards
 // ---------------------------------------------------------------------------
 
-// Once the per-worker pools are warm, a kernel call's only allocations
-// are goroutine-launch machinery: at most ~1 per extra host tile on the
-// serial backends, and one simulated athread_spawn (64 CPE goroutines)
-// per tile on the CPE backends. Crucially the bounds are per TILE, not
-// per element or per column: with 96 elements and 1536 columns in play,
-// any per-element scratch allocation would blow these limits by orders
-// of magnitude.
+// Once the per-worker pools are warm, a kernel launch's only allocations
+// are launch machinery: the runTiles closure, a Spawn closure per tile on
+// the CPE backends, and the goroutine of each non-caller tile. Crucially
+// the bounds are per TILE, not per element or per column: with 96
+// elements and 1536 columns in play, any per-element scratch allocation
+// would blow these limits by orders of magnitude. Split launches are
+// held to the same bound per half, and an uninstrumented engine builds
+// no probe name, prices no slab spec and binds no slab kernel on the
+// heap.
 func TestTiledSteadyStateAllocs(t *testing.T) {
 	const ne, nlev, qsize = 4, 8, 2
 	m, _, st0 := testSetup(t, ne, nlev, qsize)
 	h := dycore.NewHybridCoord(nlev)
+	lap := func() [][]float64 {
+		f := make([][]float64, m.NElems())
+		for i := range f {
+			f[i] = make([]float64, m.Np*m.Np*nlev)
+		}
+		return f
+	}
+	lapU, lapV, lapT, lapDP := lap(), lap(), lap(), lap()
 
 	for _, workers := range []int{1, 4} {
 		en := tiledEngine(m, nlev, qsize, workers)
-		tiles := float64(en.Tiles())
-		// Every backend: the kernel closure plus one goroutine launch per
-		// non-caller tile (measured: 2 per tile). A CPE launch adds only
-		// its Spawn closure — the CPE bodies run on pooled coroutines and
-		// keep their scratch in the worker.
-		budget := 4 + 4*tiles
+		tiles := en.Tiles()
+		var even, odd []int
+		for le := 0; le < m.NElems(); le++ {
+			if le%2 == 0 {
+				even = append(even, le)
+			} else {
+				odd = append(odd, le)
+			}
+		}
+		bnd, inn := en.CompileSubset(even), en.CompileSubset(odd)
+		open, cls := Subset{Sel: bnd, Phase: Open}, Subset{Sel: inn, Phase: Close}
 
 		for _, b := range Backends {
+			// One launch over n tiles allocates the runTiles closure, the
+			// goroutine of each of the n-1 non-caller tiles and, on the CPE
+			// backends, one Spawn closure per tile.
+			launch := func(n int) float64 {
+				if b == OpenACC || b == Athread {
+					return float64(2 * n)
+				}
+				return float64(n)
+			}
+			split := launch(len(bnd.tiles)) + launch(len(inn.tiles))
+
 			st := st0.Clone()
 			out := st0.Clone()
 			// Warm every pool (workspaces, core groups, snapshot buffers).
 			en.EulerStep(b, st, 10)
 			en.ComputeAndApplyRHS(b, st, st, out, 10)
 			en.VerticalRemap(b, h, st)
+			en.HypervisDP1(b, st, lapU, lapV, lapT, lapDP)
+			en.HypervisDP2(b, lapU, lapV, lapT, lapDP, st, 10, 1e-6, 1e-6)
 
-			cases := map[string]func(){
-				"euler": func() { en.EulerStep(b, st, 10) },
-				"rhs":   func() { en.ComputeAndApplyRHS(b, st, st, out, 10) },
-				"remap": func() { en.VerticalRemap(b, h, st) },
+			cases := []struct {
+				name   string
+				budget float64
+				fn     func()
+			}{
+				{"euler", launch(tiles), func() { en.EulerStep(b, st, 10) }},
+				{"rhs", launch(tiles), func() { en.ComputeAndApplyRHS(b, st, st, out, 10) }},
+				{"remap", launch(tiles), func() { en.VerticalRemap(b, h, st) }},
+				{"dp1", launch(tiles), func() { en.HypervisDP1(b, st, lapU, lapV, lapT, lapDP) }},
+				{"dp2", launch(tiles), func() { en.HypervisDP2(b, lapU, lapV, lapT, lapDP, st, 10, 1e-6, 1e-6) }},
+				{"biharmonic", launch(tiles), func() { en.BiharmonicDP3D(b, st.DP, lapDP) }},
+				{"euler open+close", split, func() {
+					en.EulerStepOn(open, b, st, 10)
+					en.EulerStepOn(cls, b, st, 10)
+				}},
+				{"rhs open+close", split, func() {
+					en.ComputeAndApplyRHSOn(open, b, st, st, out, 10)
+					en.ComputeAndApplyRHSOn(cls, b, st, st, out, 10)
+				}},
+				{"dp1 open+close", split, func() {
+					en.HypervisDP1On(open, b, st, lapU, lapV, lapT, lapDP)
+					en.HypervisDP1On(cls, b, st, lapU, lapV, lapT, lapDP)
+				}},
+				{"dp2 open+close", split, func() {
+					en.HypervisDP2On(open, b, lapU, lapV, lapT, lapDP, st, 10, 1e-6, 1e-6)
+					en.HypervisDP2On(cls, b, lapU, lapV, lapT, lapDP, st, 10, 1e-6, 1e-6)
+				}},
 			}
-			for name, fn := range cases {
-				if got := testing.AllocsPerRun(10, fn); got > budget {
-					t.Errorf("%v %s workers=%d: %.0f allocs per call, budget %.0f",
-						b, name, workers, got, budget)
+			for _, c := range cases {
+				if got := testing.AllocsPerRun(10, c.fn); got > c.budget {
+					t.Errorf("%v %s workers=%d: %.1f allocs per call, budget %.0f",
+						b, c.name, workers, got, c.budget)
 				}
 			}
 		}

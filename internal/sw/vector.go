@@ -39,16 +39,6 @@ func (v Vec4) Mul(w Vec4) Vec4 {
 	return Vec4{v[0] * w[0], v[1] * w[1], v[2] * w[2], v[3] * w[3]}
 }
 
-// Div returns the lane-wise quotient v / w.
-func (v Vec4) Div(w Vec4) Vec4 {
-	return Vec4{v[0] / w[0], v[1] / w[1], v[2] / w[2], v[3] / w[3]}
-}
-
-// FMA returns v*w + a lane-wise, modeling the CPE's fused multiply-add.
-func (v Vec4) FMA(w, a Vec4) Vec4 {
-	return Vec4{v[0]*w[0] + a[0], v[1]*w[1] + a[1], v[2]*w[2] + a[2], v[3]*w[3] + a[3]}
-}
-
 // Scale returns the vector with every lane multiplied by x.
 func (v Vec4) Scale(x float64) Vec4 {
 	return Vec4{v[0] * x, v[1] * x, v[2] * x, v[3] * x}
@@ -56,9 +46,6 @@ func (v Vec4) Scale(x float64) Vec4 {
 
 // Neg returns the lane-wise negation.
 func (v Vec4) Neg() Vec4 { return Vec4{-v[0], -v[1], -v[2], -v[3]} }
-
-// Sum returns the horizontal sum of the four lanes.
-func (v Vec4) Sum() float64 { return v[0] + v[1] + v[2] + v[3] }
 
 // Max returns the lane-wise maximum of v and w.
 func (v Vec4) Max(w Vec4) Vec4 {
