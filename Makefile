@@ -31,8 +31,9 @@ fuzz:
 
 # The reference benchmark (BENCHMARK.json): six frozen fault-free
 # workloads on both clocks, with the in-run correctness gate. Compare a
-# change against its parent commit on the same box. (The per-figure
-# `go test -bench` benchmarks run under `make outputs`.)
+# change against its parent commit on the same box. (The root
+# `go test -bench` benchmarks of the simulator experiments run under
+# `make outputs`.)
 bench:
 	$(GO) run ./benchmark
 
@@ -81,11 +82,16 @@ loadgen:
 	$(GO) run ./cmd/swload -addr http://127.0.0.1:8090 -duration 15s \
 	    -workers 4 -seed 7
 
-# Print every table and figure of the paper's evaluation.
+# Print every table and figure of the paper's evaluation, then the
+# ledger of every paper number the model reproduces.
 figures:
 	$(GO) run ./cmd/benchtab -all
 
-# The capture the repository ships with (test_output.txt, bench_output.txt).
+# The capture the repository ships with: the test log (the ledger test
+# included) in test_output.txt, and the benchmarks — the simulator
+# experiments (Table 1 kernels, Figs 4 and 9, ablations) and every
+# package's micro-benchmarks — in bench_output.txt. The paper's numbers
+# are the ledger, printed by `make figures`.
 outputs:
 	$(GO) test ./... 2>&1 | tee test_output.txt
 	$(GO) test -bench=. -benchmem ./... 2>&1 | tee bench_output.txt

@@ -14,9 +14,9 @@ package baseline
 //     addressing (gather per edge), more edges per cell (3x), and a
 //     shorter stable timestep on hexagons.
 //
-// The [cal] multipliers place the modeled Table 3 ratios in the paper's
-// bands (ours : FV3 : MPAS = 1 : 1.3 : 2.8 at 12.5 km and 1 : 2.1 : 4.5
-// at 3 km); everything else is structural.
+// The [cal] multipliers place the modeled Table 3 ratios near the
+// paper's (the perf ledger's table3.* rows record how near); everything
+// else is structural.
 type DycoreCost struct {
 	Name          string
 	FlopsPerCell  float64 // per level per step
@@ -29,8 +29,8 @@ type DycoreCost struct {
 
 // Costs of the three cores.
 var (
-	// OursSE matches the internal/perf HOMME model and is provided here
-	// only for table completeness; Table 3 uses perf.HOMMEConfig for it.
+	// OursSE is our SE core. perf's Table 3 computes the "our work" rows
+	// from it through the same step model as the two baselines.
 	OursSE = DycoreCost{
 		Name: "our work", FlopsPerCell: 2600, BytesPerCell: 700,
 		HaloWidth: 1, ExchangesStep: 6, DtFactor: 1.0, FixedPerStep: 0.9e-3,

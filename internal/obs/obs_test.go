@@ -9,58 +9,8 @@ import (
 	"testing"
 )
 
-// TestRegistryMergeAcrossRanks folds per-rank registries into a job-wide
-// one, the way a distributed run aggregates: counters add, gauges keep
-// the global high-water mark and the last value, histograms combine.
-func TestRegistryMergeAcrossRanks(t *testing.T) {
-	r1, r2 := NewRegistry(), NewRegistry()
-	r1.Counter("halo.msgs").Add(5)
-	r2.Counter("halo.msgs").Add(7)
-	r2.Counter("mpirt.send.bytes").Add(100)
-
-	r1.Gauge("exec.ldm.peak").Set(100)
-	r1.Gauge("exec.ldm.peak").Set(80)
-	r2.Gauge("exec.ldm.peak").Set(120)
-	r2.Gauge("exec.ldm.peak").Set(60)
-
-	r1.Histogram("mpirt.rank.send.bytes").Observe(2)
-	r1.Histogram("mpirt.rank.send.bytes").Observe(4)
-	r2.Histogram("mpirt.rank.send.bytes").Observe(8)
-
-	total := NewRegistry()
-	total.Merge(r1)
-	total.Merge(r2)
-
-	if got := total.CounterValue("halo.msgs"); got != 12 {
-		t.Errorf("merged halo.msgs = %d, want 12", got)
-	}
-	if got := total.CounterValue("mpirt.send.bytes"); got != 100 {
-		t.Errorf("merged mpirt.send.bytes = %d, want 100", got)
-	}
-	g := total.Gauge("exec.ldm.peak")
-	if g.Max() != 120 {
-		t.Errorf("merged gauge max = %g, want 120", g.Max())
-	}
-	if g.Value() != 60 {
-		t.Errorf("merged gauge last = %g, want 60", g.Value())
-	}
-	h := total.Histogram("mpirt.rank.send.bytes")
-	if h.Count() != 3 {
-		t.Errorf("merged histogram count = %d, want 3", h.Count())
-	}
-	if want := 14.0 / 3; math.Abs(h.Mean()-want) > 1e-12 {
-		t.Errorf("merged histogram mean = %g, want %g", h.Mean(), want)
-	}
-
-	// Merging an empty registry must not disturb anything.
-	total.Merge(NewRegistry())
-	if got := total.CounterValue("halo.msgs"); got != 12 {
-		t.Errorf("after empty merge halo.msgs = %d, want 12", got)
-	}
-}
-
-// TestRegistryConcurrent exercises concurrent recording from many ranks
-// plus concurrent merges under -race.
+// TestRegistryConcurrent records from many ranks into one shared
+// registry at once, under -race.
 func TestRegistryConcurrent(t *testing.T) {
 	total := NewRegistry()
 	const ranks, per = 8, 100
@@ -69,21 +19,25 @@ func TestRegistryConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			local := NewRegistry()
 			for i := 0; i < per; i++ {
-				local.Counter("exec.launches").Add(1)
-				local.Gauge("exec.ldm.peak").Set(float64(r*per + i))
-				local.Histogram("mpirt.rank.send.bytes").Observe(float64(i))
+				total.Counter("exec.launches").Add(1)
+				total.Gauge("exec.ldm.peak").Set(float64(r*per + i))
+				total.Histogram("mpirt.rank.send.bytes").Observe(float64(i))
 			}
-			total.Merge(local)
 		}(r)
 	}
 	wg.Wait()
 	if got := total.CounterValue("exec.launches"); got != ranks*per {
 		t.Errorf("exec.launches = %d, want %d", got, ranks*per)
 	}
-	if got := total.Histogram("mpirt.rank.send.bytes").Count(); got != ranks*per {
-		t.Errorf("histogram count = %d, want %d", got, ranks*per)
+	var samples int64
+	for _, m := range total.snapshot() {
+		if m.Name == "mpirt.rank.send.bytes" {
+			samples = m.Count
+		}
+	}
+	if samples != ranks*per {
+		t.Errorf("histogram count = %d, want %d", samples, ranks*per)
 	}
 	if got := total.Gauge("exec.ldm.peak").Max(); got != ranks*per-1 {
 		t.Errorf("gauge max = %g, want %d", got, ranks*per-1)
@@ -100,8 +54,6 @@ func TestNilRegistry(t *testing.T) {
 	if r.CounterValue("x") != 0 {
 		t.Fatal("nil registry returned nonzero")
 	}
-	r.Merge(NewRegistry())
-	NewRegistry().Merge(r)
 	var p *Probe
 	if p.T() != nil || p.R() != nil || p.K() != nil {
 		t.Fatal("nil probe returned non-nil components")
@@ -213,25 +165,6 @@ func TestStepReport(t *testing.T) {
 		math.Abs(rep.Kernels[1].TimeShare-0.25) > 1e-12 {
 		t.Errorf("shares = %g, %g; want 0.75, 0.25",
 			rep.Kernels[0].TimeShare, rep.Kernels[1].TimeShare)
-	}
-}
-
-func TestKernelTableMerge(t *testing.T) {
-	a, b := NewKernelTable(), NewKernelTable()
-	a.Record("euler_step", "Athread", 100, 10, 20, 1, 2)
-	b.Record("euler_step", "Athread", 50, 5, 10, 1, 1)
-	b.Record("euler_step", "Intel", 400, 10, 20, 0, 0)
-	a.Merge(b)
-	stats := a.Stats()
-	if len(stats) != 2 {
-		t.Fatalf("got %d stats", len(stats))
-	}
-	// Intel has more time, so it sorts first.
-	if stats[0].Backend != "Intel" || stats[0].Ns != 400 {
-		t.Errorf("stats[0] = %+v", stats[0])
-	}
-	if stats[1].Calls != 2 || stats[1].Ns != 150 || stats[1].Flops != 15 {
-		t.Errorf("merged athread stat = %+v", stats[1])
 	}
 }
 

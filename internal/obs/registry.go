@@ -138,29 +138,6 @@ func bucketOf(v float64) int {
 	return b
 }
 
-// Count returns the number of samples.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
-// Mean returns the sample mean (0 when empty).
-func (h *Histogram) Mean() float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / float64(h.count)
-}
-
 // Counter returns (creating if needed) the named counter. Nil registry
 // returns a nil (no-op) counter.
 func (r *Registry) Counter(name string) *Counter {
@@ -216,70 +193,6 @@ func (r *Registry) CounterValue(name string) int64 {
 	c := r.counters[name]
 	r.mu.Unlock()
 	return c.Value()
-}
-
-// Merge accumulates another registry into r: counters add, gauges keep
-// the maximum high-water mark and the other's last value, histograms
-// combine samples. Used to fold per-rank registries into a job-wide one.
-func (r *Registry) Merge(o *Registry) {
-	if r == nil || o == nil {
-		return
-	}
-	o.mu.Lock()
-	names := make([]string, 0, len(o.counters))
-	for name := range o.counters {
-		names = append(names, name)
-	}
-	counterVals := make(map[string]int64, len(names))
-	for _, name := range names {
-		counterVals[name] = o.counters[name].Value()
-	}
-	gaugeVals := make(map[string][2]float64, len(o.gauges))
-	for name, g := range o.gauges {
-		gaugeVals[name] = [2]float64{g.Value(), g.Max()}
-	}
-	type histCopy struct {
-		count    int64
-		sum      float64
-		min, max float64
-		buckets  [64]int64
-	}
-	histVals := make(map[string]histCopy, len(o.hists))
-	for name, h := range o.hists {
-		h.mu.Lock()
-		histVals[name] = histCopy{h.count, h.sum, h.min, h.max, h.buckets}
-		h.mu.Unlock()
-	}
-	o.mu.Unlock()
-
-	for name, v := range counterVals {
-		r.Counter(name).Add(v)
-	}
-	for name, v := range gaugeVals {
-		g := r.Gauge(name)
-		g.Set(v[1]) // establish the other's high-water mark
-		g.Set(v[0]) // then its last value
-	}
-	for name, hc := range histVals {
-		if hc.count == 0 {
-			r.Histogram(name)
-			continue
-		}
-		h := r.Histogram(name)
-		h.mu.Lock()
-		if h.count == 0 || hc.min < h.min {
-			h.min = hc.min
-		}
-		if h.count == 0 || hc.max > h.max {
-			h.max = hc.max
-		}
-		h.count += hc.count
-		h.sum += hc.sum
-		for i := range h.buckets {
-			h.buckets[i] += hc.buckets[i]
-		}
-		h.mu.Unlock()
-	}
 }
 
 // metricJSON is the serialized form of one registry entry.

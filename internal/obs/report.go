@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"sort"
 	"strings"
@@ -79,32 +78,6 @@ func (t *KernelTable) Stats() []KernelStat {
 		return out[i].Backend < out[j].Backend
 	})
 	return out
-}
-
-// Merge adds another table's records into t (cross-rank aggregation).
-func (t *KernelTable) Merge(o *KernelTable) {
-	if t == nil || o == nil {
-		return
-	}
-	for _, s := range o.Stats() {
-		if s.Calls == 0 {
-			continue
-		}
-		k := kernelKey{s.Kernel, s.Backend}
-		t.mu.Lock()
-		dst, ok := t.m[k]
-		if !ok {
-			dst = &KernelStat{Kernel: s.Kernel, Backend: s.Backend}
-			t.m[k] = dst
-		}
-		dst.Calls += s.Calls
-		dst.Ns += s.Ns
-		dst.Flops += s.Flops
-		dst.Bytes += s.Bytes
-		dst.DMAOps += s.DMAOps
-		dst.RegMsgs += s.RegMsgs
-		t.mu.Unlock()
-	}
 }
 
 // KernelShare is one StepReport line: a kernel's share of the total
@@ -271,6 +244,3 @@ func (r StepReport) Text() string {
 	}
 	return b.String()
 }
-
-// WriteJSON writes the report through the shared obs encoder.
-func (r StepReport) WriteJSON(w io.Writer) error { return EncodeJSON(w, r) }

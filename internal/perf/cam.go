@@ -20,16 +20,16 @@ import "math"
 // Whole-CAM wall time cannot be predicted from the kernel model alone
 // (the tail is not in this repository), so the per-version coefficients
 // below are CALIBRATED to the paper's published operating points and
-// stated ratios:
+// stated ratios, the ledger rows marked [cal] in Figure 6:
 //
-//	ne30/athread/5400 procs   = 21.5 SYPD      (§7.1, Figure 6 left)
-//	ne120/openacc/28800 procs = 3.4 SYPD       (§7.1, Figure 6 right)
-//	ori -> openacc            = 1.4-1.5x       (§8.3)
-//	openacc -> athread        = 1.1-1.4x       (§8.3)
+//	fig6.ne30.sypd          ne30/athread/5400 procs   (§7.1, Figure 6 left)
+//	fig6.ne120.sypd         ne120/openacc/28800 procs (§7.1, Figure 6 right)
+//	fig6.acc_over_ori.*     ori -> openacc band       (§8.3)
+//	fig6.ath_over_acc.*     openacc -> athread band   (§8.3)
 //
-// The fit and its residuals are recorded in EXPERIMENTS.md. The
-// kernel-level comparisons (Table 1 / Figure 5) use the event-driven
-// model in model.go instead, with no per-kernel fitting.
+// Each row's status records how well the fit lands. The kernel-level
+// comparisons (Table 1 / Figure 5) use the event-driven model in
+// model.go instead, with no per-kernel fitting.
 type CAMVersion int
 
 // The three Figure 6 code versions.
@@ -68,6 +68,9 @@ func DefaultCAMConfig(ne int) CAMConfig {
 	return CAMConfig{Ne: ne, Np: 4, Nlev: 30, Qsize: 25,
 		DtPhys: 1800, DtDyn: 300 * 30 / float64(ne)}
 }
+
+// Fig6Ne30Procs are Figure 6's ne30 process counts.
+var Fig6Ne30Procs = []int{216, 600, 900, 1350, 5400}
 
 // camCoef is the calibrated per-version cost structure, per physics
 // step, seconds: T = camFixed + A + nsub*(d*e + comm) + r*e, where e is

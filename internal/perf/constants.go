@@ -22,7 +22,8 @@ package perf
 //	        (Xu et al., "Benchmarking SW26010", and the paper's own
 //	        observations, e.g. MPE 2-10x slower than a Xeon core).
 //	[cal]   calibrated here so the four backends land in the paper's
-//	        reported ratio bands; documented in EXPERIMENTS.md.
+//	        reported ratio bands; the ledger (ledger.go) marks every
+//	        paper value a constant was fitted to.
 const (
 	// CPERate is the sustained scalar double-precision rate of one CPE,
 	// flops/s. The CPE runs at 1.45 GHz with a dual-issue in-order
@@ -87,7 +88,7 @@ const (
 )
 
 // Power model (§5.1-5.2: the chip delivers >3 TFlops at ~10 GFlops/W;
-// the full machine sustains 6.06 GFlops/W on Linpack).
+// the full machine's Linpack efficiency is linpackFlopsPerWatt).
 const (
 	// ChipPeakFlops is the SW26010 peak double-precision rate. [spec]
 	ChipPeakFlops = 3.06e12

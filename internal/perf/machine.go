@@ -8,26 +8,28 @@ import (
 
 // CGEfficiency is the sustained fraction of nominal DMA bandwidth the
 // dycore's access patterns achieve (strided gathers, short tiles). [cal:
-// anchors the 650-elements-per-process weak-scaling point near the
-// paper's 3.3 PFlops; see EXPERIMENTS.md.]
+// anchors the 650-elements-per-process weak-scaling point, ledger row
+// fig8.full.pflops.]
 const CGEfficiency = 0.35
 
 // CGFixedElems expresses the fixed per-step cost of one core group
 // (kernel launches, DSS synchronization, MPE serial glue) in units of
 // per-element work: the paper's own per-CG throughputs (derived from the
-// PFlops labels of Figure 7) saturate like e/(e+e0). [cal]
+// PFlops labels of Figure 7) saturate like e/(e+e0). [cal: ledger rows
+// fig7.*.pflops_*]
 const CGFixedElems = 15.0
 
 // NetContention models endpoint/backplane contention as the job grows
 // toward the full machine: effective per-CG bandwidth divides by
 // (1 + NetContention * nprocs/TotalCGs). [cal: Figure 7's efficiency
-// collapse at 131,072 processes.]
+// collapse at 131,072 processes, ledger rows fig7.*.eff.]
 const NetContention = 0.5
 
 // ImbalanceRate models per-doubling load-imbalance and OS-jitter losses
 // beyond one supernode, stronger for small per-process loads:
 // loss = ImbalanceRate * log2(nprocs/512) * (48/e)^0.25. [cal: Figure
-// 8's weak-scaling efficiencies at 131,072 processes.]
+// 8's weak-scaling efficiencies at 131,072 processes, ledger rows
+// fig8.eff*.]
 const ImbalanceRate = 0.0146
 
 // HOMMEConfig describes a dycore-only workload (the HOMME scaling runs
@@ -206,17 +208,23 @@ func WeakEfficiency(elemsPerProc, nprocs, baseProcs, nlev, qsize int) float64 {
 	return base.StepTime / at.StepTime
 }
 
+// TaihuLight's published Linpack run on the full machine: sustained
+// PFlops and system efficiency. The power model's system overhead is
+// fitted to it (ledger row power.linpack). [spec, cal]
+const (
+	linpackPFlops       = 93.0
+	linpackFlopsPerWatt = 6.06e9
+)
+
 // PowerEfficiency returns the modeled system-level GFlops/W at a given
 // sustained PFlops on nprocs core groups: sustained flops over the
 // powered-on fraction of the machine (chips draw near-constant power
 // regardless of utilization; system overhead scales chip power by the
-// factor that reproduces the published 6.06 GFlops/W at the 93-PFlops
-// Linpack point).
+// factor that reproduces the Linpack run's efficiency).
 func PowerEfficiency(pflops float64, nprocs int) float64 {
 	chips := float64(nprocs) / 4 // 4 CGs per chip
-	// System power per chip: chip watts x overhead. Linpack: 93 PFlops
-	// on the full machine at 6.06 GFlops/W -> 15.35 MW system power for
-	// 40,960 chips -> 374.7 W per chip (chip alone: 306 W).
-	const systemWattsPerChip = 93.0e15 / 6.06e9 / 40960
+	// System power per chip: the Linpack run's 15.35 MW over 40,960
+	// chips -> 374.7 W per chip (chip alone: 306 W).
+	const systemWattsPerChip = linpackPFlops * 1e15 / linpackFlopsPerWatt / 40960
 	return pflops * 1e15 / (chips * systemWattsPerChip) / 1e9
 }

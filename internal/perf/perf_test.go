@@ -81,46 +81,29 @@ func TestExchangeOverlapHidesComm(t *testing.T) {
 	}
 }
 
-// Figure 6 shape assertions against the paper's published anchors.
-func TestFig6CAMAnchors(t *testing.T) {
+// Figure 6's orderings; the anchors and ratio bands are ledger rows
+// fig6.*.
+func TestFig6CAMShape(t *testing.T) {
 	c := DefaultCAMConfig(30)
-	ath5400 := c.SYPD(VersionAthread, 5400)
-	if ath5400 < 21.5*0.85 || ath5400 > 21.5*1.15 {
-		t.Errorf("ne30 athread @5400 = %.2f SYPD, paper 21.5 (+-15%%)", ath5400)
-	}
-	for _, np := range []int{216, 600, 900, 1350, 5400} {
+	prev := 0.0
+	for _, np := range Fig6Ne30Procs {
 		ori := c.SYPD(VersionOri, np)
 		acc := c.SYPD(VersionOpenACC, np)
 		ath := c.SYPD(VersionAthread, np)
 		if !(ori < acc && acc < ath) {
 			t.Errorf("np=%d: ordering violated: ori %.2f acc %.2f ath %.2f", np, ori, acc, ath)
 		}
-		if r := acc / ori; r < 1.3 || r > 1.8 {
-			t.Errorf("np=%d: openacc/ori = %.2f, paper band 1.4-1.5", np, r)
-		}
-		if r := ath / acc; r < 1.05 || r > 1.6 {
-			t.Errorf("np=%d: athread/openacc = %.2f, paper band 1.1-1.4", np, r)
-		}
-	}
-	// SYPD must rise monotonically with process count over Fig 6's range.
-	prev := 0.0
-	for _, np := range []int{216, 600, 900, 1350, 5400} {
-		s := c.SYPD(VersionAthread, np)
-		if s <= prev {
+		// SYPD must rise monotonically with process count over Fig 6's range.
+		if ath <= prev {
 			t.Errorf("SYPD not increasing at np=%d", np)
 		}
-		prev = s
-	}
-
-	c120 := DefaultCAMConfig(120)
-	acc28800 := c120.SYPD(VersionOpenACC, 28800)
-	if acc28800 < 3.4*0.8 || acc28800 > 3.4*1.2 {
-		t.Errorf("ne120 openacc @28800 = %.2f SYPD, paper 3.4 (+-20%%)", acc28800)
+		prev = ath
 	}
 }
 
 // Figure 7 shape: both problem sizes lose efficiency under strong
-// scaling; the larger problem (ne1024) retains much more.
+// scaling; the larger problem (ne1024) retains much more. The endpoint
+// values are ledger rows fig7.*.
 func TestFig7StrongScalingShape(t *testing.T) {
 	h256 := DefaultHOMMEConfig(256)
 	h1024 := DefaultHOMMEConfig(1024)
@@ -138,43 +121,14 @@ func TestFig7StrongScalingShape(t *testing.T) {
 	if eff256 >= eff1024 {
 		t.Errorf("ne256 efficiency (%.3f) should be far below ne1024 (%.3f)", eff256, eff1024)
 	}
-	// Bands around the paper's 21.7%% and 51.2%% (model tolerance 2x).
-	if eff256 < 0.217/2 || eff256 > 0.217*2 {
-		t.Errorf("ne256 eff @131072 = %.3f, paper 0.217 (x/2)", eff256)
-	}
-	if eff1024 < 0.512/2 || eff1024 > 0.512*1.5 {
-		t.Errorf("ne1024 eff @131072 = %.3f, paper 0.512", eff1024)
-	}
-	// PFlops at the endpoints within 2x of the paper's labels.
-	if pf := h256.PFlops(4096, true); pf < 0.07/2 || pf > 0.07*2 {
-		t.Errorf("ne256 @4096 = %.3f PFlops, paper 0.07", pf)
-	}
-	if pf := h1024.PFlops(131072, true); pf < 1.76/2 || pf > 1.76*1.5 {
-		t.Errorf("ne1024 @131072 = %.3f PFlops, paper 1.76", pf)
-	}
 }
 
-// Figure 8 shape: weak scaling holds high efficiency, larger per-process
-// loads scale better, and the 650-element full-machine run sustains
-// ~3.3 PFlops.
+// Figure 8 shape: larger per-process loads scale better. The
+// efficiencies and the full-machine point are ledger rows fig8.*.
 func TestFig8WeakScalingShape(t *testing.T) {
-	for _, e := range []int{48, 192, 768} {
-		eff := WeakEfficiency(e, 131072, 512, 128, 4)
-		if eff < 0.85 || eff > 1.0 {
-			t.Errorf("weak eff (e=%d) @131072 = %.3f, paper band 0.88-0.93", e, eff)
-		}
-	}
 	if e48, e768 := WeakEfficiency(48, 131072, 512, 128, 4),
 		WeakEfficiency(768, 131072, 512, 128, 4); e48 >= e768 {
 		t.Errorf("bigger per-process load should scale better: 48->%.3f, 768->%.3f", e48, e768)
-	}
-	full := WeakScaling(650, 155000, 128, 4)
-	if full.PFlops < 3.3*0.85 || full.PFlops > 3.3*1.15 {
-		t.Errorf("650 elems @155000 = %.2f PFlops, paper 3.3 (+-15%%)", full.PFlops)
-	}
-	// 10,075,000 cores = 155,000 CGs x 65 cores.
-	if cores := 155000 * CoresPerCG; cores != 10075000 {
-		t.Errorf("core count arithmetic: %d", cores)
 	}
 }
 
@@ -205,9 +159,6 @@ func TestCAMVersionString(t *testing.T) {
 
 func TestHOMMEConfigBasics(t *testing.T) {
 	h := DefaultHOMMEConfig(256)
-	if h.NElems() != 393216 {
-		t.Errorf("ne256 elements = %d, Table 2 says 393,216", h.NElems())
-	}
 	if h.FlopsPerElemStep() <= 0 || h.BytesPerElemStep() <= 0 {
 		t.Error("non-positive per-element costs")
 	}
@@ -221,66 +172,30 @@ func TestHOMMEConfigBasics(t *testing.T) {
 	}
 }
 
-// Table 1 / Figure 5 band assertions: who wins each kernel, by roughly
-// the paper's factors. Uses a reduced sample (2 elements scaled to 64)
-// to keep the functional simulation fast; costs are linear in elements.
-func TestTable1Fig5Bands(t *testing.T) {
-	cfg := DefaultTable1Config()
-	cfg.SampleElems = 8
-	rows := Table1(cfg)
+// Table 1 / Figure 5 shape: every kernel runs on every backend, and
+// Athread clearly beats OpenACC on each. The per-kernel ratios are ledger
+// rows table1.* and fig5.*.
+func TestTable1Fig5Shape(t *testing.T) {
+	rows := table1Rows()
 	if len(rows) != 6 {
 		t.Fatalf("Table 1 has %d rows", len(rows))
 	}
-	byName := map[string]KernelRow{}
 	for _, r := range rows {
-		byName[r.Name] = r
 		for b, tm := range r.Times {
 			if tm <= 0 {
 				t.Fatalf("%s/%v: non-positive time", r.Name, b)
 			}
 		}
-		// MPE is 2-11x slower than one Intel core on every kernel.
-		slow := r.Times[exec.MPE] / r.Times[exec.Intel]
-		if slow < 2 || slow > 11 {
-			t.Errorf("%s: MPE %0.1fx slower than Intel, paper band 2-11x", r.Name, slow)
-		}
-		// Athread beats Intel on every kernel, by 2-46x.
-		sp := r.Speedup(exec.Intel, exec.Athread)
-		if sp < 2 || sp > 46 {
-			t.Errorf("%s: Athread %0.1fx vs Intel, paper band ~7-46x (remap lower)", r.Name, sp)
-		}
-		// Athread always beats OpenACC.
 		if r.Speedup(exec.OpenACC, exec.Athread) < 2 {
 			t.Errorf("%s: Athread should clearly beat OpenACC", r.Name)
 		}
 	}
-	// The dependency-heavy kernel loses under OpenACC (paper: 6x slower
-	// than Intel), while euler_step gains ~1.5x.
-	if r := byName["compute_and_apply_rhs"]; r.Speedup(exec.Intel, exec.OpenACC) > 0.5 {
-		t.Errorf("rhs under OpenACC should lose to Intel, got %.2fx",
-			r.Speedup(exec.Intel, exec.OpenACC))
-	}
-	if r := byName["euler_step"]; r.Speedup(exec.Intel, exec.OpenACC) < 1.0 ||
-		r.Speedup(exec.Intel, exec.OpenACC) > 2.5 {
-		t.Errorf("euler under OpenACC = %.2fx vs Intel, paper 1.56x",
-			r.Speedup(exec.Intel, exec.OpenACC))
-	}
-	// Peak Athread-over-OpenACC gain lands in the tens (paper: up to 50x).
-	maxGain := 0.0
-	for _, r := range rows {
-		if g := r.Speedup(exec.OpenACC, exec.Athread); g > maxGain {
-			maxGain = g
-		}
-	}
-	if maxGain < 20 || maxGain > 150 {
-		t.Errorf("peak Athread/OpenACC gain = %.0fx, paper 'up to 50x'", maxGain)
-	}
 }
 
-// Table 3 band assertions: our SE core beats FV3 beats MPAS at both
-// NGGPS workloads, and the margin widens at 3 km (paper: 1.31x/2.79x at
-// 12.5 km, 2.11x/4.51x at 3 km).
-func TestTable3Bands(t *testing.T) {
+// Table 3 shape: our SE core beats FV3 beats MPAS at both NGGPS
+// workloads, and the margin widens at 3 km. The run times and ratios are
+// ledger rows table3.*.
+func TestTable3Shape(t *testing.T) {
 	cases := Table3()
 	if len(cases) != 2 {
 		t.Fatalf("Table 3 has %d cases", len(cases))
@@ -301,51 +216,8 @@ func TestTable3Bands(t *testing.T) {
 			t.Errorf("%s: ordering violated: %v", c.Label, ratios[i])
 		}
 	}
-	// 12.5 km bands.
-	if r := ratios[0][1]; r < 1.1 || r > 1.8 {
-		t.Errorf("FV3 @12.5km = %.2fx ours, paper 1.31x", r)
-	}
-	if r := ratios[0][2]; r < 2.0 || r > 3.5 {
-		t.Errorf("MPAS @12.5km = %.2fx ours, paper 2.79x", r)
-	}
-	// 3 km bands.
-	if r := ratios[1][1]; r < 1.4 || r > 2.6 {
-		t.Errorf("FV3 @3km = %.2fx ours, paper 2.11x", r)
-	}
-	if r := ratios[1][2]; r < 3.0 || r > 5.5 {
-		t.Errorf("MPAS @3km = %.2fx ours, paper 4.51x", r)
-	}
-	// The gap widens at higher resolution for both baselines.
 	if ratios[1][1] <= ratios[0][1] || ratios[1][2] <= ratios[0][2] {
 		t.Errorf("margins should widen at 3 km: 12.5km %v vs 3km %v", ratios[0], ratios[1])
-	}
-	// The anchor itself (catches calibration regressions).
-	if math.Abs(cases[0].Rows[0].RunTime-2.712) > 1e-9 {
-		t.Errorf("our 12.5 km entry = %v, anchored to 2.712 s", cases[0].Rows[0].RunTime)
-	}
-}
-
-// The paper's 750-m headline: the 650-elements-per-process full-machine
-// run IS the ne4096 grid — 100,663,296 elements over 155,000 processes
-// is 649.4 elements each. Verify the arithmetic that ties Figure 8's
-// flagship point to Table 2's ne4096 row and the 3.3 PFlops claim.
-func TestUltraHighRes750m(t *testing.T) {
-	const ne4096Elems = 6 * 4096 * 4096
-	if ne4096Elems != 100663296 {
-		t.Fatalf("ne4096 = %d elements", ne4096Elems)
-	}
-	perProc := float64(ne4096Elems) / 155000
-	if perProc < 645 || perProc > 655 {
-		t.Errorf("ne4096 over 155,000 processes = %.1f elements each, expected ~650", perProc)
-	}
-	// Grid spacing: ~3000/ne km -> ne4096 ~ 0.73 km ("750-m resolution").
-	dx := 3000.0 / 4096 * 1000
-	if dx < 700 || dx > 800 {
-		t.Errorf("ne4096 spacing %.0f m, paper says 750 m", dx)
-	}
-	pf := WeakScaling(650, 155000, 128, 4).PFlops
-	if pf < 2.8 || pf > 3.8 {
-		t.Errorf("750-m full-machine run = %.2f PFlops, paper 3.3", pf)
 	}
 }
 
@@ -399,15 +271,12 @@ func TestTable1SampleLinearity(t *testing.T) {
 	}
 }
 
-// Power model anchors: Linpack's 93 PFlops on the full machine is
-// 6.06 GFlops/W by construction; the 3.3-PFlops dycore run on the
-// 155,000-CG partition lands near 0.23 GFlops/W — the typical 20-30x
-// gap between Linpack and memory-bound real applications.
+// Power model: the Linpack anchor is ledger row power.linpack; the
+// modelled full-machine dycore run lands at a few tenths of a GFlops/W —
+// the typical 20-30x gap between Linpack and memory-bound real
+// applications.
 func TestPowerEfficiency(t *testing.T) {
-	if e := PowerEfficiency(93, TotalCGs); math.Abs(e-6.06) > 0.01 {
-		t.Errorf("Linpack anchor = %.2f GFlops/W, want 6.06", e)
-	}
-	app := PowerEfficiency(3.3, 155000)
+	app := PowerEfficiency(WeakScaling(650, 155000, 128, 4).PFlops, 155000)
 	if app < 0.1 || app > 0.6 {
 		t.Errorf("dycore run = %.2f GFlops/W, expected a few tenths", app)
 	}
