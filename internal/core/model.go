@@ -96,8 +96,7 @@ func NewModel(cfg Config) (*Model, error) {
 		Suite:  suite,
 		State:  s.NewState(),
 	}
-	m.phys = newPhysRunner(physWorkersRequest(cfg.PhysWorkers), 0,
-		s.Mesh.NElems(), s.Cfg.Np*s.Cfg.Np, s.Cfg.Nlev, m.stepColumn)
+	m.phys = newPhysRunner(physWorkersRequest(cfg.PhysWorkers), 0, suite, modelColumns(s.Mesh, cfg))
 	return m, nil
 }
 
@@ -116,11 +115,9 @@ func (m *Model) SetPhysPoolForTest(n int, seed uint64) { m.setPhysPool(n, seed) 
 
 func (m *Model) setPhysPool(n int, seed uint64) {
 	m.Cfg.PhysWorkers = n
-	s := m.Solver
-	m.phys = newPhysRunner(physWorkersRequest(n), seed,
-		s.Mesh.NElems(), s.Cfg.Np*s.Cfg.Np, s.Cfg.Nlev, m.stepColumn)
+	m.phys = newPhysRunner(physWorkersRequest(n), seed, m.Suite, m.phys.physColumns)
 	if m.obs != nil {
-		m.phys.pool.Instrument(m.obs.R())
+		m.phys.instrument(m.obs.R())
 	}
 }
 
@@ -129,17 +126,6 @@ func (m *Model) PhysWorkers() int { return m.phys.workers() }
 
 // PhysStats snapshots the physics pool's cumulative scheduling activity.
 func (m *Model) PhysStats() physics.StealStats { return m.phys.pool.Stats() }
-
-// stepColumn runs the physics suite on the column at (element ei, node
-// n) of the state, using the caller-owned column buffer, and returns
-// the accumulated precipitation weighted by the node's quadrature
-// weight. The actual column step is stepOneColumn in physdriver.go,
-// shared with the per-rank path of ParallelJob.
-func (m *Model) stepColumn(col *physics.Column, ei, n int, dt float64) (precipW, area float64) {
-	s := m.Solver
-	return stepOneColumn(m.Suite, m.State, s.Mesh.Elements[ei],
-		s.Cfg.Np, s.Cfg.Nlev, s.Cfg.Qsize, col, ei, n, dt, m.Cfg.SST, m.Cfg.SSTDelta)
-}
 
 // SurfaceT returns the prescribed SST at a latitude.
 func (m *Model) SurfaceT(lat float64) float64 {
@@ -154,7 +140,7 @@ func (m *Model) SurfaceT(lat float64) float64 {
 // for every worker count.
 func (m *Model) applyPhysics() {
 	dt := m.Solver.Cfg.Dt * float64(m.Cfg.PhysEvery)
-	precip, area := m.phys.run(dt)
+	precip, area := m.phys.run(m.State, dt)
 	if area > 0 {
 		m.TotalPrecip += precip / area
 	}

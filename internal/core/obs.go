@@ -11,8 +11,7 @@ import (
 // probe detaches everything.
 func (m *Model) Attach(p *obs.Probe) {
 	m.obs = p
-	m.Suite.Instrument(p.R())
-	m.phys.pool.Instrument(p.R())
+	m.phys.instrument(p.R())
 }
 
 // Instrument wires the probe into every rank of the distributed driver:
@@ -29,8 +28,7 @@ func (j *ParallelJob) Instrument(p *obs.Probe) {
 	// Physics pools and suites share counter names across ranks (all
 	// sinks are atomic), so physics.steals etc. aggregate the whole job.
 	for _, rp := range j.rankPhys {
-		rp.suite.Instrument(p.R())
-		rp.runner.pool.Instrument(p.R())
+		rp.instrument(p.R())
 	}
 }
 

@@ -60,7 +60,7 @@ type ParallelJob struct {
 
 	// Physics phase (nil = dynamics-only; see EnablePhysics).
 	phys     *jobPhysics
-	rankPhys []*rankPhys
+	rankPhys []*physRunner
 
 	// TotalPrecip is the global-mean accumulated precipitation, kg/m^2,
 	// advanced by rank 0 after each canonical reduction. ResilientJob

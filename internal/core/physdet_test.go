@@ -268,20 +268,42 @@ func TestResilientRewindsPrecipOnRollback(t *testing.T) {
 	}
 }
 
-// The serial-driver physics step is allocation-free at steady state on
-// one worker, and bounded by goroutine-launch machinery on several —
-// the core-side face of the zero-alloc audit.
+// The physics step — the serial driver's and every ParallelJob rank's,
+// column map included — is allocation-free at steady state on one
+// worker, and bounded by goroutine-launch machinery on several — the
+// core-side face of the zero-alloc audit.
 func TestModelPhysicsSteadyStateAllocs(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		m := moistTestModel(t, workers)
-		m.applyPhysics() // warm column scratch and the pool
-		got := testing.AllocsPerRun(10, func() { m.applyPhysics() })
 		budget := 0.0
 		if workers > 1 {
 			budget = float64(2 + 2*workers)
 		}
+		m := moistTestModel(t, workers)
+		m.applyPhysics() // warm column scratch and the pool
+		got := testing.AllocsPerRun(10, func() { m.applyPhysics() })
 		if got > budget {
-			t.Errorf("workers=%d: %.1f allocs per physics step, budget %.0f", workers, got, budget)
+			t.Errorf("model workers=%d: %.1f allocs per physics step, budget %.0f", workers, got, budget)
+		}
+
+		job, err := NewParallelJob(m.Solver.Cfg, exec.Intel, true, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := job.EnablePhysics(physics.Moist, 1, 302, 30); err != nil {
+			t.Fatal(err)
+		}
+		job.SetPhysWorkers(workers)
+		local := job.Scatter(m.State)
+		dt := job.Cfg.Dt
+		for r, rp := range job.rankPhys {
+			if len(rp.dups) == 0 {
+				t.Fatalf("rank %d: empty column map", r)
+			}
+			rp.run(local[r], dt) // warm
+			got := testing.AllocsPerRun(10, func() { rp.run(local[r], dt) })
+			if got > budget {
+				t.Errorf("job rank %d workers=%d: %.1f allocs per physics step, budget %.0f", r, workers, got, budget)
+			}
 		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"fmt"
 
 	"swcam/internal/dycore"
+	"swcam/internal/mesh"
 	"swcam/internal/mpirt"
 	"swcam/internal/physics"
 )
@@ -27,15 +28,6 @@ type jobPhysics struct {
 	sstDelta   float64 // pole-equator SST contrast
 	workersReq int     // requested pool size (Config convention)
 	seed       uint64  // victim-scan seed, rotated by tests
-}
-
-// rankPhys is one rank's physics machinery: its own suite (atomic
-// counters — safe under the pool) and its runner. st points at the
-// rank's state only for the duration of one applyPhysicsRank call.
-type rankPhys struct {
-	suite  *physics.Suite
-	runner *physRunner
-	st     *dycore.State
 }
 
 // EnablePhysics turns on the column-physics phase: the suite runs every
@@ -90,7 +82,7 @@ func (j *ParallelJob) PhysWorkers() int {
 	if j.phys == nil || len(j.rankPhys) == 0 {
 		return 0
 	}
-	return j.rankPhys[0].runner.workers()
+	return j.rankPhys[0].workers()
 }
 
 // PhysStats sums the physics pools' cumulative scheduling activity over
@@ -98,7 +90,7 @@ func (j *ParallelJob) PhysWorkers() int {
 func (j *ParallelJob) PhysStats() physics.StealStats {
 	var tot physics.StealStats
 	for _, rp := range j.rankPhys {
-		s := rp.runner.pool.Stats()
+		s := rp.pool.Stats()
 		tot.Runs += s.Runs
 		tot.Chunks += s.Chunks
 		tot.Steals += s.Steals
@@ -115,35 +107,41 @@ func (j *ParallelJob) PhysStats() physics.StealStats {
 	return tot
 }
 
-// buildRankPhys (re)builds the per-rank suites and runners for the
-// current partition. Called by EnablePhysics,
-// SetPhysWorkers, and Shrink; Instrument re-wires observability after.
+// buildRankPhys (re)builds the per-rank runners, each with its own
+// suite (atomic counters — safe under the pool) and the column map of
+// the rank's halo plan, for the current partition. Called by
+// EnablePhysics, SetPhysWorkers, and Shrink; Instrument re-wires
+// observability after.
 func (j *ParallelJob) buildRankPhys() {
 	pc := j.phys
 	if pc == nil {
 		return
 	}
-	np, nlev, qsize := j.Cfg.Np, j.Cfg.Nlev, j.Cfg.Qsize
-	npsq := np * np
-	j.rankPhys = make([]*rankPhys, j.NRanks)
+	j.rankPhys = make([]*physRunner, j.NRanks)
 	for r := 0; r < j.NRanks; r++ {
 		r := r
-		rp := &rankPhys{}
+		var suite *physics.Suite
 		switch pc.mode {
 		case physics.Moist:
-			rp.suite = physics.NewMoistSuite()
+			suite = physics.NewMoistSuite()
 		case physics.HeldSuarezMode:
-			rp.suite = physics.NewHeldSuarezSuite()
+			suite = physics.NewHeldSuarezSuite()
 		}
-		elems := j.Plans[r].Elems
-		rp.runner = newPhysRunner(physWorkersRequest(pc.workersReq), pc.seed,
-			len(elems), npsq, nlev,
-			func(col *physics.Column, le, n int, dt float64) (float64, float64) {
-				return stepOneColumn(rp.suite, rp.st, j.Mesh.Elements[elems[le]],
-					np, nlev, qsize, col, le, n, dt, pc.sst, pc.sstDelta)
-			})
+		p := j.Plans[r]
+		cols := physColumns{
+			elems: make([]*mesh.Element, len(p.Elems)),
+			np:    j.Cfg.Np, nlev: j.Cfg.Nlev, qsize: j.Cfg.Qsize,
+			sst: pc.sst, sstDelta: pc.sstDelta,
+		}
+		for le, ge := range p.Elems {
+			cols.elems[le] = j.Mesh.Elements[ge]
+		}
+		for _, g := range p.Groups {
+			cols.shared = append(cols.shared, g.Refs)
+		}
+		rp := newPhysRunner(physWorkersRequest(pc.workersReq), pc.seed, suite, cols)
 		if j.PhysPanicHook != nil {
-			rp.runner.hook = func(w, le int) { j.PhysPanicHook(r, w, le) }
+			rp.hook = func(w, le int) { j.PhysPanicHook(r, w, le) }
 		}
 		j.rankPhys[r] = rp
 	}
@@ -153,11 +151,7 @@ func (j *ParallelJob) buildRankPhys() {
 // the canonical global-mean precipitation increment into TotalPrecip
 // (written by rank 0 only — the field is read after the world joins).
 func (j *ParallelJob) applyPhysicsRank(c *mpirt.Comm, r int, st *dycore.State) {
-	rp := j.rankPhys[r]
-	rp.st = st
-	dt := j.Cfg.Dt * float64(j.phys.every)
-	rp.runner.run(dt)
-	rp.st = nil
+	j.rankPhys[r].run(st, j.Cfg.Dt*float64(j.phys.every))
 	inc := j.canonicalPrecip(c, r)
 	if r == 0 {
 		j.TotalPrecip += inc
@@ -169,7 +163,7 @@ func (j *ParallelJob) applyPhysicsRank(c *mpirt.Comm, r int, st *dycore.State) {
 // so serial and every partition agree bit-for-bit.
 func (j *ParallelJob) canonicalPrecip(c *mpirt.Comm, r int) float64 {
 	rb := j.red[r]
-	parts := j.rankPhys[r].runner.parts
+	parts := j.rankPhys[r].parts
 	local := rb.local[:2*len(parts)]
 	for i := range parts {
 		local[2*i], local[2*i+1] = parts[i].precip, parts[i].area

@@ -22,9 +22,10 @@ func BenchmarkComputeAndApplyRHS(b *testing.B) {
 	ws := NewWorkspace(4, 16)
 	rhs := NewRHS(4, 16)
 	e := s.Mesh.Elements[0]
+	cor := Coriolis(e)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ComputeAndApplyRHSElem(e, s.Mesh.DerivFlat, ws, rhs,
+		ComputeAndApplyRHSElem(e, cor, s.Mesh.DerivFlat, ws, rhs,
 			st.U[0], st.V[0], st.T[0], st.DP[0], st.Phis[0],
 			st.U[0], st.V[0], st.T[0], st.DP[0],
 			out.U[0], out.V[0], out.T[0], out.DP[0], 60)

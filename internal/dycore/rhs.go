@@ -24,7 +24,17 @@ type Workspace struct {
 	flxU     []float64
 	flxV     []float64
 	s1, s2   []float64 // slab scratch for the differential operators
-	cor      []float64 // Coriolis parameter per node
+}
+
+// Coriolis returns the Coriolis parameter 2Ω·sin(lat) at each node of
+// e. It is a function of the node alone, so the solver and the engines
+// compute it once per element when they are built.
+func Coriolis(e *mesh.Element) []float64 {
+	cor := make([]float64, len(e.Lat))
+	for n, lat := range e.Lat {
+		cor[n] = 2 * Omega * math.Sin(lat)
+	}
+	return cor
 }
 
 // NewWorkspace allocates scratch for elements with the given dimensions.
@@ -50,7 +60,6 @@ func NewWorkspace(np, nlev int) *Workspace {
 		flxV:   make([]float64, npsq),
 		s1:     make([]float64, npsq),
 		s2:     make([]float64, npsq),
-		cor:    make([]float64, npsq),
 	}
 }
 
@@ -116,8 +125,9 @@ func NewRHS(np, nlev int) *RHS {
 // 1); the caller applies DSS to the out fields afterwards, completing the
 // "apply DSS" part of the kernel.
 //
-// cur and base may be the same element slices. All slices are level-major.
-func ComputeAndApplyRHSElem(e *mesh.Element, derivFlat []float64, w *Workspace, rhs *RHS,
+// cor is the element's Coriolis parameter (Coriolis). cur and base may
+// be the same element slices. All slices are level-major.
+func ComputeAndApplyRHSElem(e *mesh.Element, cor, derivFlat []float64, w *Workspace, rhs *RHS,
 	curU, curV, curT, curDP, phis []float64,
 	baseU, baseV, baseT, baseDP []float64,
 	outU, outV, outT, outDP []float64,
@@ -153,12 +163,6 @@ func ComputeAndApplyRHSElem(e *mesh.Element, derivFlat []float64, w *Workspace, 
 		}
 	}
 
-	// Coriolis parameter: a function of the node alone, so once per call
-	// rather than once per (level, node).
-	for n := 0; n < npsq; n++ {
-		w.cor[n] = 2 * Omega * math.Sin(e.Lat[n])
-	}
-
 	for k := 0; k < nlev; k++ {
 		o := k * npsq
 		uk, vk := curU[o:o+npsq], curV[o:o+npsq]
@@ -177,7 +181,7 @@ func ComputeAndApplyRHSElem(e *mesh.Element, derivFlat []float64, w *Workspace, 
 		VorticitySlab(derivFlat, e.DFlat, e.Metdet, e.DAlpha, np, uk, vk, w.vort, w.s1, w.s2)
 
 		for n := 0; n < npsq; n++ {
-			absv := w.vort[n] + w.cor[n]
+			absv := w.vort[n] + cor[n]
 			p := w.pMid[o+n]
 			vgradP := uk[n]*w.gpx[n] + vk[n]*w.gpy[n]
 			omega := vgradP - w.cumDiv[o+n]

@@ -430,7 +430,7 @@ func TestRHSOnUltraHighResElement(t *testing.T) {
 		}
 	}
 	out := NewState(1, 4, nlev, 0)
-	ComputeAndApplyRHSElem(e, derivFlat, ws, rhs,
+	ComputeAndApplyRHSElem(e, Coriolis(e), derivFlat, ws, rhs,
 		u, v, tt, dp, phis, u, v, tt, dp,
 		out.U[0], out.V[0], out.T[0], out.DP[0], 1)
 	for i := range out.T[0] {

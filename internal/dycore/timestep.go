@@ -73,6 +73,7 @@ type Solver struct {
 
 	ws   *Workspace
 	rhs  *RHS
+	cor  [][]float64 // per-element Coriolis parameter
 	step int
 
 	// Per-element whole-field scratch for stages and Laplacians.
@@ -99,6 +100,10 @@ func NewSolver(cfg Config) (*Solver, error) {
 	}
 	npsq := cfg.Np * cfg.Np
 	n := m.NElems()
+	s.cor = make([][]float64, n)
+	for ei, e := range m.Elements {
+		s.cor[ei] = Coriolis(e)
+	}
 	allocEl := func() [][]float64 {
 		f := make([][]float64, n)
 		for i := range f {
@@ -159,7 +164,7 @@ func (s *Solver) DSSLevelMajor(fields ...[][]float64) {
 // applyRHS evaluates out = base + dt*RHS(cur) for all elements, then DSS.
 func (s *Solver) applyRHS(cur, base, out *State, dt float64) {
 	for ei, e := range s.Mesh.Elements {
-		ComputeAndApplyRHSElem(e, s.Mesh.DerivFlat, s.ws, s.rhs,
+		ComputeAndApplyRHSElem(e, s.cor[ei], s.Mesh.DerivFlat, s.ws, s.rhs,
 			cur.U[ei], cur.V[ei], cur.T[ei], cur.DP[ei], cur.Phis[ei],
 			base.U[ei], base.V[ei], base.T[ei], base.DP[ei],
 			out.U[ei], out.V[ei], out.T[ei], out.DP[ei], dt)

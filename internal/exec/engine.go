@@ -27,6 +27,10 @@ type Engine struct {
 
 	Np, Nlev, Qsize int
 
+	// cor is each local element's Coriolis parameter (dycore.Coriolis),
+	// computed once when the engine is built; the CPE bodies DMA it.
+	cor [][]float64
+
 	workers int
 	pool    []*dynWorker
 
@@ -197,6 +201,10 @@ func NewEngine(m *mesh.Mesh, elems []int, nlev, qsize int) *Engine {
 		M: m, Elems: elems,
 		Np: m.Np, Nlev: nlev, Qsize: qsize,
 		slabFlops: make(map[*slabSpec]int64, len(slabSpecs)),
+		cor:       make([][]float64, len(elems)),
+	}
+	for le, ge := range elems {
+		en.cor[le] = dycore.Coriolis(m.Elements[ge])
 	}
 	for _, k := range slabSpecs {
 		en.slabFlops[k] = k.levelFlops(m.Np)

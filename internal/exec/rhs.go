@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"math"
-
 	"swcam/internal/dycore"
 	"swcam/internal/sw"
 )
@@ -28,7 +26,7 @@ func (en *Engine) rhsSerial(sub Subset, b Backend, sel *ElemSubset, cur, base, o
 	flops, bytes := en.runTiles(sel, func(w *dynWorker, slots []int, p *serialPartial) {
 		for _, le := range slots {
 			e := en.element(le)
-			dycore.ComputeAndApplyRHSElem(e, en.M.DerivFlat, w.ws, w.rhs,
+			dycore.ComputeAndApplyRHSElem(e, en.cor[le], en.M.DerivFlat, w.ws, w.rhs,
 				cur.U[le], cur.V[le], cur.T[le], cur.DP[le], cur.Phis[le],
 				base.U[le], base.V[le], base.T[le], base.DP[le],
 				out.U[le], out.V[le], out.T[le], out.DP[le], dt)
@@ -70,13 +68,13 @@ func (en *Engine) rhsOpenACC(sub Subset, sel *ElemSubset, cur, base, out *dycore
 					dinv := ldm.MustAlloc("dinv", 4*npsq)
 					dflat := ldm.MustAlloc("dflat", 4*npsq)
 					metdet := ldm.MustAlloc("metdet", npsq)
-					lat := ldm.MustAlloc("lat", npsq)
+					cor := ldm.MustAlloc("cor", npsq)
 					phis := ldm.MustAlloc("phis", npsq)
 					c.DMA.GetShared(deriv, en.M.DerivFlat)
 					c.DMA.Get(dinv, e.DinvFlat)
 					c.DMA.Get(dflat, e.DFlat)
 					c.DMA.Get(metdet, e.Metdet)
-					c.DMA.Get(lat, e.Lat)
+					c.DMA.Get(cor, en.cor[le])
 					c.DMA.Get(phis, cur.Phis[le])
 
 					// Streaming buffers: one level slab at a time.
@@ -200,8 +198,7 @@ func (en *Engine) rhsOpenACC(sub Subset, sel *ElemSubset, cur, base, out *dycore
 					c.DMA.Get(outT, base.T[le][o:o+npsq])
 					c.DMA.Get(outDP, base.DP[le][o:o+npsq])
 					for n := 0; n < npsq; n++ {
-						f := 2 * dycore.Omega * math.Sin(lat[n])
-						absv := vort[n] + f
+						absv := vort[n] + cor[n]
 						p := pMidK[n]
 						vgradP := uK[n]*gpx[n] + vK[n]*gpy[n]
 						omega := vgradP - cumDiv[n]
@@ -260,7 +257,7 @@ func (en *Engine) rhsAthread(sub Subset, sel *ElemSubset, cur, base, out *dycore
 			dinv := ldm.MustAlloc("dinv", 4*npsq)
 			dflat := ldm.MustAlloc("dflat", 4*npsq)
 			metdet := ldm.MustAlloc("metdet", npsq)
-			lat := ldm.MustAlloc("lat", npsq)
+			cor := ldm.MustAlloc("cor", npsq)
 			phis := ldm.MustAlloc("phis", npsq)
 
 			uT := ldm.MustAlloc("u", maxSlab)[:slab]
@@ -309,18 +306,13 @@ func (en *Engine) rhsAthread(sub Subset, sel *ElemSubset, cur, base, out *dycore
 				c.DMA.Get(dinv, e.DinvFlat)
 				c.DMA.Get(dflat, e.DFlat)
 				c.DMA.Get(metdet, e.Metdet)
-				c.DMA.Get(lat, e.Lat)
+				c.DMA.Get(cor, en.cor[le])
 				c.DMA.Get(phis, cur.Phis[le])
 				c.DMA.Get(uT, cur.U[le][s*npsq:s*npsq+slab])
 				c.DMA.Get(vT, cur.V[le][s*npsq:s*npsq+slab])
 				c.DMA.Get(tT, cur.T[le][s*npsq:s*npsq+slab])
 				c.DMA.Get(dpT, cur.DP[le][s*npsq:s*npsq+slab])
-
-				// Coriolis parameter 2Ω·sin(lat), once per element, in place.
-				for n, x := range lat {
-					lat[n] = 2 * dycore.Omega * math.Sin(x)
-				}
-				f := level4(lat, 0)
+				f := level4(cor, 0)
 
 				// Pressure: exclusive column scan of dp from the model top,
 				// then the midpoint offset.
