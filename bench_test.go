@@ -152,7 +152,8 @@ func BenchmarkDistributedStepAthread(b *testing.B) {
 // remap data-movement strategies (§7.5): per-column strided DMA vs the
 // in-fabric shuffle/register transposition. Reports the DMA-descriptor
 // and register-message counts of each — the design trade the paper's
-// transposition machinery exists to win.
+// transposition machinery exists to win — and each cost record's
+// modelled time (perf.KernelTime, in model-µs).
 func BenchmarkRemapTransposeAblation(b *testing.B) {
 	m := mesh.New(2, 4)
 	elems := make([]int, m.NElems())
@@ -185,4 +186,6 @@ func BenchmarkRemapTransposeAblation(b *testing.B) {
 	b.ReportMetric(float64(strided.DMAOps), "strided_dma_ops")
 	b.ReportMetric(float64(transposed.DMAOps), "transposed_dma_ops")
 	b.ReportMetric(float64(transposed.RegMsgs), "transposed_reg_msgs")
+	b.ReportMetric(perf.KernelTime(strided)*1e6, "strided_model_us")
+	b.ReportMetric(perf.KernelTime(transposed)*1e6, "transposed_model_us")
 }

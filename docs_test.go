@@ -36,21 +36,7 @@ func TestExperimentsLedgerBlock(t *testing.T) {
 // file in the module defines. A trailing * cites every name with that
 // prefix, and at least one must exist.
 func TestDocsCiteExistingTests(t *testing.T) {
-	decl := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
-	var funcs []string
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") {
-			return err
-		}
-		src, err := os.ReadFile(path)
-		for _, m := range decl.FindAllStringSubmatch(string(src), -1) {
-			funcs = append(funcs, m[1])
-		}
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	funcs := testFuncs(t)
 	cite := regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*\*?`)
 	for _, doc := range []string{"EXPERIMENTS.md", "DESIGN.md", "README.md"} {
 		src, err := os.ReadFile(doc)
@@ -68,4 +54,25 @@ func TestDocsCiteExistingTests(t *testing.T) {
 			}
 		}
 	}
+}
+
+// testFuncs lists the Test, Benchmark and Fuzz functions that the
+// module's _test.go files define.
+func testFuncs(t *testing.T) []string {
+	decl := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
+	var funcs []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range decl.FindAllStringSubmatch(string(src), -1) {
+			funcs = append(funcs, m[1])
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return funcs
 }

@@ -1,194 +1,6 @@
 package baseline
 
-import (
-	"math"
-	"testing"
-)
-
-func gaussianFV(g *FVGrid, x0, y0, sigma float64) {
-	for j := 0; j < g.Ny; j++ {
-		for i := 0; i < g.Nx; i++ {
-			dx := (float64(i)+0.5)*g.Dx - x0
-			dy := (float64(j)+0.5)*g.Dy - y0
-			g.Set(i, j, math.Exp(-(dx*dx+dy*dy)/(2*sigma*sigma)))
-		}
-	}
-}
-
-func TestFVConservesMass(t *testing.T) {
-	g := NewFVGrid(40, 40, 1, 1)
-	gaussianFV(g, 20, 20, 4)
-	m0 := g.TotalMass()
-	for s := 0; s < 50; s++ {
-		g.AdvectSplit(0.7, -0.4, 1)
-	}
-	m1 := g.TotalMass()
-	if math.Abs(m1-m0) > 1e-10*m0 {
-		t.Fatalf("FV mass drifted: %v -> %v", m0, m1)
-	}
-}
-
-func TestFVMonotone(t *testing.T) {
-	// A 0/1 step function must stay within [0, 1].
-	g := NewFVGrid(50, 20, 1, 1)
-	for j := 0; j < g.Ny; j++ {
-		for i := 0; i < g.Nx; i++ {
-			if i > 10 && i < 25 {
-				g.Set(i, j, 1)
-			}
-		}
-	}
-	for s := 0; s < 100; s++ {
-		g.AdvectSplit(0.45, 0.2, 1)
-	}
-	lo, hi := g.MinMax()
-	if lo < -1e-12 || hi > 1+1e-12 {
-		t.Fatalf("FV overshoot: [%g, %g]", lo, hi)
-	}
-}
-
-func TestFVTranslatesCorrectDistance(t *testing.T) {
-	// One full period of translation must return the blob to its start.
-	g := NewFVGrid(32, 32, 1, 1)
-	gaussianFV(g, 16, 16, 3)
-	ref := append([]float64(nil), g.Q...)
-	// u=0.5, dt=1: 64 steps = one x period.
-	for s := 0; s < 64; s++ {
-		g.AdvectSplit(0.5, 0, 1)
-	}
-	// Diffused but centred at the same place: correlation with the
-	// original must be high and the centroid must match.
-	var dot, na, nb float64
-	for k := range ref {
-		dot += ref[k] * g.Q[k]
-		na += ref[k] * ref[k]
-		nb += g.Q[k] * g.Q[k]
-	}
-	if corr := dot / math.Sqrt(na*nb); corr < 0.95 {
-		t.Fatalf("after one period correlation = %.3f", corr)
-	}
-}
-
-func TestFVExactAtUnitCourant(t *testing.T) {
-	// At Courant number exactly 1 the scheme is exact translation.
-	g := NewFVGrid(16, 8, 1, 1)
-	gaussianFV(g, 8, 4, 2)
-	ref := append([]float64(nil), g.Q...)
-	for s := 0; s < 16; s++ {
-		g.AdvectSplit(1.0, 0, 1)
-	}
-	for k := range ref {
-		if math.Abs(g.Q[k]-ref[k]) > 1e-12 {
-			t.Fatalf("unit-Courant translation not exact at %d", k)
-		}
-	}
-}
-
-func TestFVCFLGuard(t *testing.T) {
-	g := NewFVGrid(8, 8, 1, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("CFL violation not caught")
-		}
-	}()
-	g.AdvectSplit(2.0, 0, 1)
-}
-
-func TestHexMeshConnectivity(t *testing.T) {
-	m := NewHexMesh(8, 6, 1)
-	if m.NCells != 48 {
-		t.Fatalf("cells = %d", m.NCells)
-	}
-	// Euler: periodic hex mesh has exactly 3 edges per cell.
-	if m.NEdges != 3*m.NCells {
-		t.Fatalf("edges = %d, want %d", m.NEdges, 3*m.NCells)
-	}
-	// Every edge's two cells must list it with opposite signs.
-	listed := make([]int, m.NEdges)
-	for c := 0; c < m.NCells; c++ {
-		for k := 0; k < 6; k++ {
-			e := m.EdgesOnCell[c][k]
-			listed[e]++
-			cells := m.CellsOnEdge[e]
-			if int32(c) != cells[0] && int32(c) != cells[1] {
-				t.Fatalf("cell %d lists edge %d it does not border", c, e)
-			}
-		}
-	}
-	for e, n := range listed {
-		if n != 2 {
-			t.Fatalf("edge %d listed %d times", e, n)
-		}
-	}
-	// Normals are unit.
-	for e := 0; e < m.NEdges; e++ {
-		if math.Abs(math.Hypot(m.NormalX[e], m.NormalY[e])-1) > 1e-12 {
-			t.Fatalf("edge %d normal not unit", e)
-		}
-	}
-}
-
-func TestHexAdvectConservesMass(t *testing.T) {
-	m := NewHexMesh(20, 20, 1)
-	for c := 0; c < m.NCells; c++ {
-		dx := m.shortest(m.CX[c]-10, float64(m.Nx)*m.CellDist)
-		dy := m.shortest(m.CY[c]-8, float64(m.Ny)*m.CellDist*math.Sqrt(3)/2)
-		m.Q[c] = math.Exp(-(dx*dx + dy*dy) / 8)
-	}
-	m0 := m.TotalMass()
-	for s := 0; s < 100; s++ {
-		m.Advect(0.3, 0.2, 1)
-	}
-	if d := math.Abs(m.TotalMass() - m0); d > 1e-10*m0 {
-		t.Fatalf("hex mass drifted by %g", d)
-	}
-}
-
-func TestHexAdvectMovesBlobDownwind(t *testing.T) {
-	m := NewHexMesh(30, 20, 1)
-	x0, y0 := 8.0, 8.0
-	for c := 0; c < m.NCells; c++ {
-		dx := m.shortest(m.CX[c]-x0, float64(m.Nx)*m.CellDist)
-		dy := m.shortest(m.CY[c]-y0, float64(m.Ny)*m.CellDist*math.Sqrt(3)/2)
-		m.Q[c] = math.Exp(-(dx*dx + dy*dy) / 4)
-	}
-	cx0, _ := m.Centroid()
-	const u, dt = 0.4, 1.0
-	const steps = 10
-	for s := 0; s < steps; s++ {
-		m.Advect(u, 0, dt)
-	}
-	cx1, _ := m.Centroid()
-	moved := cx1 - cx0
-	want := u * dt * steps
-	if moved < 0.5*want || moved > 1.5*want {
-		t.Fatalf("blob moved %.2f, expected ~%.2f downwind", moved, want)
-	}
-}
-
-func TestHexAdvectNonNegative(t *testing.T) {
-	// First-order upwind is positivity-preserving.
-	m := NewHexMesh(16, 10, 1)
-	m.Q[37] = 5
-	for s := 0; s < 50; s++ {
-		m.Advect(0.3, -0.25, 1)
-	}
-	for c, v := range m.Q {
-		if v < -1e-13 {
-			t.Fatalf("negative value %g at cell %d", v, c)
-		}
-	}
-}
-
-func TestHexCFLGuard(t *testing.T) {
-	m := NewHexMesh(8, 6, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("hex CFL violation not caught")
-		}
-	}()
-	m.Advect(5, 0, 1)
-}
+import "testing"
 
 func TestDycoreCostShape(t *testing.T) {
 	// The structural statement behind Table 3: per degree of freedom,

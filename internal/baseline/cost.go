@@ -1,10 +1,18 @@
+// Package baseline describes the two comparison dynamical cores of the
+// paper's NGGPS evaluation (Table 3), FV3 and MPAS, beside our SE core,
+// as per-degree-of-freedom cost descriptors. The paper compares full
+// nonhydrostatic models; rebuilding those is out of scope (see
+// DESIGN.md). The descriptors carry the computational signature that
+// decides the comparison's shape — FV3's wide halos and directional
+// sweeps, MPAS's indirect addressing and shorter stable step — so SE
+// beats FV3 beats MPAS per degree of freedom on this machine, with the
+// gap widening at 3 km where per-process work shrinks.
 package baseline
 
-// Per-degree-of-freedom cost coefficients of the three NGGPS candidate
+// Per-degree-of-freedom cost descriptors of the three NGGPS candidate
 // dycores, used by the Table 3 model in internal/perf. The coefficients
-// come from the discretizations' public descriptions plus the structure
-// of the miniature cores in this package, normalized to the CAM-SE
-// column cost:
+// come from the discretizations' public descriptions, normalized to the
+// CAM-SE column cost:
 //
 //   - SE (ours): compact element-local stencils, one DSS halo per stage,
 //     long timesteps (semi-implicit-free explicit RK on GLL nodes).

@@ -408,3 +408,8 @@ func TestParallelAthreadCAMLevels(t *testing.T) {
 		t.Errorf("nlev=30 Athread distributed run differs from serial by %g", d)
 	}
 }
+
+// SurfaceT returns the prescribed SST at a latitude.
+func (m *Model) SurfaceT(lat float64) float64 {
+	return surfaceT(lat, m.Cfg.SST, m.Cfg.SSTDelta)
+}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
-	"hash/fnv"
 	"math"
 	"math/rand"
 	"testing"
@@ -10,30 +8,6 @@ import (
 	"swcam/internal/dycore"
 	"swcam/internal/exec"
 )
-
-// hashGlobal folds every float64 of a gathered state into an FNV-64
-// digest over the raw bit patterns, so the comparison is exact: a
-// single ULP of drift — or a NaN, which compares unequal to itself and
-// would slip through a tolerance check — changes the hash.
-func hashGlobal(st *dycore.State) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	fold := func(fields [][]float64) {
-		for _, f := range fields {
-			for _, v := range f {
-				binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-				h.Write(buf[:])
-			}
-		}
-	}
-	fold(st.U)
-	fold(st.V)
-	fold(st.T)
-	fold(st.DP)
-	fold(st.Qdp)
-	fold(st.Phis)
-	return h.Sum64()
-}
 
 // randomizedGlobal builds a seeded, perturbed initial condition: the
 // baroclinic wave plus tracers, with every prognostic field nudged by
@@ -97,7 +71,7 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 		}
 		local := job.Scatter(global)
 		stats := job.Run(local, steps)
-		return hashGlobal(job.Gather(local)), stats
+		return StateFNV(job.Gather(local)), stats
 	}
 
 	for _, b := range []exec.Backend{exec.Intel, exec.MPE, exec.OpenACC, exec.Athread} {

@@ -44,9 +44,6 @@ func (j *ParallelJob) EnableIntegrity(scrubEvery int) *integrity.Ledger {
 	return j.ledger
 }
 
-// IntegrityEnabled reports whether EnableIntegrity was called.
-func (j *ParallelJob) IntegrityEnabled() bool { return j.ScrubEvery > 0 }
-
 // scrubVerify re-verifies rank r's state against its live seal at the
 // start of step stepNo. A seal from any step other than stepNo-1 is
 // legitimately stale (coarse cadence, or the first step after a

@@ -100,38 +100,6 @@ func NewModel(cfg Config) (*Model, error) {
 	return m, nil
 }
 
-// SetPhysWorkers rebuilds the physics pool with n workers (negative =
-// auto-size to the machine, 0 or 1 = serial). Results are bit-identical
-// for every value — only the schedule changes. The optional seed knob on
-// the Config is not exposed here; tests that need distinct steal
-// schedules use SetPhysPoolForTest.
-func (m *Model) SetPhysWorkers(n int) {
-	m.setPhysPool(n, m.phys.pool.Seed())
-}
-
-// SetPhysPoolForTest rebuilds the physics pool with an explicit worker
-// count and victim-scan seed — the determinism sweep's schedule knob.
-func (m *Model) SetPhysPoolForTest(n int, seed uint64) { m.setPhysPool(n, seed) }
-
-func (m *Model) setPhysPool(n int, seed uint64) {
-	m.Cfg.PhysWorkers = n
-	m.phys = newPhysRunner(physWorkersRequest(n), seed, m.Suite, m.phys.physColumns)
-	if m.obs != nil {
-		m.phys.instrument(m.obs.R())
-	}
-}
-
-// PhysWorkers reports the resolved physics pool size.
-func (m *Model) PhysWorkers() int { return m.phys.workers() }
-
-// PhysStats snapshots the physics pool's cumulative scheduling activity.
-func (m *Model) PhysStats() physics.StealStats { return m.phys.pool.Stats() }
-
-// SurfaceT returns the prescribed SST at a latitude.
-func (m *Model) SurfaceT(lat float64) float64 {
-	return surfaceT(lat, m.Cfg.SST, m.Cfg.SSTDelta)
-}
-
 // applyPhysics runs the suite over every column of the state, advancing
 // it by dtPhys = PhysEvery dynamics steps of simulated time, on the
 // work-stealing element pool. Serial and parallel share one code path

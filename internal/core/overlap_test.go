@@ -62,7 +62,7 @@ func TestOverlapDifferentialSweep(t *testing.T) {
 		}
 		g := job.Gather(local)
 		return result{
-			hash:     hashGlobal(g),
+			hash:     StateFNV(g),
 			stats:    stats,
 			windows:  probe.Reg.CounterValue("halo.overlap.windows"),
 			gathered: g,

@@ -71,7 +71,7 @@ func TestPartitionOrderingBitIdentity(t *testing.T) {
 					}
 					local := job.Scatter(global)
 					job.Run(local, steps)
-					h := hashGlobal(job.Gather(local))
+					h := StateFNV(job.Gather(local))
 					if li == 0 {
 						refHash = h
 						continue

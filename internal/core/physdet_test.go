@@ -46,7 +46,7 @@ func TestModelPhysicsDeterministicAcrossSchedules(t *testing.T) {
 		m := moistTestModel(t, 1)
 		m.SetPhysPoolForTest(workers, seed)
 		m.Run(6)
-		return hashGlobal(m.State), m.TotalPrecip, m.PhysStats().Chunks
+		return StateFNV(m.State), m.TotalPrecip, m.PhysStats().Chunks
 	}
 	refHash, refPrecip, refChunks := run(1, 0)
 	if refPrecip <= 0 {
@@ -95,7 +95,7 @@ func TestJobPhysicsDeterministicAcrossSchedules(t *testing.T) {
 		job.SetPhysPoolForTest(workers, seed)
 		local := job.Scatter(global)
 		stats := job.Run(local, steps)
-		return hashGlobal(job.Gather(local)), job.TotalPrecip, stats, job.PhysStats().Chunks
+		return StateFNV(job.Gather(local)), job.TotalPrecip, stats, job.PhysStats().Chunks
 	}
 
 	for _, b := range []exec.Backend{exec.Intel, exec.Athread} {
@@ -150,7 +150,7 @@ func TestJobPhysicsPartitionInvariant(t *testing.T) {
 		job.SetPhysWorkers(3)
 		local := job.Scatter(global)
 		job.Run(local, 4)
-		return hashGlobal(job.Gather(local)), job.TotalPrecip
+		return StateFNV(job.Gather(local)), job.TotalPrecip
 	}
 	refHash, refPrecip := run(1)
 	if refPrecip <= 0 {
@@ -250,7 +250,7 @@ func TestResilientRewindsPrecipOnRollback(t *testing.T) {
 		if err != nil {
 			t.Fatalf("inject=%v: supervised run failed: %v", inject, err)
 		}
-		return hashGlobal(job.Gather(local)), job.TotalPrecip, rs.Rollbacks
+		return StateFNV(job.Gather(local)), job.TotalPrecip, rs.Rollbacks
 	}
 	refHash, refPrecip, _ := run(false)
 	if refPrecip <= 0 {
@@ -350,4 +350,28 @@ func TestParallelPhysicsSpeedup(t *testing.T) {
 		t.Errorf("parallel physics (4 workers) %v not faster than serial %v", par, serial)
 	}
 	t.Logf("physics step: serial %v, 4 workers %v (%.2fx)", serial, par, float64(serial)/float64(par))
+}
+
+// SetPhysPoolForTest rebuilds the physics pool with an explicit worker
+// count and victim-scan seed — the determinism sweep's schedule knob.
+func (m *Model) SetPhysPoolForTest(n int, seed uint64) {
+	m.Cfg.PhysWorkers = n
+	m.phys = newPhysRunner(physWorkersRequest(n), seed, m.Suite, m.phys.physColumns)
+	if m.obs != nil {
+		m.phys.instrument(m.obs.R())
+	}
+}
+
+// PhysStats snapshots the physics pool's cumulative scheduling activity.
+func (m *Model) PhysStats() physics.StealStats { return m.phys.pool.Stats() }
+
+// SetPhysPoolForTest rebuilds the physics pools with an explicit worker
+// count and victim-scan seed — the determinism sweep's schedule knob.
+func (j *ParallelJob) SetPhysPoolForTest(n int, seed uint64) {
+	if j.phys == nil {
+		return
+	}
+	j.phys.workersReq = n
+	j.phys.seed = seed
+	j.buildRankPhys()
 }

@@ -65,17 +65,6 @@ func (j *ParallelJob) SetPhysWorkers(n int) {
 	j.buildRankPhys()
 }
 
-// SetPhysPoolForTest rebuilds the physics pools with an explicit worker
-// count and victim-scan seed — the determinism sweep's schedule knob.
-func (j *ParallelJob) SetPhysPoolForTest(n int, seed uint64) {
-	if j.phys == nil {
-		return
-	}
-	j.phys.workersReq = n
-	j.phys.seed = seed
-	j.buildRankPhys()
-}
-
 // PhysWorkers reports the resolved per-rank physics pool size (0 when
 // physics is off).
 func (j *ParallelJob) PhysWorkers() int {

@@ -39,25 +39,6 @@ func (s *Solver) TracerMass(st *State, q int) float64 {
 	return total
 }
 
-// TotalEnergy returns the global integral of total energy per unit area:
-// (cp*T + KE + phis) dp/g summed over the column.
-func (s *Solver) TotalEnergy(st *State) float64 {
-	npsq := s.Cfg.Np * s.Cfg.Np
-	total := 0.0
-	for ei, e := range s.Mesh.Elements {
-		for n := 0; n < npsq; n++ {
-			col := 0.0
-			for k := 0; k < s.Cfg.Nlev; k++ {
-				i := k*npsq + n
-				ke := (st.U[ei][i]*st.U[ei][i] + st.V[ei][i]*st.V[ei][i]) / 2
-				col += (Cp*st.T[ei][i] + ke + st.Phis[ei][n]) * st.DP[ei][i] / Gravit
-			}
-			total += e.SphereMP[n] * col
-		}
-	}
-	return total
-}
-
 // MaxWind returns the largest horizontal wind speed in the state, the
 // standard CFL/stability monitor.
 func (s *Solver) MaxWind(st *State) float64 {

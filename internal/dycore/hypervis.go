@@ -61,19 +61,6 @@ func HypervisDP2Elem(e *mesh.Element, derivFlat []float64, np, nlev int,
 	}
 }
 
-// BiharmonicDP3DElem computes the weak biharmonic of the layer thickness
-// alone: the first pass here, the second pass after the caller's DSS.
-// first=true computes lap(dp) into out; first=false computes lap(out's
-// DSS'd content) into out again, yielding grad^4 dp.
-func BiharmonicDP3DElem(e *mesh.Element, derivFlat []float64, np, nlev int,
-	in, out []float64) {
-	npsq := np * np
-	for k := 0; k < nlev; k++ {
-		o := k * npsq
-		LaplaceSphere(e, derivFlat, np, in[o:o+npsq], out[o:o+npsq])
-	}
-}
-
 // HypervisCoefficient returns the CAM-SE tensor hyperviscosity
 // coefficient for a given resolution: nu ~ 1e15 m^4/s at ne=30, scaling
 // as (30/ne)^3.2 (the empirical HOMME resolution scaling).

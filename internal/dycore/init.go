@@ -34,27 +34,6 @@ func (s *Solver) InitRest(st *State, t0 float64) {
 	}
 }
 
-// InitSolidBodyRotation superimposes a solid-body zonal flow of peak
-// speed u0 (m/s at the equator) on a rest atmosphere — the classic
-// advection test flow. alpha tilts the rotation axis from the pole
-// (alpha=0 gives pure zonal flow).
-func (s *Solver) InitSolidBodyRotation(st *State, t0, u0, alpha float64) {
-	s.InitRest(st, t0)
-	npsq := s.Cfg.Np * s.Cfg.Np
-	ca, sa := math.Cos(alpha), math.Sin(alpha)
-	for ei, e := range s.Mesh.Elements {
-		for n := 0; n < npsq; n++ {
-			lon, lat := e.Lon[n], e.Lat[n]
-			u := u0 * (math.Cos(lat)*ca + math.Sin(lat)*math.Cos(lon)*sa)
-			v := -u0 * math.Sin(lon) * sa
-			for k := 0; k < s.Cfg.Nlev; k++ {
-				st.U[ei][k*npsq+n] = u
-				st.V[ei][k*npsq+n] = v
-			}
-		}
-	}
-}
-
 // InitCosineBellTracer fills tracer q with a cosine bell of radius r0
 // (radians) centred at (lonC, latC), as mixing ratio against the current
 // dp — the standard solid-body advection target.

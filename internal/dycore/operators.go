@@ -112,13 +112,6 @@ func gradientSlabGeneric(derivFlat, dinvFlat []float64, dAlpha float64, np int, 
 	}
 }
 
-// GradientSphere is the element wrapper around GradientSlab.
-func GradientSphere(e *mesh.Element, derivFlat []float64, np int, s, gx, gy []float64) {
-	da := make([]float64, np*np)
-	db := make([]float64, np*np)
-	GradientSlab(derivFlat, e.DinvFlat, e.DAlpha, np, s, gx, gy, da, db)
-}
-
 // DivergenceSlab computes the spherical divergence of (u, v) into div,
 // using scratch gv1, gv2 (np*np each).
 func DivergenceSlab(derivFlat, dinvFlat, metdet []float64, dAlpha float64, np int, u, v, div, gv1, gv2 []float64) {
@@ -150,14 +143,6 @@ func divergenceSlabGeneric(derivFlat, dinvFlat, metdet []float64, dAlpha float64
 			div[n] = (dda + ddb) * fac * Rrearth / metdet[n]
 		}
 	}
-}
-
-// DivergenceSphere is the element wrapper around DivergenceSlab.
-func DivergenceSphere(e *mesh.Element, derivFlat []float64, np int, u, v, div []float64) {
-	npsq := np * np
-	gv1 := make([]float64, npsq)
-	gv2 := make([]float64, npsq)
-	DivergenceSlab(derivFlat, e.DinvFlat, e.Metdet, e.DAlpha, np, u, v, div, gv1, gv2)
 }
 
 // VorticitySlab computes the radial curl component of (u, v) into vort,
@@ -192,14 +177,6 @@ func vorticitySlabGeneric(derivFlat, dFlat, metdet []float64, dAlpha float64, np
 	}
 }
 
-// VorticitySphere is the element wrapper around VorticitySlab.
-func VorticitySphere(e *mesh.Element, derivFlat []float64, np int, u, v, vort []float64) {
-	npsq := np * np
-	cov1 := make([]float64, npsq)
-	cov2 := make([]float64, npsq)
-	VorticitySlab(derivFlat, e.DFlat, e.Metdet, e.DAlpha, np, u, v, vort, cov1, cov2)
-}
-
 // LaplaceSlab computes div(grad s)) with caller scratch (4 slabs).
 func LaplaceSlab(derivFlat, dinvFlat, metdet []float64, dAlpha float64, np int, s, out, s1, s2, s3, s4 []float64) {
 	GradientSlab(derivFlat, dinvFlat, dAlpha, np, s, s1, s2, s3, s4)
@@ -216,19 +193,6 @@ func LaplaceSphere(e *mesh.Element, derivFlat []float64, np int, s, out []float6
 	s3 := make([]float64, npsq)
 	s4 := make([]float64, npsq)
 	LaplaceSlab(derivFlat, e.DinvFlat, e.Metdet, e.DAlpha, np, s, out, s1, s2, s3, s4)
-}
-
-// CurlSphere computes k x grad(psi): the nondivergent vector field of a
-// stream function.
-func CurlSphere(e *mesh.Element, derivFlat []float64, np int, psi, u, v []float64) {
-	npsq := np * np
-	gx := make([]float64, npsq)
-	gy := make([]float64, npsq)
-	GradientSphere(e, derivFlat, np, psi, gx, gy)
-	for n := 0; n < npsq; n++ {
-		u[n] = -gy[n]
-		v[n] = gx[n]
-	}
 }
 
 // VecLaplaceSlab computes the sphere-correct vector Laplacian

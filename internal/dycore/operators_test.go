@@ -478,3 +478,39 @@ func FuzzNp4Slabs(f *testing.F) {
 		}
 	})
 }
+
+// GradientSphere is the element wrapper around GradientSlab.
+func GradientSphere(e *mesh.Element, derivFlat []float64, np int, s, gx, gy []float64) {
+	da := make([]float64, np*np)
+	db := make([]float64, np*np)
+	GradientSlab(derivFlat, e.DinvFlat, e.DAlpha, np, s, gx, gy, da, db)
+}
+
+// DivergenceSphere is the element wrapper around DivergenceSlab.
+func DivergenceSphere(e *mesh.Element, derivFlat []float64, np int, u, v, div []float64) {
+	npsq := np * np
+	gv1 := make([]float64, npsq)
+	gv2 := make([]float64, npsq)
+	DivergenceSlab(derivFlat, e.DinvFlat, e.Metdet, e.DAlpha, np, u, v, div, gv1, gv2)
+}
+
+// VorticitySphere is the element wrapper around VorticitySlab.
+func VorticitySphere(e *mesh.Element, derivFlat []float64, np int, u, v, vort []float64) {
+	npsq := np * np
+	cov1 := make([]float64, npsq)
+	cov2 := make([]float64, npsq)
+	VorticitySlab(derivFlat, e.DFlat, e.Metdet, e.DAlpha, np, u, v, vort, cov1, cov2)
+}
+
+// CurlSphere computes k x grad(psi): the nondivergent vector field of a
+// stream function.
+func CurlSphere(e *mesh.Element, derivFlat []float64, np int, psi, u, v []float64) {
+	npsq := np * np
+	gx := make([]float64, npsq)
+	gy := make([]float64, npsq)
+	GradientSphere(e, derivFlat, np, psi, gx, gy)
+	for n := 0; n < npsq; n++ {
+		u[n] = -gy[n]
+		v[n] = gx[n]
+	}
+}

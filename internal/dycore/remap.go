@@ -96,7 +96,7 @@ func (rw *RemapWorkspace) Prepare(dpS, dpT []float64) {
 		totT += d
 	}
 	if math.Abs(totS-totT) > 1e-8*math.Max(totS, 1) {
-		panic(fmt.Sprintf("dycore: RemapPPM column totals differ: %g vs %g", totS, totT))
+		panic(fmt.Sprintf("dycore: PPM remap column totals differ: %g vs %g", totS, totT))
 	}
 	dp := rw.dpS
 	copy(dp, dpS)
@@ -227,7 +227,7 @@ func (rw *RemapWorkspace) buildPPM(a []float64) {
 func (rw *RemapWorkspace) Apply(a, out []float64) {
 	n := len(rw.dpS)
 	if len(a) != n || len(out) != len(rw.dpT) {
-		panic("dycore: RemapPPM length mismatch")
+		panic("dycore: PPM remap length mismatch")
 	}
 	rw.buildPPM(a)
 	c := &rw.coef
@@ -256,20 +256,6 @@ func (rw *RemapWorkspace) Apply(a, out []float64) {
 		out[t] = (m - mPrev) / d
 		mPrev = m
 	}
-}
-
-// RemapPPM remaps cell averages a from source thicknesses dpS onto
-// target thicknesses dpT (same column total within roundoff), storing
-// target averages in out: Prepare + Apply on a workspace allocated per
-// call. Steady-state callers hold a RemapWorkspace, prepare each column
-// once, and apply it to every field.
-func RemapPPM(dpS, a, dpT, out []float64) {
-	if len(dpS) != len(a) || len(dpT) != len(out) {
-		panic("dycore: RemapPPM length mismatch")
-	}
-	rw := NewRemapWorkspace(len(a))
-	rw.Prepare(dpS, dpT)
-	rw.Apply(a, out)
 }
 
 // RemapStateElem remaps one element's state from its deformed Lagrangian

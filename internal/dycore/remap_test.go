@@ -307,3 +307,17 @@ func TestRemapStateElemConservs(t *testing.T) {
 		}
 	}
 }
+
+// RemapPPM remaps cell averages a from source thicknesses dpS onto
+// target thicknesses dpT (same column total within roundoff), storing
+// target averages in out: Prepare + Apply on a workspace allocated per
+// call. Steady-state callers hold a RemapWorkspace, prepare each column
+// once, and apply it to every field.
+func RemapPPM(dpS, a, dpT, out []float64) {
+	if len(dpS) != len(a) || len(dpT) != len(out) {
+		panic("dycore: RemapPPM length mismatch")
+	}
+	rw := NewRemapWorkspace(len(a))
+	rw.Prepare(dpS, dpT)
+	rw.Apply(a, out)
+}

@@ -265,29 +265,3 @@ func (s *SWSolver) InitRossbyHaurwitz(st *SWState) {
 		}
 	}
 }
-
-// TotalEnstrophy returns the potential-enstrophy integral
-// (zeta + f)^2 / (2 h) — together with mass and energy one of the
-// quadratic invariants the shallow-water system conserves in the
-// continuum; its drift measures the scheme's nonlinear dissipation.
-func (s *SWSolver) TotalEnstrophy(st *SWState) float64 {
-	m := s.Mesh
-	np := m.Np
-	npsq := np * np
-	vort := make([]float64, npsq)
-	sA := make([]float64, npsq)
-	sB := make([]float64, npsq)
-	total := 0.0
-	for ei, e := range m.Elements {
-		VorticitySlab(m.DerivFlat, e.DFlat, e.Metdet, e.DAlpha, np,
-			st.U[ei], st.V[ei], vort, sA, sB)
-		for n := 0; n < npsq; n++ {
-			f := 2 * Omega * math.Sin(e.Lat[n])
-			q := vort[n] + f
-			if st.H[ei][n] > 0 {
-				total += e.SphereMP[n] * q * q / (2 * st.H[ei][n])
-			}
-		}
-	}
-	return total
-}

@@ -1,6 +1,7 @@
 package dycore
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -463,4 +464,73 @@ func TestGravityWaveCFLAdvisory(t *testing.T) {
 	if cfl := cfg.GravityWaveCFL(); cfl < 1 {
 		t.Errorf("known-unstable dt reports CFL %.2f < 1", cfl)
 	}
+}
+
+// TotalEnergy returns the global integral of total energy per unit area:
+// (cp*T + KE + phis) dp/g summed over the column.
+func (s *Solver) TotalEnergy(st *State) float64 {
+	npsq := s.Cfg.Np * s.Cfg.Np
+	total := 0.0
+	for ei, e := range s.Mesh.Elements {
+		for n := 0; n < npsq; n++ {
+			col := 0.0
+			for k := 0; k < s.Cfg.Nlev; k++ {
+				i := k*npsq + n
+				ke := (st.U[ei][i]*st.U[ei][i] + st.V[ei][i]*st.V[ei][i]) / 2
+				col += (Cp*st.T[ei][i] + ke + st.Phis[ei][n]) * st.DP[ei][i] / Gravit
+			}
+			total += e.SphereMP[n] * col
+		}
+	}
+	return total
+}
+
+// InitSolidBodyRotation superimposes a solid-body zonal flow of peak
+// speed u0 (m/s at the equator) on a rest atmosphere — the classic
+// advection test flow. alpha tilts the rotation axis from the pole
+// (alpha=0 gives pure zonal flow).
+func (s *Solver) InitSolidBodyRotation(st *State, t0, u0, alpha float64) {
+	s.InitRest(st, t0)
+	npsq := s.Cfg.Np * s.Cfg.Np
+	ca, sa := math.Cos(alpha), math.Sin(alpha)
+	for ei, e := range s.Mesh.Elements {
+		for n := 0; n < npsq; n++ {
+			lon, lat := e.Lon[n], e.Lat[n]
+			u := u0 * (math.Cos(lat)*ca + math.Sin(lat)*math.Cos(lon)*sa)
+			v := -u0 * math.Sin(lon) * sa
+			for k := 0; k < s.Cfg.Nlev; k++ {
+				st.U[ei][k*npsq+n] = u
+				st.V[ei][k*npsq+n] = v
+			}
+		}
+	}
+}
+
+// Validate checks that the coordinate yields strictly positive layer
+// thicknesses over a surface-pressure range (monotone interfaces).
+func (h *HybridCoord) Validate(psMin, psMax float64) error {
+	dp := make([]float64, h.Nlev)
+	for _, ps := range []float64{psMin, psMax} {
+		h.ReferenceDP(ps, dp)
+		for k, d := range dp {
+			if d <= 0 {
+				return fmt.Errorf("dycore: non-positive layer thickness %g at level %d for ps=%g", d, k, ps)
+			}
+		}
+	}
+	return nil
+}
+
+// GravityWaveCFL estimates the gravity-wave Courant number of a
+// configuration: c * dt / dx_node with c ~ 340 m/s and the smallest GLL
+// node spacing of the grid. Values approaching 1 are unstable for the
+// non-subcycled RK2 driver; DefaultConfig stays near 0.4.
+func (c Config) GravityWaveCFL() float64 {
+	// Smallest GLL gap for np=4 is (1 - 1/sqrt 5)/2 of the element
+	// half-width; generalize via the first interior node.
+	xi, _ := mesh.GLL(c.Np)
+	minGap := (xi[1] - xi[0]) / 2 // fraction of half-width
+	dxNode := Rearth * (3.14159265358979 / 2) / float64(c.Ne) * minGap
+	const cGrav = 340.0
+	return cGrav * c.Dt / dxNode
 }

@@ -297,17 +297,3 @@ func (s *Solver) StepCount() int { return s.step }
 // vertical-remap cadence (every RemapFreq steps) must survive a
 // checkpoint/restore for bit-exact continuation.
 func (s *Solver) SetStep(n int) { s.step = n }
-
-// GravityWaveCFL estimates the gravity-wave Courant number of a
-// configuration: c * dt / dx_node with c ~ 340 m/s and the smallest GLL
-// node spacing of the grid. Values approaching 1 are unstable for the
-// non-subcycled RK2 driver; DefaultConfig stays near 0.4.
-func (c Config) GravityWaveCFL() float64 {
-	// Smallest GLL gap for np=4 is (1 - 1/sqrt 5)/2 of the element
-	// half-width; generalize via the first interior node.
-	xi, _ := mesh.GLL(c.Np)
-	minGap := (xi[1] - xi[0]) / 2 // fraction of half-width
-	dxNode := Rearth * (3.14159265358979 / 2) / float64(c.Ne) * minGap
-	const cGrav = 340.0
-	return cGrav * c.Dt / dxNode
-}

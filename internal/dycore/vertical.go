@@ -74,18 +74,3 @@ func (h *HybridCoord) ReferenceDP(ps float64, dp []float64) {
 		dp[k] = (h.HyAI[k+1]-h.HyAI[k])*P0 + (h.HyBI[k+1]-h.HyBI[k])*ps
 	}
 }
-
-// Validate checks that the coordinate yields strictly positive layer
-// thicknesses over a surface-pressure range (monotone interfaces).
-func (h *HybridCoord) Validate(psMin, psMax float64) error {
-	dp := make([]float64, h.Nlev)
-	for _, ps := range []float64{psMin, psMax} {
-		h.ReferenceDP(ps, dp)
-		for k, d := range dp {
-			if d <= 0 {
-				return fmt.Errorf("dycore: non-positive layer thickness %g at level %d for ps=%g", d, k, ps)
-			}
-		}
-	}
-	return nil
-}

@@ -80,12 +80,6 @@ func hypervis2Flops(np, nlev int) int64 {
 	return hypervisDP2Spec.levelFlops(np) * int64(nlev)
 }
 
-// biharmonicFlops: one scalar Laplacian pass on dp3d, derived from
-// biharmonicDP3DSpec.
-func biharmonicFlops(np, nlev int) int64 {
-	return biharmonicDP3DSpec.levelFlops(np) * int64(nlev)
-}
-
 // remapFlops: per element — PPM reconstruction ~25 ops/cell, cumulative
 // and interpolation ~15 ops/cell, per remapped field (3 + qsize), per
 // node column.
@@ -139,9 +133,6 @@ func Hypervis1Flops(np, nlev int) int64 { return hypervis1Flops(np, nlev) }
 
 // Hypervis2Flops returns flops per element for the second pass + update.
 func Hypervis2Flops(np, nlev int) int64 { return hypervis2Flops(np, nlev) }
-
-// BiharmonicFlops returns flops per element for one biharmonic pass.
-func BiharmonicFlops(np, nlev int) int64 { return biharmonicFlops(np, nlev) }
 
 // RemapFlops returns flops per element for the vertical remap.
 func RemapFlops(np, nlev, qsize int) int64 { return remapFlops(np, nlev, qsize) }

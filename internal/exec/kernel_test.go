@@ -230,8 +230,8 @@ func TestAnalyticFormulasDerivedFromSpecs(t *testing.T) {
 			if got, want := hypervis2Flops(np, nlev), (vecLapFlops(np)+2*lapFlops(np)+4*axpyFlops(np))*nl; got != want {
 				t.Errorf("hypervis2Flops(%d,%d) = %d, want %d", np, nlev, got, want)
 			}
-			if got, want := biharmonicFlops(np, nlev), lapFlops(np)*nl; got != want {
-				t.Errorf("biharmonicFlops(%d,%d) = %d, want %d", np, nlev, got, want)
+			if got, want := biharmonicDP3DSpec.levelFlops(np)*nl, lapFlops(np)*nl; got != want {
+				t.Errorf("biharmonic flops(%d,%d) = %d, want %d", np, nlev, got, want)
 			}
 			if got, want := hypervisDP1Spec.serialBytes(np, nlev), hypervisBytes(np, nlev); got != want {
 				t.Errorf("dp1 serialBytes(%d,%d) = %d, want hypervisBytes %d", np, nlev, got, want)

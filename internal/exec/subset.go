@@ -28,16 +28,14 @@
 package exec
 
 // SplitPhase selects how a kernel invocation relates to the
-// boundary/interior split of a DSS-preceding kernel.
+// boundary/interior split of a DSS-preceding kernel. The zero value is a
+// Whole launch: the kernel over every element in one launch.
 type SplitPhase int
 
 const (
-	// Whole runs the kernel over every element in one launch (the
-	// default; Subset zero value).
-	Whole SplitPhase = iota
 	// Open runs the boundary half: cost collection is deferred to the
 	// matching Close on the same engine.
-	Open
+	Open SplitPhase = iota + 1
 	// Close runs the interior half and collects the full kernel cost.
 	Close
 )

@@ -223,15 +223,3 @@ func RankState(np, nlev, qsize, elems int) RankFootprint {
 		ScratchBytes: elems * scratch * 8,
 	}
 }
-
-// MaxElemsWithin returns the largest local element count whose rank
-// footprint stays within budgetBytes (zero when even one element does
-// not fit) — the knob the sweep harness uses to refuse configurations
-// that would overcommit the box.
-func MaxElemsWithin(np, nlev, qsize, budgetBytes int) int {
-	one := RankState(np, nlev, qsize, 1).Total()
-	if one <= 0 || budgetBytes < one {
-		return 0
-	}
-	return budgetBytes / one
-}

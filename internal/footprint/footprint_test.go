@@ -155,19 +155,3 @@ func TestRankStateMatchesAllocatedState(t *testing.T) {
 		}
 	}
 }
-
-// TestMaxElemsWithin: the budget knob is exact — MaxElemsWithin fits,
-// one more element does not.
-func TestMaxElemsWithin(t *testing.T) {
-	const np, nlev, qsize = 4, 30, 4
-	one := RankState(np, nlev, qsize, 1).Total()
-	for _, budget := range []int{0, one - 1, one, 10 * one, 10*one + one/2} {
-		k := MaxElemsWithin(np, nlev, qsize, budget)
-		if k > 0 && RankState(np, nlev, qsize, k).Total() > budget {
-			t.Errorf("budget %d: %d elements overshoot", budget, k)
-		}
-		if RankState(np, nlev, qsize, k+1).Total() <= budget {
-			t.Errorf("budget %d: could have fit %d elements, said %d", budget, k+1, k)
-		}
-	}
-}

@@ -89,9 +89,6 @@ type Layout struct {
 	LevelStride int
 }
 
-// NodeMajor is the layout with all of a node's levels contiguous.
-func NodeMajor(levels int) Layout { return Layout{Levels: levels, NodeStride: levels, LevelStride: 1} }
-
 // LevelMajor is the layout with whole np*np level slabs contiguous.
 func LevelMajor(levels, npsq int) Layout {
 	return Layout{Levels: levels, NodeStride: 1, LevelStride: npsq}
@@ -189,65 +186,20 @@ func (p *Plan) assembleRemote(strip []float64, recvBufs [][]float64, lay Layout,
 }
 
 // DSSOriginal performs the exchange in HOMME's original unified-buffer
-// style: all contributions staged through pack buffers, blocking
-// communication, and received data copied first into the pack buffer and
-// only then into element storage (the redundant memory copy the paper
-// removes). fields are per-element nodal arrays with `stride` values per
-// GLL node; every field is exchanged in one message per neighbour, as the
-// real code packs multiple tracers/levels together.
+// style: nothing overlaps the messages, and received data is copied
+// first into the pack buffer and only then into element storage (the
+// redundant memory copy the paper removes). It is DSSOverlap with an
+// empty window plus that staging copy, counted in Stats.StagingBytes.
+// fields are per-element nodal arrays with `stride` values per GLL node;
+// every field is exchanged in one message per neighbour, as the real
+// code packs multiple tracers/levels together.
 //
 // A detected transport fault (CRC mismatch, receive timeout, aborted
 // world) is returned as an error naming the neighbour; the fields have
 // not been scattered into, so the caller sees either a completed DSS or
 // its pre-exchange values — never a partially-averaged mixture.
 func (p *Plan) DSSOriginal(c *mpirt.Comm, lay Layout, fields ...[][]float64) (Stats, error) {
-	nf := len(fields)
-	if nf == 0 {
-		return Stats{}, nil
-	}
-	st := &p.exchStats
-	*st = Stats{}
-	timed := p.instrumented()
-	defer p.exchangeProbe("halo.dss_original", st)()
-	stride := lay.Levels
-	strip := p.ensureScratch(stride)
-	p.ensureBufs(nf, stride)
-
-	// Pack all, send all, receive all: no overlap anywhere.
-	for i := range p.Neighbors {
-		nb := &p.Neighbors[i]
-		p.packNeighbor(nb, p.sendBufs[i], lay, nf, fields...)
-		st.PackBytes += int64(len(p.sendBufs[i]) * 8)
-	}
-	for i := range p.Neighbors {
-		c.Send(p.Neighbors[i].Rank, tagDSS, p.sendBufs[i])
-		st.Msgs++
-		st.WireBytes += int64(len(p.sendBufs[i]) * 8)
-	}
-	for i := range p.Neighbors {
-		nb := &p.Neighbors[i]
-		recv := p.recvBufs[i]
-		var w0 time.Time
-		if timed {
-			w0 = time.Now()
-		}
-		if err := c.RecvErr(nb.Rank, tagDSS, recv); err != nil {
-			return *st, fmt.Errorf("halo: DSS exchange with rank %d: %w", nb.Rank, err)
-		}
-		if timed {
-			st.WaitNs += time.Since(w0).Nanoseconds()
-		}
-		// The original design forwards receive-buffer data through the
-		// unified pack buffer before it reaches the elements: model that
-		// staging copy explicitly so its cost is measurable.
-		copy(p.staged[i], recv)
-		st.StagingBytes += int64(len(recv) * 8)
-		st.UnpackBytes += int64(len(recv) * 8)
-	}
-	// All receives verified; only now touch the fields.
-	p.resolveLocal(strip, lay, nf, fields...)
-	p.assembleRemote(strip, p.staged, lay, nf, fields...)
-	return *st, nil
+	return p.dss(c, lay, nil, true, fields)
 }
 
 // DSSOverlap performs the redesigned exchange of §7.6. The caller must
@@ -262,10 +214,19 @@ func (p *Plan) DSSOriginal(c *mpirt.Comm, lay Layout, fields ...[][]float64) (St
 // registry counter on instrumented plans.
 //
 // A detected transport fault is returned as an error naming the
-// neighbour. Unlike DSSOriginal, local groups may already have been
-// resolved by then (that is the overlap), so on error the fields must be
-// treated as unusable and the step rolled back or the world aborted.
+// neighbour. No group has been assembled by then, so the fields hold
+// their pre-exchange values apart from what computeInner wrote; with a
+// real window the step must still be rolled back or the world aborted.
 func (p *Plan) DSSOverlap(c *mpirt.Comm, lay Layout, computeInner func(), fields ...[][]float64) (Stats, error) {
+	return p.dss(c, lay, computeInner, false, fields)
+}
+
+// dss is the one exchange body. In order: post the receives, pack and
+// send, run the window, drain the sends, drain the receives (staging
+// each through the pack buffer when staged), then resolve the local
+// groups and assemble the remote ones. The fault injector sees the sends
+// and then the receives in neighbour order on both flavours.
+func (p *Plan) dss(c *mpirt.Comm, lay Layout, computeInner func(), staged bool, fields [][][]float64) (Stats, error) {
 	nf := len(fields)
 	if nf == 0 {
 		if computeInner != nil {
@@ -276,10 +237,18 @@ func (p *Plan) DSSOverlap(c *mpirt.Comm, lay Layout, computeInner func(), fields
 	st := &p.exchStats
 	*st = Stats{}
 	timed := p.instrumented()
-	defer p.exchangeProbe("halo.dss_overlap", st)()
+	name := "halo.dss_overlap"
+	if staged {
+		name = "halo.dss_original"
+	}
+	defer p.exchangeProbe(name, st)()
 	stride := lay.Levels
 	strip := p.ensureScratch(stride)
 	p.ensureBufs(nf, stride)
+	recvBufs := p.recvBufs
+	if staged {
+		recvBufs = p.staged
+	}
 
 	// Remote-shared copies live entirely on boundary elements, which are
 	// ready: pack their weighted values and get the messages moving first.
@@ -308,13 +277,9 @@ func (p *Plan) DSSOverlap(c *mpirt.Comm, lay Layout, computeInner func(), fields
 		}
 		computeInner()
 	}
-	// Inner values exist now; resolve the purely local groups.
-	p.resolveLocal(strip, lay, nf, fields...)
 
-	// Drain the tracked sends, then the receives, and assemble shared
-	// nodes straight from the receive buffers — the direct unpack that
-	// removes the staging copy. Time spent blocked here is communication
-	// the overlap window failed to hide.
+	// Drain the tracked sends, then the receives. Time spent blocked here
+	// is communication the window failed to hide.
 	for i := range p.Neighbors {
 		if err := p.sendReqs[i].WaitErr(); err != nil {
 			return *st, fmt.Errorf("halo: DSS exchange with rank %d: %w", p.Neighbors[i].Rank, err)
@@ -331,8 +296,16 @@ func (p *Plan) DSSOverlap(c *mpirt.Comm, lay Layout, computeInner func(), fields
 		if timed {
 			st.WaitNs += time.Since(w0).Nanoseconds()
 		}
+		if staged {
+			copy(p.staged[i], p.recvBufs[i])
+			st.StagingBytes += int64(len(p.recvBufs[i]) * 8)
+		}
 		st.UnpackBytes += int64(len(p.recvBufs[i]) * 8)
 	}
-	p.assembleRemote(strip, p.recvBufs, lay, nf, fields...)
+	// All receives verified; only now touch the fields. The overlap
+	// flavour assembles shared nodes straight from the receive buffers —
+	// the direct unpack that removes the staging copy.
+	p.resolveLocal(strip, lay, nf, fields...)
+	p.assembleRemote(strip, recvBufs, lay, nf, fields...)
 	return *st, nil
 }

@@ -223,7 +223,9 @@ func TestStagingBytesOnlyInOriginal(t *testing.T) {
 	w := mpirt.NewWorld(nranks)
 	w.Run(func(c *mpirt.Comm) { statsA[c.Rank()], _ = plans[c.Rank()].DSSOriginal(c, NodeMajor(2), a[c.Rank()]) })
 	w2 := mpirt.NewWorld(nranks)
-	w2.Run(func(c *mpirt.Comm) { statsB[c.Rank()], _ = plans[c.Rank()].DSSOverlap(c, NodeMajor(2), nil, b[c.Rank()]) })
+	w2.Run(func(c *mpirt.Comm) {
+		statsB[c.Rank()], _ = plans[c.Rank()].DSSOverlap(c, NodeMajor(2), nil, b[c.Rank()])
+	})
 	for r := 0; r < nranks; r++ {
 		if statsA[r].StagingBytes == 0 {
 			t.Errorf("rank %d: original exchange has no staging copies", r)
@@ -439,3 +441,11 @@ func TestOverlapComputeInnerParticipatesInDSS(t *testing.T) {
 		}
 	}
 }
+
+// NodeMajor is the layout with all of a node's levels contiguous.
+func NodeMajor(levels int) Layout { return Layout{Levels: levels, NodeStride: levels, LevelStride: 1} }
+
+// SharedNodes returns the count of distinct nodes this rank exchanges
+// with neighbour i — the per-message element count used by the machine
+// model. Symmetric between the two ends of a neighbour pair.
+func (p *Plan) SharedNodes(i int) int { return p.Neighbors[i].Nodes }

@@ -238,11 +238,6 @@ func NewPlan(m *mesh.Mesh, rankOf []int, rank int) *Plan {
 // NLocal returns the number of elements owned by this rank.
 func (p *Plan) NLocal() int { return len(p.Elems) }
 
-// SharedNodes returns the count of distinct nodes this rank exchanges
-// with neighbour i — the per-message element count used by the machine
-// model. Symmetric between the two ends of a neighbour pair.
-func (p *Plan) SharedNodes(i int) int { return p.Neighbors[i].Nodes }
-
 func (p *Plan) ensureScratch(n int) []float64 {
 	if cap(p.scratch) < n {
 		p.scratch = make([]float64, n)

@@ -206,3 +206,10 @@ func TestLedgerPrunesHistory(t *testing.T) {
 		t.Fatal("ancient step still on record")
 	}
 }
+
+// Recorded reports whether the ledger holds invariants for step
+// (diagnostics and tests).
+func (l *Ledger) Recorded(step int) (Invariants, bool) {
+	inv, ok := l.hist[step]
+	return inv, ok
+}

@@ -102,10 +102,3 @@ func (l *Ledger) Check(step int, inv Invariants) error {
 	}
 	return nil
 }
-
-// Recorded reports whether the ledger holds invariants for step
-// (diagnostics and tests).
-func (l *Ledger) Recorded(step int) (Invariants, bool) {
-	inv, ok := l.hist[step]
-	return inv, ok
-}

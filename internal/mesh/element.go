@@ -47,9 +47,6 @@ type Element struct {
 	ShareNeighbors []int // element ids sharing at least one node
 }
 
-// NodeIndex returns the storage index of GLL node (i,j).
-func (e *Element) NodeIndex(i, j, np int) int { return j*np + i }
-
 // buildElement computes geometry and metric terms for element (face,fi,fj)
 // of an ne x ne face using GLL nodes xi and weights wt.
 func buildElement(id, face, fi, fj, ne int, xi, wt []float64) *Element {

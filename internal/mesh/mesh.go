@@ -180,15 +180,3 @@ func (m *Mesh) Integrate(field [][]float64) float64 {
 	}
 	return total
 }
-
-// SurfaceArea returns the quadrature measure of the whole grid, which
-// must equal 4*pi on the unit sphere — the standard mesh sanity check.
-func (m *Mesh) SurfaceArea() float64 {
-	total := 0.0
-	for _, e := range m.Elements {
-		for _, w := range e.SphereMP {
-			total += w
-		}
-	}
-	return total
-}

@@ -342,3 +342,15 @@ func TestSingleElementMatchesAssembledMesh(t *testing.T) {
 		}
 	}
 }
+
+// SurfaceArea returns the quadrature measure of the whole grid, which
+// must equal 4*pi on the unit sphere — the standard mesh sanity check.
+func (m *Mesh) SurfaceArea() float64 {
+	total := 0.0
+	for _, e := range m.Elements {
+		for _, w := range e.SphereMP {
+			total += w
+		}
+	}
+	return total
+}

@@ -224,19 +224,6 @@ func (m *Mesh) ShrinkPartition(rankOf []int, dead, nranks int) ([]int, error) {
 	return out, nil
 }
 
-// RankElems inverts a partition: for each rank, the sorted list of its
-// element ids.
-func RankElems(rankOf []int, nranks int) [][]int {
-	out := make([][]int, nranks)
-	for id, r := range rankOf {
-		out[r] = append(out[r], id)
-	}
-	for _, l := range out {
-		sort.Ints(l)
-	}
-	return out
-}
-
 // CutEdges counts element edges crossing rank boundaries under a
 // partition — the communication volume proxy used by the machine model
 // and by partition-quality tests.

@@ -82,24 +82,6 @@ func TestSFCLocality(t *testing.T) {
 	}
 }
 
-func TestRankElemsInvertsPartition(t *testing.T) {
-	m := New(4, 4)
-	rankOf, _ := m.Partition(7)
-	lists := RankElems(rankOf, 7)
-	total := 0
-	for r, l := range lists {
-		total += len(l)
-		for _, id := range l {
-			if rankOf[id] != r {
-				t.Fatalf("element %d listed under wrong rank", id)
-			}
-		}
-	}
-	if total != m.NElems() {
-		t.Fatalf("rank lists cover %d of %d elements", total, m.NElems())
-	}
-}
-
 func TestMortonInterleaveProperty(t *testing.T) {
 	// Morton code must be strictly monotone in each coordinate when the
 	// other is fixed (it's a bijection on 16-bit pairs).

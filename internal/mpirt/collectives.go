@@ -70,22 +70,15 @@ var (
 		}
 		return a
 	}
-	OpMin ReduceOp = func(a, b float64) float64 {
-		if b < a {
-			return b
-		}
-		return a
-	}
 )
 
 // collective tags live in a reserved negative space so they can never
-// collide with user point-to-point tags.
+// collide with user point-to-point tags. (-1 is the Reduce oracle's, in
+// collectives_test.go.)
 const (
-	tagReduce = -1 - iota
-	tagBcast
-	tagGather
-	tagAlltoall
-	tagAllreduce
+	tagBcast     = -2
+	tagGather    = -3
+	tagAllreduce = -5
 )
 
 // collEnd accumulates one finished collective into this rank's stats —
@@ -95,37 +88,6 @@ func (c *Comm) collEnd(t0 time.Time) {
 	st := &c.world.stats[c.rank]
 	st.CollOps++
 	st.CollNs += time.Since(t0).Nanoseconds()
-}
-
-// Reduce combines in[] element-wise across ranks with op; the result
-// lands in out[] on root only. Implemented as a fan-in tree on rank ids.
-func (c *Comm) Reduce(root int, op ReduceOp, in, out []float64) {
-	sp := c.span("mpirt.reduce")
-	defer sp.End()
-	defer c.collEnd(time.Now())
-	// Rotate ranks so the tree roots at 'root'.
-	me := (c.rank - root + c.world.n) % c.world.n
-	n := c.world.n
-	acc := append([]float64(nil), in...)
-	// Binomial tree fan-in.
-	for step := 1; step < n; step *= 2 {
-		if me&step != 0 {
-			dst := ((me - step) + root) % n
-			c.Send(dst, tagReduce, acc)
-			break
-		}
-		src := me + step
-		if src < n {
-			buf := make([]float64, len(acc))
-			c.Recv((src+root)%n, tagReduce, buf)
-			for i := range acc {
-				acc[i] = op(acc[i], buf[i])
-			}
-		}
-	}
-	if c.rank == root {
-		copy(out, acc)
-	}
 }
 
 // Bcast distributes root's buf to every rank (binomial tree).
@@ -231,18 +193,6 @@ func (c *Comm) Allreduce(op ReduceOp, in, out []float64) {
 			out[k] = op(out[k], scr[k])
 		}
 	}
-}
-
-// allreduceReduceBcast is the pre-recursive-doubling implementation,
-// retained as the reference for the collective differential tests: the
-// new butterfly must reproduce its floating-point result bit for bit.
-func (c *Comm) allreduceReduceBcast(op ReduceOp, in, out []float64) {
-	tmp := make([]float64, len(in))
-	c.Reduce(0, op, in, tmp)
-	if c.rank == 0 {
-		copy(out, tmp)
-	}
-	c.Bcast(0, out)
 }
 
 // AllreduceScalar is Allreduce for a single value — the hot-path form

@@ -8,6 +8,62 @@ import (
 	"time"
 )
 
+// opMin is the min operator, for the operator sweeps.
+var opMin ReduceOp = func(a, b float64) float64 {
+	if b < a {
+		return b
+	}
+	return a
+}
+
+// tagReduce is Reduce's collective tag, beside the runtime's own in
+// collectives.go.
+const tagReduce = -1
+
+// Reduce combines in[] element-wise across ranks with op; the result
+// lands in out[] on root only. Implemented as a fan-in tree on rank ids: the
+// reduction order the Allreduce butterfly must reproduce.
+func (c *Comm) Reduce(root int, op ReduceOp, in, out []float64) {
+	sp := c.span("mpirt.reduce")
+	defer sp.End()
+	defer c.collEnd(time.Now())
+	// Rotate ranks so the tree roots at 'root'.
+	me := (c.rank - root + c.world.n) % c.world.n
+	n := c.world.n
+	acc := append([]float64(nil), in...)
+	// Binomial tree fan-in.
+	for step := 1; step < n; step *= 2 {
+		if me&step != 0 {
+			dst := ((me - step) + root) % n
+			c.Send(dst, tagReduce, acc)
+			break
+		}
+		src := me + step
+		if src < n {
+			buf := make([]float64, len(acc))
+			c.Recv((src+root)%n, tagReduce, buf)
+			for i := range acc {
+				acc[i] = op(acc[i], buf[i])
+			}
+		}
+	}
+	if c.rank == root {
+		copy(out, acc)
+	}
+}
+
+// allreduceReduceBcast is the pre-recursive-doubling Allreduce, the
+// reference of the collective differential tests: the butterfly must
+// reproduce its floating-point result bit for bit.
+func (c *Comm) allreduceReduceBcast(op ReduceOp, in, out []float64) {
+	tmp := make([]float64, len(in))
+	c.Reduce(0, op, in, tmp)
+	if c.rank == 0 {
+		copy(out, tmp)
+	}
+	c.Bcast(0, out)
+}
+
 // allreduceOps names the standard operators for table-driven sweeps.
 var allreduceOps = []struct {
 	name string
@@ -15,7 +71,7 @@ var allreduceOps = []struct {
 }{
 	{"sum", OpSum},
 	{"max", OpMax},
-	{"min", OpMin},
+	{"min", opMin},
 }
 
 // TestAllreduceDifferential is the collective differential: the

@@ -140,12 +140,13 @@ func TestWorldDefaultRecvTimeout(t *testing.T) {
 	}
 }
 
-// Irecv's Wait goes through the same deadline and CRC machinery.
+// IrecvInto's Wait goes through the same deadline and CRC machinery.
 func TestIrecvWaitTimeout(t *testing.T) {
 	w := NewWorld(2)
 	err := runBounded(t, w, 30*time.Second, func(c *Comm) {
 		if c.Rank() == 1 {
-			r := c.Irecv(0, 9, make([]float64, 1))
+			var r Request
+			c.IrecvInto(&r, 0, 9, make([]float64, 1))
 			if err := r.WaitTimeout(50 * time.Millisecond); !errors.Is(err, ErrTimeout) {
 				t.Errorf("WaitTimeout gave %v", err)
 			}

@@ -1,6 +1,6 @@
 // Package mpirt is a miniature in-process message-passing runtime with
 // MPI-like semantics: a fixed set of ranks running concurrently (as
-// goroutines), point-to-point Send/Isend/Recv/Irecv with tag matching,
+// goroutines), point-to-point Send/IsendInto/Recv/IrecvInto with tag matching,
 // and the collectives CAM-SE needs (Barrier, Allreduce, Bcast, Gather).
 //
 // On TaihuLight one MPI process runs per core group ("MPI + X", §5.3 of
@@ -316,7 +316,7 @@ func NewWorld(nranks int) *World {
 }
 
 // SetRecvTimeout sets the default deadline applied to every blocking
-// receive (Recv, RecvErr, Irecv's Wait, and the receives inside the
+// receive (Recv, IrecvInto's Wait, and the receives inside the
 // collectives). Zero restores the MPI default of waiting forever. A
 // per-call RecvTimeout overrides it. Set it before Run.
 func (w *World) SetRecvTimeout(d time.Duration) { w.recvTimeout = d }
@@ -348,9 +348,6 @@ func (w *World) TotalBytes() int64 {
 	}
 	return total
 }
-
-// Aborted reports whether the world has been poisoned.
-func (w *World) Aborted() bool { return w.aborted.Load() }
 
 // poison marks the world dead and wakes every blocked rank. The first
 // caller's (rank, err) is recorded as the root cause; ranks that fail
@@ -511,17 +508,12 @@ func (c *Comm) Send(dst, tag int, data []float64) {
 // Recv blocks until a message from src with the given tag arrives and
 // copies it into buf. Any failure — timeout (under the world's default
 // receive deadline), CRC mismatch, size mismatch, poisoned world —
-// unwinds the rank via Fail so World.Run reports it; use RecvErr or
-// RecvTimeout to handle the error in place instead.
+// unwinds the rank via Fail so World.Run reports it; use RecvTimeout to
+// handle the error in place instead.
 func (c *Comm) Recv(src, tag int, buf []float64) {
 	if err := c.RecvTimeout(src, tag, buf, c.world.recvTimeout); err != nil {
 		fail(err)
 	}
-}
-
-// RecvErr is Recv with an error return (world-default deadline).
-func (c *Comm) RecvErr(src, tag int, buf []float64) error {
-	return c.RecvTimeout(src, tag, buf, c.world.recvTimeout)
 }
 
 // RecvTimeout receives with an explicit deadline (0 waits forever). It
@@ -624,7 +616,7 @@ type Request struct {
 // WaitErr blocks until the operation completes and returns its outcome.
 // Completing a request twice is a no-op: the second and later calls
 // return the cached result of the first (MPI_Wait on an inactive
-// request), which keeps retry loops and partially-drained WaitAlls safe.
+// request), which keeps retry loops and partially-drained waits safe.
 func (r *Request) WaitErr() error { return r.WaitTimeout(0) }
 
 // WaitTimeout is WaitErr with an explicit receive deadline (0 uses the
@@ -656,42 +648,21 @@ func (r *Request) Wait() {
 	}
 }
 
-// WaitAll completes every request in the slice.
-func WaitAll(reqs []*Request) {
-	for _, r := range reqs {
-		r.Wait()
-	}
-}
-
-// Isend starts a non-blocking send. Delivery is eager (the runtime has
-// unbounded mailboxes), so the returned request completes immediately;
-// it exists so callers keep the issue/wait structure of the real code.
-func (c *Comm) Isend(dst, tag int, data []float64) *Request {
-	r := new(Request)
-	c.IsendInto(r, dst, tag, data)
-	return r
-}
-
-// IsendInto is Isend into a caller-owned request — the allocation-free
-// variant for pooled hot paths (the halo exchange reuses its request
-// slots every call).
+// IsendInto starts a non-blocking send into a caller-owned request, so
+// pooled hot paths (the halo exchange reuses its request slots every
+// call) issue it without allocating. Delivery is eager (the runtime has
+// unbounded mailboxes), so the request completes immediately; it exists
+// so callers keep the issue/wait structure of the real code.
 func (c *Comm) IsendInto(r *Request, dst, tag int, data []float64) {
 	c.Send(dst, tag, data)
 	*r = Request{done: true}
 }
 
-// Irecv starts a non-blocking receive into buf. The matching and copy
-// happen at Wait, so computation placed between Irecv and Wait genuinely
-// overlaps with message arrival — the property the redesigned
-// bndry_exchangev (§7.6) exploits.
-func (c *Comm) Irecv(src, tag int, buf []float64) *Request {
-	r := new(Request)
-	c.IrecvInto(r, src, tag, buf)
-	return r
-}
-
-// IrecvInto is Irecv into a caller-owned request — the allocation-free
-// variant for pooled hot paths.
+// IrecvInto starts a non-blocking receive into buf through a
+// caller-owned request. The matching and copy happen at Wait, so
+// computation placed between IrecvInto and Wait genuinely overlaps with
+// message arrival — the property the redesigned bndry_exchangev (§7.6)
+// exploits.
 func (c *Comm) IrecvInto(r *Request, src, tag int, buf []float64) {
 	*r = Request{comm: c, src: src, tag: tag, buf: buf}
 }

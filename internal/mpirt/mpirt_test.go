@@ -84,11 +84,12 @@ func TestIsendIrecvOverlap(t *testing.T) {
 	w := NewWorld(2)
 	w.Run(func(c *Comm) {
 		buf := make([]float64, 4)
+		var req Request
 		if c.Rank() == 0 {
-			req := c.Isend(1, 3, []float64{1, 2, 3, 4})
+			c.IsendInto(&req, 1, 3, []float64{1, 2, 3, 4})
 			req.Wait()
 		} else {
-			req := c.Irecv(0, 3, buf)
+			c.IrecvInto(&req, 0, 3, buf)
 			// "Compute" before waiting: buf must not be filled yet by
 			// contract (fill happens at Wait).
 			req.Wait()
@@ -107,13 +108,14 @@ func TestIsendIrecvOverlap(t *testing.T) {
 func TestRequestDoubleWaitIsNoOp(t *testing.T) {
 	w := NewWorld(2)
 	if err := w.Run(func(c *Comm) {
+		var r Request
 		if c.Rank() == 0 {
-			r := c.Isend(1, 0, []float64{1})
+			c.IsendInto(&r, 1, 0, []float64{1})
 			r.Wait()
 			r.Wait()
 		} else {
 			buf := make([]float64, 1)
-			r := c.Irecv(0, 0, buf)
+			c.IrecvInto(&r, 0, 0, buf)
 			if err := r.WaitErr(); err != nil {
 				t.Errorf("first WaitErr: %v", err)
 			}
@@ -249,7 +251,7 @@ func TestAllreduceMaxMin(t *testing.T) {
 		if got := c.AllreduceScalar(OpMax, x); got != n-1 {
 			t.Errorf("max = %v", got)
 		}
-		if got := c.AllreduceScalar(OpMin, x); got != 0 {
+		if got := c.AllreduceScalar(opMin, x); got != 0 {
 			t.Errorf("min = %v", got)
 		}
 	})
@@ -313,20 +315,23 @@ func TestWaitAll(t *testing.T) {
 	w.Run(func(c *Comm) {
 		n := c.Size()
 		bufs := make([][]float64, n)
-		var reqs []*Request
+		reqs := make([]Request, n) // the own rank's slot stays complete
 		for r := 0; r < n; r++ {
 			if r == c.Rank() {
 				continue
 			}
 			bufs[r] = make([]float64, 1)
-			reqs = append(reqs, c.Irecv(r, 9, bufs[r]))
+			c.IrecvInto(&reqs[r], r, 9, bufs[r])
 		}
 		for r := 0; r < n; r++ {
 			if r != c.Rank() {
-				c.Isend(r, 9, []float64{float64(c.Rank())})
+				var sr Request
+				c.IsendInto(&sr, r, 9, []float64{float64(c.Rank())})
 			}
 		}
-		WaitAll(reqs)
+		for r := range reqs {
+			reqs[r].Wait()
+		}
 		for r := 0; r < n; r++ {
 			if r != c.Rank() && bufs[r][0] != float64(r) {
 				t.Errorf("rank %d: from %d got %v", c.Rank(), r, bufs[r][0])
@@ -357,19 +362,22 @@ func TestStressManyRanksManyMessages(t *testing.T) {
 		me := c.Rank()
 		next := (me + 1) % n
 		prev := (me - 1 + n) % n
-		var reqs []*Request
+		reqs := make([]Request, msgs)
 		bufs := make([][]float64, msgs)
 		for i := 0; i < msgs; i++ {
 			bufs[i] = make([]float64, 3)
-			reqs = append(reqs, c.Irecv(prev, i, bufs[i]))
+			c.IrecvInto(&reqs[i], prev, i, bufs[i])
 		}
 		for i := 0; i < msgs; i++ {
-			c.Isend(next, i, []float64{float64(me), float64(i), float64(me * i)})
+			var sr Request
+			c.IsendInto(&sr, next, i, []float64{float64(me), float64(i), float64(me * i)})
 			if i%10 == 0 {
 				c.Barrier()
 			}
 		}
-		WaitAll(reqs)
+		for i := range reqs {
+			reqs[i].Wait()
+		}
 		for i := 0; i < msgs; i++ {
 			if bufs[i][0] != float64(prev) || bufs[i][1] != float64(i) || bufs[i][2] != float64(prev*i) {
 				t.Errorf("rank %d msg %d corrupted: %v", me, i, bufs[i])
@@ -381,4 +389,9 @@ func TestStressManyRanksManyMessages(t *testing.T) {
 			t.Errorf("rank %d: allreduce after stress = %v", me, total)
 		}
 	})
+}
+
+// RecvErr is Recv with an error return (world-default deadline).
+func (c *Comm) RecvErr(src, tag int, buf []float64) error {
+	return c.RecvTimeout(src, tag, buf, c.world.recvTimeout)
 }

@@ -38,9 +38,6 @@ func NewTracer() *Tracer {
 	return &Tracer{origin: time.Now(), procs: make(map[int]string)}
 }
 
-// Enabled reports whether the tracer records anything.
-func (t *Tracer) Enabled() bool { return t != nil }
-
 // NameProcess labels a pid (rank) in the exported trace, shown as the
 // process name in the viewer.
 func (t *Tracer) NameProcess(pid int, name string) {

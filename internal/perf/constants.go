@@ -84,15 +84,4 @@ const (
 	// Full system size: 40,960 nodes x 4 CGs x 65 cores. [spec]
 	TotalCGs   = 163840
 	CoresPerCG = 65
-	TotalCores = TotalCGs * CoresPerCG // 10,649,600
-)
-
-// Power model (§5.1-5.2: the chip delivers >3 TFlops at ~10 GFlops/W;
-// the full machine's Linpack efficiency is linpackFlopsPerWatt).
-const (
-	// ChipPeakFlops is the SW26010 peak double-precision rate. [spec]
-	ChipPeakFlops = 3.06e12
-	// ChipWatts is the processor's power draw implied by its published
-	// 10 GFlops/W efficiency. [spec]
-	ChipWatts = ChipPeakFlops / 10e9
 )

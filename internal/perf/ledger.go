@@ -41,8 +41,6 @@ type Span struct {
 	Hi float64 `json:"hi"`
 }
 
-func (s Span) contains(v float64) bool { return s.Lo <= v && v <= s.Hi }
-
 // String renders s to three significant figures, as one value when both
 // ends print alike.
 func (s Span) String() string {

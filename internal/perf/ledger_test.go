@@ -9,6 +9,9 @@ import (
 // tests.
 var table1Rows = sync.OnceValue(func() []KernelRow { return Table1(DefaultTable1Config()) })
 
+// contains reports whether v lies in the closed interval s.
+func (s Span) contains(v float64) bool { return s.Lo <= v && v <= s.Hi }
+
 // TestLedger asserts every row of the ledger: the measured value lies in
 // the row's range; a reproduced row's range contains the paper's value;
 // a deviation row gives its reason and pins its range to ±2% of one

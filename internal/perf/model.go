@@ -67,43 +67,3 @@ func cpeTime(c exec.Cost, launch, memEff float64) float64 {
 	reg := float64(c.RegMsgs) / 64 * RegCommLatency
 	return float64(c.Launches)*launch + math.Max(compute, memory) + reg
 }
-
-// NetTime models one message of b bytes between two core groups with a
-// LogGP cost; local selects the within-supernode latency.
-func NetTime(b int64, local bool) float64 {
-	l := NetLatency
-	if local {
-		l = NetLatencyLocal
-	}
-	return l + float64(b)/NetBWPerCG
-}
-
-// ExchangeTime models one halo exchange for a process with nNbr
-// neighbours, each message bytesPer long. With overlap, the exchange
-// hides behind innerCompute seconds of computation (the §7.6 redesign);
-// the residual is whatever communication exceeds the overlap window.
-// Messages to different neighbours pipeline on the NIC: one latency is
-// paid per neighbour, bandwidth is shared.
-func ExchangeTime(nNbr int, bytesPer int64, local bool, overlap bool, innerCompute float64) float64 {
-	if nNbr == 0 {
-		return innerCompute
-	}
-	l := NetLatency
-	if local {
-		l = NetLatencyLocal
-	}
-	comm := float64(nNbr)*l + float64(int64(nNbr)*bytesPer)/NetBWPerCG
-	if !overlap {
-		return comm + innerCompute
-	}
-	return math.Max(comm, innerCompute)
-}
-
-// KernelTimeNoVec models the same cost with the vector unit disabled
-// (all flops at the scalar rate) — the ablation for the §7.3 manual
-// vectorization step. Only meaningful for CPE backends.
-func KernelTimeNoVec(c exec.Cost) float64 {
-	c.FlopsScalar += c.FlopsVector
-	c.FlopsVector = 0
-	return KernelTime(c)
-}

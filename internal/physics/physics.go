@@ -136,33 +136,3 @@ func QSat(tk, p float64) float64 {
 func dqsatdt(qs, tk float64) float64 {
 	return qs * Lv / (Rv * tk * tk)
 }
-
-// ColumnWater returns the mass-weighted total water (vapor + condensate
-// + rain) of the column, in kg/m^2 — the conservation invariant of the
-// moist schemes.
-func (c *Column) ColumnWater() float64 {
-	tot := 0.0
-	for k := 0; k < c.Nlev; k++ {
-		tot += (c.Qv[k] + c.Qc[k] + c.Qr[k]) * c.DP[k] / Gravit
-	}
-	return tot
-}
-
-// MoistEnthalpy returns the column integral of cp*T + Lv*qv, J/m^2 —
-// conserved by condensation/evaporation exchanges.
-func (c *Column) MoistEnthalpy() float64 {
-	tot := 0.0
-	for k := 0; k < c.Nlev; k++ {
-		tot += (Cp*c.T[k] + Lv*c.Qv[k]) * c.DP[k] / Gravit
-	}
-	return tot
-}
-
-// DryEnthalpy returns the column integral of cp*T, J/m^2.
-func (c *Column) DryEnthalpy() float64 {
-	tot := 0.0
-	for k := 0; k < c.Nlev; k++ {
-		tot += Cp * c.T[k] * c.DP[k] / Gravit
-	}
-	return tot
-}

@@ -163,9 +163,6 @@ func NewStealPool(n int, seed uint64) *StealPool {
 // Workers reports the pool size.
 func (p *StealPool) Workers() int { return p.workers }
 
-// Seed reports the victim-scan seed.
-func (p *StealPool) Seed() uint64 { return p.seed }
-
 // Stats snapshots the cumulative activity since the pool was built.
 func (p *StealPool) Stats() StealStats {
 	s := StealStats{

@@ -494,15 +494,8 @@ func (s *Supervisor) reg() *obs.Registry {
 	return s.probe.Reg
 }
 
-// Config returns the effective (defaulted) configuration.
-func (s *Supervisor) Config() Config { return s.cfg }
-
 // Store returns the ensemble's snapshot store.
 func (s *Supervisor) Store() *Store { return s.store }
-
-// Solver returns the shared solver (mesh + config) the request path
-// uses for sampling and tracking. Read-only.
-func (s *Supervisor) Solver() *dycore.Solver { return s.solver }
 
 // Members returns the supervised members.
 func (s *Supervisor) Members() []*Member { return s.members }

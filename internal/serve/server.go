@@ -110,9 +110,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // in-flight requests finish.
 func (s *Server) StartDrain() { s.draining.Store(true) }
 
-// Draining reports whether a drain has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // deadline resolves the request's time budget: ?deadline_ms= if given
 // (bounded to [1ms, 60s]), else the server default.
 func (s *Server) deadline(r *http.Request) (time.Duration, bool) {

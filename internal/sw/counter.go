@@ -21,9 +21,6 @@ type PerfCounter struct {
 	LDMPeak     int64 // peak LDM working set observed, bytes
 }
 
-// Flops returns total double-precision operations, scalar plus vector.
-func (c *PerfCounter) Flops() int64 { return c.FlopsScalar + c.FlopsVector }
-
 // DMABytes returns total bytes moved by DMA in either direction.
 func (c *PerfCounter) DMABytes() int64 { return c.DMABytesIn + c.DMABytesOut }
 

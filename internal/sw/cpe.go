@@ -50,9 +50,6 @@ type MPE struct {
 	cg  *CoreGroup
 }
 
-// CountFlops accounts n double-precision operations on the MPE.
-func (m *MPE) CountFlops(n int64) { m.Ctr.FlopsScalar += n }
-
 // CoreGroup is one of the four CGs of an SW26010: one MPE, 64 CPEs, and
 // a memory controller sharing one main-memory partition. In the
 // "MPI + X" programming model of TaihuLight one MPI process maps to one
@@ -113,21 +110,3 @@ func (cg *CoreGroup) ResetCounters() {
 		c.Ctr.Reset()
 	}
 }
-
-// Chip is a full SW26010 processor: 4 core groups on a network-on-chip,
-// 260 cores in total.
-type Chip struct {
-	CGs [4]*CoreGroup
-}
-
-// NewChip builds a full processor.
-func NewChip() *Chip {
-	ch := &Chip{}
-	for i := range ch.CGs {
-		ch.CGs[i] = NewCoreGroup(i)
-	}
-	return ch
-}
-
-// Cores returns the total core count of the chip (4 CGs x (1 MPE + 64 CPEs)).
-func (ch *Chip) Cores() int { return len(ch.CGs) * (1 + CPEsPerCG) }

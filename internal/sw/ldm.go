@@ -28,9 +28,8 @@ func (e *ErrLDMOverflow) Error() string {
 
 // LDM is the user-managed 64 KB scratchpad of one CPE, modeled as a
 // checked bump allocator over a real backing arena. Allocations are
-// released in bulk with Reset (kernels reuse the whole scratchpad between
-// phases) or rewound to a mark with Release (loop-scoped buffers layered
-// over kernel-persistent ones, the memory-reuse scheme of Algorithm 2).
+// released in bulk with Reset: kernels reuse the whole scratchpad between
+// phases.
 type LDM struct {
 	arena     []float64
 	usedF64   int
@@ -44,7 +43,7 @@ func NewLDM() *LDM {
 
 // Alloc carves n float64 values out of the scratchpad. The name labels
 // the buffer in overflow diagnostics. The returned slice aliases the LDM
-// arena; it is valid until the matching Release or Reset.
+// arena; it is valid until the next Reset.
 func (l *LDM) Alloc(name string, n int) ([]float64, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("sw: negative LDM allocation %q (%d)", name, n)
@@ -68,19 +67,6 @@ func (l *LDM) MustAlloc(name string, n int) []float64 {
 		panic(err)
 	}
 	return buf
-}
-
-// Mark returns the current allocation level for use with Release.
-func (l *LDM) Mark() int { return l.usedF64 }
-
-// Release rewinds the allocator to a level previously returned by Mark,
-// freeing every allocation made since. Buffers allocated after the mark
-// become invalid.
-func (l *LDM) Release(mark int) {
-	if mark < 0 || mark > l.usedF64 {
-		panic(fmt.Sprintf("sw: invalid LDM release mark %d (used %d)", mark, l.usedF64))
-	}
-	l.usedF64 = mark
 }
 
 // Reset frees all allocations.

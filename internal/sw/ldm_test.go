@@ -42,48 +42,15 @@ func TestLDMOverflowError(t *testing.T) {
 	}
 }
 
-func TestLDMMarkRelease(t *testing.T) {
-	l := NewLDM()
-	persistent := l.MustAlloc("persistent", 100)
-	persistent[0] = 42
-	mark := l.Mark()
-	scratch := l.MustAlloc("scratch", 200)
-	scratch[0] = 7
-	l.Release(mark)
-	if l.Used() != 100*F64Bytes {
-		t.Fatalf("used after release = %d", l.Used())
-	}
-	if persistent[0] != 42 {
-		t.Fatal("persistent buffer clobbered by release")
-	}
-	// Re-allocation after release reuses the space.
-	again := l.MustAlloc("again", 200)
-	if &again[0] != &scratch[0] {
-		t.Fatal("release did not rewind the arena")
-	}
-}
-
 func TestLDMHighWater(t *testing.T) {
 	l := NewLDM()
 	l.MustAlloc("a", 1000)
-	mark := l.Mark()
 	l.MustAlloc("b", 2000)
-	l.Release(mark)
+	l.Reset()
 	l.MustAlloc("c", 500)
 	if hw := l.HighWater(); hw != 3000*F64Bytes {
 		t.Fatalf("high water = %d, want %d", hw, 3000*F64Bytes)
 	}
-}
-
-func TestLDMReleasePanicsOnBadMark(t *testing.T) {
-	l := NewLDM()
-	l.MustAlloc("a", 10)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("bad mark did not panic")
-		}
-	}()
-	l.Release(100)
 }
 
 func TestLDMNegativeAlloc(t *testing.T) {

@@ -143,7 +143,7 @@ func TestColumnScanExclusive(t *testing.T) {
 		local := make([]float64, perCPE)
 		copy(local, input[c.Row*perCPE:(c.Row+1)*perCPE])
 		out := make([]float64, perCPE)
-		ColumnScanExclusive(c, local, out, 10)
+		ColumnScanBatch(c, ScanExclusive, local, out, []float64{10}, 0)
 		copy(results[c.Row*perCPE:(c.Row+1)*perCPE], out)
 	})
 	run := 10.0
@@ -171,7 +171,7 @@ func TestColumnScanReverse(t *testing.T) {
 		local := make([]float64, perCPE)
 		copy(local, input[c.Row*perCPE:(c.Row+1)*perCPE])
 		out := make([]float64, perCPE)
-		ColumnScanReverse(c, local, out, 100, 0.5)
+		ColumnScanBatch(c, ScanReverse, local, out, []float64{100}, 0.5)
 		copy(results[c.Row*perCPE:(c.Row+1)*perCPE], out)
 	})
 	// Serial reference: out[k] = 100 + sum_{l>k} in[l] + in[k]/2.

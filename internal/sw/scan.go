@@ -132,18 +132,3 @@ func ColumnScan(c *CPE, local, out []float64, base float64) {
 	b := [1]float64{base}
 	ColumnScanBatch(c, ScanInclusive, local, out, b[:], 0)
 }
-
-// ColumnScanExclusive is ColumnScanBatch with ScanExclusive on one node
-// column: out[k] = base + the increments strictly before local[k].
-func ColumnScanExclusive(c *CPE, local, out []float64, base float64) {
-	b := [1]float64{base}
-	ColumnScanBatch(c, ScanExclusive, local, out, b[:], 0)
-}
-
-// ColumnScanReverse is ColumnScanBatch with ScanReverse on one node
-// column: out[k] = base + the increments below local[k] + local[k]*frac,
-// accumulated from the surface (row MeshDim-1) upward.
-func ColumnScanReverse(c *CPE, local, out []float64, base, frac float64) {
-	b := [1]float64{base}
-	ColumnScanBatch(c, ScanReverse, local, out, b[:], frac)
-}

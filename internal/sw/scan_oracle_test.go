@@ -184,7 +184,7 @@ func TestColumnScanCollectiveFaults(t *testing.T) {
 		{"mismatched direction", func(c *CPE) {
 			if c.ID == cpeID(5, 0) {
 				var v [1]float64
-				ColumnScanReverse(c, v[:], v[:], 0, 1)
+				ColumnScanBatch(c, ScanReverse, v[:], v[:], []float64{0}, 1)
 				return
 			}
 			scan(c)
@@ -207,12 +207,12 @@ func TestColumnScanCollectiveFaults(t *testing.T) {
 			switch c.ID {
 			case cpeID(3, 0):
 				c.RegSendScalar(2, 0, 1)
-				ColumnScanReverse(c, v[:], v[:], 0, 1)
+				ColumnScanBatch(c, ScanReverse, v[:], v[:], []float64{0}, 1)
 			case cpeID(2, 0):
-				ColumnScanReverse(c, v[:], v[:], 0, 1)
+				ColumnScanBatch(c, ScanReverse, v[:], v[:], []float64{0}, 1)
 				c.RegRecvScalar(3, 0)
 			default:
-				ColumnScanReverse(c, v[:], v[:], 0, 1)
+				ColumnScanBatch(c, ScanReverse, v[:], v[:], []float64{0}, 1)
 			}
 		}, "sw: CPE(3,0) faulted: sw: column scan would overtake 1 register(s) in flight from CPE(3,0) to CPE(2,0)"},
 	} {
@@ -258,7 +258,7 @@ func TestColumnScanIdleColumnsCostNothing(t *testing.T) {
 			return
 		}
 		local := [2]float64{1, 2}
-		ColumnScanExclusive(c, local[:], out[c.Row][:], 10)
+		ColumnScanBatch(c, ScanExclusive, local[:], out[c.Row][:], []float64{10}, 0)
 	})
 	for row := range out {
 		if want := [2]float64{10 + 3*float64(row), 11 + 3*float64(row)}; out[row] != want {

@@ -87,7 +87,7 @@ func TestSpawnFaultWhilePeersWait(t *testing.T) {
 	}
 	// The same faults while the rest of the column waits in a collective.
 	msg = spawnFault(t, cg, overflowAt(cpeID(7, 0), func(c *CPE, local []float64) {
-		ColumnScanReverse(c, local, local, 0, 1)
+		ColumnScanBatch(c, ScanReverse, local, local, []float64{0}, 1)
 	}))
 	if !strings.HasPrefix(msg, "sw: CPE(7,0) faulted: sw: LDM overflow") {
 		t.Fatalf("fault = %q", msg)

@@ -24,11 +24,6 @@ func (v Vec4) Store(s []float64, i int) {
 	s[i], s[i+1], s[i+2], s[i+3] = v[0], v[1], v[2], v[3]
 }
 
-// Add returns the lane-wise sum v + w.
-func (v Vec4) Add(w Vec4) Vec4 {
-	return Vec4{v[0] + w[0], v[1] + w[1], v[2] + w[2], v[3] + w[3]}
-}
-
 // Sub returns the lane-wise difference v - w.
 func (v Vec4) Sub(w Vec4) Vec4 {
 	return Vec4{v[0] - w[0], v[1] - w[1], v[2] - w[2], v[3] - w[3]}
@@ -46,28 +41,6 @@ func (v Vec4) Scale(x float64) Vec4 {
 
 // Neg returns the lane-wise negation.
 func (v Vec4) Neg() Vec4 { return Vec4{-v[0], -v[1], -v[2], -v[3]} }
-
-// Max returns the lane-wise maximum of v and w.
-func (v Vec4) Max(w Vec4) Vec4 {
-	r := v
-	for i := range r {
-		if w[i] > r[i] {
-			r[i] = w[i]
-		}
-	}
-	return r
-}
-
-// Min returns the lane-wise minimum of v and w.
-func (v Vec4) Min(w Vec4) Vec4 {
-	r := v
-	for i := range r {
-		if w[i] < r[i] {
-			r[i] = w[i]
-		}
-	}
-	return r
-}
 
 // ShuffleMask selects, for each of the four destination lanes, a source
 // lane index in 0..3. The first two destination lanes read from register
