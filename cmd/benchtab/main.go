@@ -19,6 +19,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -42,19 +43,42 @@ var kernels = sync.OnceValue(func() []perf.KernelRow { return perf.Table1(perf.D
 var ledger = sync.OnceValue(func() perf.Ledger { return perf.BuildLedger(kernels()) })
 
 func main() {
-	attrs := flag.Bool("attrs", false, "print the performance-attributes summary (paper section 2)")
-	table := flag.Int("table", 0, "print table N (1, 2 or 3)")
-	fig := flag.Int("fig", 0, "print figure N (4-9; 10 = extra overlap ablation)")
-	all := flag.Bool("all", false, "print everything")
-	jsonOut := flag.Bool("json", false, "emit the selected sections as JSON (shared obs encoder) instead of text")
-	flag.Parse()
+	switch err := run(os.Args[1:], os.Stdout); {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
+		os.Exit(2) // the flag package has printed the usage
+	default:
+		fmt.Fprintln(os.Stderr, "benchtab:", err)
+		os.Exit(1)
+	}
+}
+
+// errUsage reports a command line that does not parse or selects no
+// section.
+var errUsage = errors.New("usage")
+
+// run parses args, computes the selected sections and writes them to
+// stdout as text or, with -json, as one JSON document.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("benchtab", flag.ContinueOnError)
+	attrs := fs.Bool("attrs", false, "print the performance-attributes summary (paper section 2)")
+	table := fs.Int("table", 0, "print table N (1, 2 or 3)")
+	fig := fs.Int("fig", 0, "print figure N (4-9; 10 = extra overlap ablation)")
+	all := fs.Bool("all", false, "print everything")
+	jsonOut := fs.Bool("json", false, "emit the selected sections as JSON (shared obs encoder) instead of text")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return errUsage
+	}
 
 	// Each section writes its text to w and returns the same values for
 	// the JSON document; keys mirror the flag names.
 	sections := []struct {
 		key string
 		on  bool
-		run func(w io.Writer) any
+		run func(w io.Writer) (any, error)
 	}{
 		{"attrs", *all || *attrs, attributes},
 		{"table1", *all || *table == 1, table1},
@@ -69,26 +93,32 @@ func main() {
 		{"fig10", *all || *fig == 10, fig10},
 		{"ledger", *all, ledgerTable},
 	}
-	w := io.Writer(os.Stdout)
+	w := stdout
 	if *jsonOut {
 		w = io.Discard
 	}
 	out := map[string]any{}
 	for _, s := range sections {
-		if s.on {
-			out[s.key] = s.run(w)
+		if !s.on {
+			continue
 		}
+		v, err := s.run(w)
+		if err != nil {
+			return fmt.Errorf("%s: %w", s.key, err)
+		}
+		out[s.key] = v
 	}
 	if len(out) == 0 {
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return errUsage
 	}
 	if *jsonOut {
-		check(obs.EncodeJSON(os.Stdout, out))
+		return obs.EncodeJSON(stdout, out)
 	}
+	return nil
 }
 
-func attributes(w io.Writer) any {
+func attributes(w io.Writer) (any, error) {
 	l := ledger()
 	full, ne30, ne120 := l.Get("fig8.full.pflops"), l.Get("fig6.ne30.sypd"), l.Get("fig6.ne120.sypd")
 	fmt.Fprintln(w, "== Performance attributes (paper section 2, reproduced values) ==")
@@ -114,10 +144,10 @@ func attributes(w io.Writer) any {
 		"pflops_full_machine": full.Measured,
 		"sypd_ne120":          ne120.Measured,
 		"sypd_ne30":           ne30.Measured,
-	}
+	}, nil
 }
 
-func table1(w io.Writer) any {
+func table1(w io.Writer) (any, error) {
 	fmt.Fprintln(w, "== Table 1: key dynamics kernels, modeled per-process time (ms) ==")
 	fmt.Fprintln(w, "   (paper reports seconds for a longer run at 6,144 processes;")
 	fmt.Fprintln(w, "    ratios are the comparable quantity)")
@@ -132,10 +162,10 @@ func table1(w io.Writer) any {
 		}})
 	}
 	fmt.Fprintln(w)
-	return out
+	return out, nil
 }
 
-func table2(w io.Writer) any {
+func table2(w io.Writer) (any, error) {
 	fmt.Fprintln(w, "== Table 2: mesh configurations ==")
 	fmt.Fprintf(w, "%-8s %-14s %-9s %-12s\n", "size", "horizontal", "vertical", "# elements")
 	var out []map[string]int
@@ -145,10 +175,10 @@ func table2(w io.Writer) any {
 		out = append(out, map[string]int{"ne": ne, "nlev": h.Nlev, "elements": h.NElems()})
 	}
 	fmt.Fprintln(w)
-	return out
+	return out, nil
 }
 
-func table3(w io.Writer) any {
+func table3(w io.Writer) (any, error) {
 	fmt.Fprintln(w, "== Table 3: NGGPS dycore comparison (modeled run time) ==")
 	var out []map[string]any
 	for _, c := range perf.Table3() {
@@ -162,17 +192,19 @@ func table3(w io.Writer) any {
 		out = append(out, map[string]any{"label": c.Label, "rows": rows})
 	}
 	fmt.Fprintln(w)
-	return out
+	return out, nil
 }
 
-func fig4(w io.Writer) any {
+func fig4(w io.Writer) (any, error) {
 	fmt.Fprintln(w, "== Figure 4: climatology equivalence, control (Intel serial) vs")
 	fmt.Fprintln(w, "   test (Athread distributed), Held-Suarez-like run at ne4 ==")
 	cfg := dycore.DefaultConfig(4)
 	cfg.Nlev = 8
 	cfg.Qsize = 0
 	s, err := dycore.NewSolver(cfg)
-	check(err)
+	if err != nil {
+		return nil, err
+	}
 	ref := s.NewState()
 	s.InitBaroclinicWave(ref)
 	g := ref.Clone()
@@ -181,7 +213,9 @@ func fig4(w io.Writer) any {
 		s.Step(ref)
 	}
 	job, err := core.NewParallelJob(cfg, exec.Athread, true, 4)
-	check(err)
+	if err != nil {
+		return nil, err
+	}
 	local := job.Scatter(g)
 	job.Run(local, steps)
 	got := job.Gather(local)
@@ -196,10 +230,10 @@ func fig4(w io.Writer) any {
 		fmt.Fprintf(w, "%+7.1f    %12.4f %12.4f %12.2e\n", lat, zmA[b], zmB[b], d)
 	}
 	fmt.Fprintf(w, "max zonal-mean difference: %.2e K (paper: 'almost identical patterns')\n\n", maxd)
-	return map[string]any{"control_zonal_mean_t": zmA, "test_zonal_mean_t": zmB, "max_diff_k": maxd}
+	return map[string]any{"control_zonal_mean_t": zmA, "test_zonal_mean_t": zmB, "max_diff_k": maxd}, nil
 }
 
-func fig5(w io.Writer) any {
+func fig5(w io.Writer) (any, error) {
 	fmt.Fprintln(w, "== Figure 5: kernel speedups at the Table 1 workload ==")
 	fmt.Fprintf(w, "%-24s %12s %12s %12s\n", "kernel", "MPE/Intel", "ACC vs Intel", "ATH vs Intel")
 	l := ledger()
@@ -224,10 +258,10 @@ func fig5(w io.Writer) any {
 		slices.Min(mpe), slices.Max(mpe), slices.Min(acc), slices.Max(acc), ath.Lo, ath.Hi,
 		l.Get("fig5.ath_over_acc_peak").Paper.Lo)
 	fmt.Fprintln(w)
-	return out
+	return out, nil
 }
 
-func fig6(w io.Writer) any {
+func fig6(w io.Writer) (any, error) {
 	fmt.Fprintln(w, "== Figure 6: whole-CAM SYPD ==")
 	c30, c120 := perf.DefaultCAMConfig(30), perf.DefaultCAMConfig(120)
 	var ne30, ne120 []map[string]any
@@ -247,10 +281,10 @@ func fig6(w io.Writer) any {
 		ne120 = append(ne120, map[string]any{"procs": np, "openacc": acc, "athread": ath})
 	}
 	fmt.Fprintf(w, "paper anchor: %g SYPD openacc @28800\n\n", ledger().Get("fig6.ne120.sypd").Paper.Lo)
-	return map[string]any{"ne30": ne30, "ne120": ne120}
+	return map[string]any{"ne30": ne30, "ne120": ne120}, nil
 }
 
-func fig7(w io.Writer) any {
+func fig7(w io.Writer) (any, error) {
 	fmt.Fprintln(w, "== Figure 7: HOMME strong scaling (nlev=128) ==")
 	out := map[string]any{}
 	for _, s := range []struct {
@@ -275,10 +309,10 @@ func fig7(w io.Writer) any {
 		paper("fig7.ne256.pflops_4096"), paper("fig7.ne256.pflops_131072"), 100*paper("fig7.ne256.eff"))
 	fmt.Fprintf(w, "               ne1024 %g->%g PFlops (%.1f%% eff)\n\n",
 		paper("fig7.ne1024.pflops_8192"), paper("fig7.ne1024.pflops_131072"), 100*paper("fig7.ne1024.eff"))
-	return out
+	return out, nil
 }
 
-func fig8(w io.Writer) any {
+func fig8(w io.Writer) (any, error) {
 	fmt.Fprintln(w, "== Figure 8: HOMME weak scaling (nlev=128) ==")
 	fmt.Fprintf(w, "%6s %8s %10s %8s\n", "e/proc", "procs", "PFlops", "eff")
 	var out []map[string]any
@@ -295,16 +329,18 @@ func fig8(w io.Writer) any {
 	fmt.Fprintf(w, "paper anchors: %.1f%%/%.1f%%/%.1f%% eff at 131,072; %g PFlops at 155,000\n\n",
 		100*l.Get("fig8.eff48").Paper.Lo, 100*l.Get("fig8.eff192").Paper.Lo, 100*l.Get("fig8.eff768").Paper.Lo,
 		full.Paper.Lo)
-	return out
+	return out, nil
 }
 
-func fig9(w io.Writer) any {
+func fig9(w io.Writer) (any, error) {
 	fmt.Fprintln(w, "== Figure 9: hurricane resolution sensitivity + track machinery ==")
 	vp := tc.KatrinaLikeVortex()
 	var out []map[string]any
 	for _, ne := range []int{4, 12} {
 		run, err := tc.RunResolution(ne, 8, 24, 12, vp)
-		check(err)
+		if err != nil {
+			return nil, err
+		}
 		ret := run.FinalKt / run.InitialKt
 		fmt.Fprintf(w, "ne%-3d (%4.0f km grid): init %5.1f kt -> final %5.1f kt (retention %.2f)\n",
 			ne, run.GridKM, run.InitialKt, run.FinalKt, ret)
@@ -316,10 +352,10 @@ func fig9(w io.Writer) any {
 	fmt.Fprintf(w, "observed Katrina peak: %.0f kt at hour %.0f (Aug 28 18Z), min 902 hPa\n", kt, h)
 	fmt.Fprintln(w, "(run cmd/katrina for the full lifecycle track/intensity comparison)")
 	fmt.Fprintln(w)
-	return out
+	return out, nil
 }
 
-func fig10(w io.Writer) any {
+func fig10(w io.Writer) (any, error) {
 	fmt.Fprintln(w, "== Extra: the §7.6 bndry_exchangev redesign at scale ==")
 	fmt.Fprintf(w, "   (paper: the overlap removes up to %.0f%% of HOMME runtime;\n",
 		100*ledger().Get("overlap.saving").Paper.Lo)
@@ -335,13 +371,13 @@ func fig10(w io.Writer) any {
 		out = append(out, map[string]any{"procs": np, "no_overlap_s": tNo, "overlap_s": tOv, "saving": save})
 	}
 	fmt.Fprintln(w)
-	return out
+	return out, nil
 }
 
-func ledgerTable(w io.Writer) any {
+func ledgerTable(w io.Writer) (any, error) {
 	fmt.Fprintln(w, "== Ledger: every paper number the model reproduces (EXPERIMENTS.md) ==")
 	fmt.Fprint(w, ledger().Markdown())
-	return ledger()
+	return ledger(), nil
 }
 
 // fullMachineCores is the 155,000-process run's core count, with
@@ -349,11 +385,4 @@ func ledgerTable(w io.Writer) any {
 func fullMachineCores() string {
 	n := int(ledger().Get("750m.cores").Measured)
 	return fmt.Sprintf("%d,%03d,%03d", n/1000000, n/1000%1000, n%1000)
-}
-
-func check(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchtab:", err)
-		os.Exit(1)
-	}
 }
