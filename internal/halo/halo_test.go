@@ -207,37 +207,65 @@ func TestOverlapRunsInnerCompute(t *testing.T) {
 	}
 }
 
+// TestStagingBytesOnlyInOriginal pins every byte counter of Stats to
+// the plan, on both flavours: each neighbour's send entries (PackBytes,
+// WireBytes) and receive entries (UnpackBytes, and StagingBytes on the
+// original exchange only) times levels times fields times 8 bytes. A
+// counter that charges buffer elements instead of bytes fails here.
 func TestStagingBytesOnlyInOriginal(t *testing.T) {
+	const nranks, levels, nf = 4, 3, 2
 	m := mesh.New(4, 4)
-	const nranks = 4
 	rankOf, _ := m.Partition(nranks)
 	plans := make([]*Plan, nranks)
 	for r := range plans {
 		plans[r] = NewPlan(m, rankOf, r)
 	}
-	global := makeField(m, 2, 5)
-	a := scatterToRanks(global, plans)
-	b := scatterToRanks(global, plans)
-	statsA := make([]Stats, nranks)
-	statsB := make([]Stats, nranks)
-	w := mpirt.NewWorld(nranks)
-	w.Run(func(c *mpirt.Comm) { statsA[c.Rank()], _ = plans[c.Rank()].DSSOriginal(c, NodeMajor(2), a[c.Rank()]) })
-	w2 := mpirt.NewWorld(nranks)
-	w2.Run(func(c *mpirt.Comm) {
-		statsB[c.Rank()], _ = plans[c.Rank()].DSSOverlap(c, NodeMajor(2), nil, b[c.Rank()])
-	})
-	for r := 0; r < nranks; r++ {
-		if statsA[r].StagingBytes == 0 {
-			t.Errorf("rank %d: original exchange has no staging copies", r)
+	for _, overlap := range []bool{false, true} {
+		stats := make([]Stats, nranks)
+		fields := make([][][][]float64, nranks)
+		for f := 0; f < nf; f++ {
+			for r, local := range scatterToRanks(makeField(m, levels, int64(5+f)), plans) {
+				fields[r] = append(fields[r], local)
+			}
 		}
-		if statsB[r].StagingBytes != 0 {
-			t.Errorf("rank %d: redesigned exchange still stages %d bytes", r, statsB[r].StagingBytes)
+		w := mpirt.NewWorld(nranks)
+		w.Run(func(c *mpirt.Comm) {
+			r := c.Rank()
+			var err error
+			if overlap {
+				stats[r], err = plans[r].DSSOverlap(c, NodeMajor(levels), nil, fields[r]...)
+			} else {
+				stats[r], err = plans[r].DSSOriginal(c, NodeMajor(levels), fields[r]...)
+			}
+			if err != nil {
+				t.Error(err)
+			}
+		})
+		var wireSum, unpackSum int64
+		for r, p := range plans {
+			var sendEntries, recvEntries int
+			for _, nb := range p.Neighbors {
+				sendEntries += len(nb.SendGroup)
+				recvEntries += nb.RecvLen
+			}
+			if sendEntries == 0 || recvEntries == 0 {
+				t.Fatalf("rank %d has no remote entries in a multi-rank DSS", r)
+			}
+			send := int64(sendEntries * levels * nf * 8)
+			recv := int64(recvEntries * levels * nf * 8)
+			want := Stats{PackBytes: send, UnpackBytes: recv, StagingBytes: recv,
+				Msgs: int64(len(p.Neighbors)), WireBytes: send}
+			if overlap {
+				want.StagingBytes = 0
+			}
+			if stats[r] != want {
+				t.Errorf("overlap=%v rank %d: stats %+v, want %+v", overlap, r, stats[r], want)
+			}
+			wireSum += stats[r].WireBytes
+			unpackSum += stats[r].UnpackBytes
 		}
-		if statsA[r].WireBytes != statsB[r].WireBytes {
-			t.Errorf("rank %d: wire traffic differs: %d vs %d", r, statsA[r].WireBytes, statsB[r].WireBytes)
-		}
-		if statsA[r].WireBytes == 0 {
-			t.Errorf("rank %d: no wire traffic in a multi-rank DSS", r)
+		if wireSum != unpackSum {
+			t.Errorf("overlap=%v: %d bytes sent but %d unpacked", overlap, wireSum, unpackSum)
 		}
 	}
 }

@@ -178,32 +178,67 @@ func TestLedgerFlagsNonFinite(t *testing.T) {
 func TestLedgerReplayOverwritesIdentically(t *testing.T) {
 	l := NewLedger()
 	inv := Invariants{Mass: 3, Energy: 4, TracerMass: 5}
-	for step := 1; step <= 4; step++ {
+	// Steps 0..4, a rollback to step 2 replaying 3 and 4 with identical
+	// values, then step 5. The first check primes newest (step 0 is its
+	// zero value), and a replayed older step never moves it back.
+	newest := 0
+	for _, step := range []int{0, 1, 2, 3, 4, 3, 4, 5} {
 		if err := l.Check(step, inv); err != nil {
-			t.Fatal(err)
+			t.Fatalf("step %d rejected: %v", step, err)
 		}
-	}
-	// Rollback to step 2, replay 3 and 4 with identical values.
-	for step := 3; step <= 4; step++ {
-		if err := l.Check(step, inv); err != nil {
-			t.Fatalf("replay of step %d rejected: %v", step, err)
+		newest = max(newest, step)
+		if !l.primed || l.newest != newest {
+			t.Fatalf("after step %d: primed=%v newest=%d, want true %d", step, l.primed, l.newest, newest)
 		}
 	}
 }
 
+// TestLedgerPrunesHistory: the oldest step kept is newest-ledgerKeep,
+// and the step before it is gone.
 func TestLedgerPrunesHistory(t *testing.T) {
 	l := NewLedger()
 	inv := Invariants{Mass: 1, Energy: 1, TracerMass: 1}
-	for step := 1; step <= ledgerKeep+10; step++ {
+	const newest = ledgerKeep + 10
+	for step := 1; step <= newest; step++ {
 		if err := l.Check(step, inv); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if len(l.hist) > ledgerKeep+1 {
-		t.Fatalf("history grew to %d entries, want <= %d", len(l.hist), ledgerKeep+1)
+	if len(l.hist) != ledgerKeep+1 {
+		t.Fatalf("history holds %d entries, want %d", len(l.hist), ledgerKeep+1)
 	}
-	if _, ok := l.Recorded(1); ok {
-		t.Fatal("ancient step still on record")
+	if _, ok := l.Recorded(newest - ledgerKeep); !ok {
+		t.Errorf("step %d (newest-ledgerKeep) evicted", newest-ledgerKeep)
+	}
+	if _, ok := l.Recorded(newest - ledgerKeep - 1); ok {
+		t.Errorf("step %d (newest-ledgerKeep-1) still on record", newest-ledgerKeep-1)
+	}
+}
+
+// TestLedgerDriftBoundary pins the tolerance comparison of each
+// invariant against its own tolerance: a drift exactly equal to the
+// tolerance passes, and one a single ulp above it fails. The values are
+// powers of two, so the drift 4 -> 5 is exactly 0.25.
+func TestLedgerDriftBoundary(t *testing.T) {
+	const drift = 0.25
+	for q, name := range []string{"mass", "energy", "tracer mass"} {
+		for _, c := range []struct {
+			tol    float64
+			reject bool
+		}{{drift, false}, {math.Nextafter(drift, 0), true}} {
+			l := NewLedger()
+			tols := []*float64{&l.MassTol, &l.EnergyTol, &l.TracerTol}
+			*tols[q] = c.tol
+			cur := [3]float64{4, 4, 4}
+			cur[q] = 5
+			if err := l.Check(1, Invariants{4, 4, 4}); err != nil {
+				t.Fatal(err)
+			}
+			err := l.Check(2, Invariants{cur[0], cur[1], cur[2]})
+			if got := errors.Is(err, ErrCorrupt); got != c.reject {
+				t.Errorf("%s drift %g at tolerance %g: err = %v, want rejected=%v", name, drift, c.tol, err, c.reject)
+			}
+		}
 	}
 }
 
