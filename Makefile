@@ -38,13 +38,15 @@ bench:
 	$(GO) run ./benchmark
 
 # Kernel Cost parity: the lowered-kernel differential tests, the full
-# compute_and_apply_rhs Cost golden on all four backends, the column
-# scan collective against its point-to-point oracle, and the
-# four-backend golden, which re-runs the flip-chaos configuration
-# recorded in bench/BENCH_9.json on every backend and requires every
-# per-kernel calls/flops/bytes column to match it exactly, every
-# injected flip to be detected, and the recovered state to hash equal
-# to a fault-free replica's. Mirrors the CI kernel-parity job.
+# compute_and_apply_rhs Cost golden on all three backends (Intel,
+# OpenACC, Athread; the MPE is a price on the Intel run, not a
+# backend), the column scan collective against its point-to-point
+# oracle, and the three-backend golden, which re-runs the flip-chaos
+# configuration recorded in bench/BENCH_9.json on every backend and
+# requires every per-kernel calls/flops/bytes column to match it
+# exactly, every injected flip to be detected, and the recovered state
+# to hash equal to a fault-free replica's. Mirrors the CI kernel-parity
+# job.
 kernel-parity:
 	$(GO) test -race -count=1 \
 	    -run 'TestLoweredKernel|TestHypervisUpdateFlopParity|TestAthreadDP2VectorCounters|TestAnalyticFormulasDerivedFromSpecs|TestRowLevelsEdgeCases|TestRHSCostGoldens|TestColumnScanBatchMatchesChain|TestColumnScanCollectiveFaults|TestBench9ConfigGoldens' \

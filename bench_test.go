@@ -1,5 +1,5 @@
 // Package swcam_bench times the paper's experiments that run simulator
-// work — the Table 1 kernels on all four backends, mesh assembly, the
+// work — the Table 1 kernels on all three backends, mesh assembly, the
 // Figure 4 and Figure 9 integrations — and the ablations beside them,
 // reporting their headline metrics through b.ReportMetric. The paper's
 // numbers themselves, and how close the model comes to each, are the
@@ -18,8 +18,8 @@ import (
 	"swcam/internal/tc"
 )
 
-// BenchmarkTable1Kernels runs the six dycore kernels under all four
-// execution strategies on the functional simulator and reports the
+// BenchmarkTable1Kernels runs the six dycore kernels under all three
+// backends on the functional simulator and reports the
 // modeled Athread-over-Intel speedup range and the peak Athread gain
 // over OpenACC (the Table 1 and Figure 5 payload).
 func BenchmarkTable1Kernels(b *testing.B) {

@@ -64,7 +64,7 @@ func main() {
 	hours := flag.Float64("hours", 3, "simulated hours")
 	phys := flag.String("physics", "moist", "physics suite: moist | heldsuarez | none")
 	parallel := flag.Int("parallel", 0, "run dynamics distributed over N ranks (0 = serial)")
-	backendName := flag.String("backend", "athread", "execution backend for -parallel: intel|mpe|openacc|athread")
+	backendName := flag.String("backend", "athread", "execution backend for -parallel: intel|openacc|athread")
 	restart := flag.String("restart", "", "resume from a checkpoint file")
 	checkpoint := flag.String("checkpoint", "", "write a checkpoint file at the end")
 	history := flag.String("history", "", "write lat-lon history frames to this file")
@@ -268,18 +268,9 @@ func finishObs(p *obs.Probe, tracePath string, in obs.ReportInput) {
 }
 
 func runParallel(ne, nlev, qsize int, hours float64, nranks int, backendName, physMode, faultSpec string, ckEvery int, ckPath, recoveryMode string, spares int, probe *obs.Probe, tracePath string, dynWorkers, physReq, scrubEvery, ckptGenerations int, interrupted func() bool) {
-	var backend exec.Backend
-	switch backendName {
-	case "intel":
-		backend = exec.Intel
-	case "mpe":
-		backend = exec.MPE
-	case "openacc":
-		backend = exec.OpenACC
-	case "athread":
-		backend = exec.Athread
-	default:
-		fmt.Fprintf(os.Stderr, "camsw: unknown backend %q\n", backendName)
+	backend, err := exec.ParseBackend(backendName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "camsw:", err)
 		os.Exit(2)
 	}
 	cfg := dycore.DefaultConfig(ne)

@@ -31,7 +31,7 @@ func main() {
 	base := flag.Int("base", 0, "efficiency baseline process count (model-strong; default min-np)")
 	minNp := flag.Int("min-np", 0, "sweep start: goroutine ranks (measured) or processes (model)")
 	maxNp := flag.Int("max-np", 0, "sweep end (inclusive), doubling from min-np")
-	backendName := flag.String("backend", "athread", "measured-sweep backend: intel|mpe|openacc|athread")
+	backendName := flag.String("backend", "athread", "measured-sweep backend: intel|openacc|athread")
 	nlev := flag.Int("nlev", 8, "vertical levels for measured sweeps")
 	qsize := flag.Int("qsize", 2, "tracer count for measured sweeps")
 	steps := flag.Int("steps", 2, "dynamics steps per measured point")
@@ -99,26 +99,14 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-func parseBackend(name string) exec.Backend {
-	switch name {
-	case "intel":
-		return exec.Intel
-	case "mpe":
-		return exec.MPE
-	case "openacc":
-		return exec.OpenACC
-	case "athread":
-		return exec.Athread
-	}
-	fmt.Fprintf(os.Stderr, "scaling: unknown backend %q\n", name)
-	os.Exit(2)
-	return 0
-}
-
 func runMeasured(mode string, ne, minNp, maxNp int, backendName string,
 	nlev, qsize, steps, budgetMB, weakElems int, overlap bool,
 	projectNe string, machineRanks int) {
-	backend := parseBackend(backendName)
+	backend, err := exec.ParseBackend(backendName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "scaling:", err)
+		os.Exit(2)
+	}
 	ne = defInt(ne, 8)
 	lo, hi := defInt(minNp, 16), defInt(maxNp, 256)
 	var ranks []int

@@ -40,7 +40,7 @@ func main() {
 	cycleSteps := flag.Int("cycle-steps", 2, "dynamics steps per snapshot publish")
 	horizonCycles := flag.Int("horizon-cycles", 0, "forecast horizon in cycles; members complete there and keep serving their final snapshot (0 = integrate forever)")
 	dynWorkers := flag.Int("dyn-workers", 1, "intra-rank dynamics workers")
-	backendName := flag.String("backend", "athread", "execution backend: intel|mpe|openacc|athread")
+	backendName := flag.String("backend", "athread", "execution backend: intel|openacc|athread")
 	ic := flag.String("ic", "vortex", "base initial condition: vortex|barowave")
 	perturb := flag.Float64("perturb", 0.01, "member IC perturbation amplitude, K")
 	seed := flag.Int64("seed", 42, "deterministic seed (perturbations, jitter, kills)")
@@ -57,18 +57,9 @@ func main() {
 	obsOn := flag.Bool("obs", false, "print the counter registry on exit")
 	flag.Parse()
 
-	var backend exec.Backend
-	switch *backendName {
-	case "intel":
-		backend = exec.Intel
-	case "mpe":
-		backend = exec.MPE
-	case "openacc":
-		backend = exec.OpenACC
-	case "athread":
-		backend = exec.Athread
-	default:
-		fmt.Fprintf(os.Stderr, "swserve: unknown backend %q\n", *backendName)
+	backend, err := exec.ParseBackend(*backendName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "swserve:", err)
 		os.Exit(2)
 	}
 	plan, err := serve.ParseKillPlan(*kills)

@@ -67,7 +67,7 @@ func TestEndToEndMoistModel(t *testing.T) {
 	}
 }
 
-// TestEndToEndDistributedAgainstSerial: the four-backend distributed
+// TestEndToEndDistributedAgainstSerial: the three-backend distributed
 // driver against the serial solver through full steps with topography
 // and tracers — the complete paper pipeline in one assertion.
 func TestEndToEndDistributedAgainstSerial(t *testing.T) {
@@ -88,7 +88,7 @@ func TestEndToEndDistributedAgainstSerial(t *testing.T) {
 	for i := 0; i < steps; i++ {
 		s.Step(ref)
 	}
-	for _, b := range []exec.Backend{exec.Intel, exec.OpenACC, exec.Athread} {
+	for _, b := range exec.Backends {
 		job, err := core.NewParallelJob(cfg, b, true, 4)
 		if err != nil {
 			t.Fatal(err)

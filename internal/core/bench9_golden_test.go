@@ -34,17 +34,6 @@ var bench9Goldens = map[string]map[string]kernelGolden{
 		"hypervis_dp2.inner":             {30, 3348480, 983040},
 		"vertical_remap":                 {9, 1105920, 516096},
 	},
-	"mpe": {
-		"compute_and_apply_rhs.boundary": {60, 0, 0},
-		"compute_and_apply_rhs.inner":    {60, 5468160, 3010560},
-		"euler_step.boundary":            {60, 0, 0},
-		"euler_step.inner":               {60, 2949120, 1966080},
-		"hypervis_dp1.boundary":          {30, 0, 0},
-		"hypervis_dp1.inner":             {30, 3225600, 983040},
-		"hypervis_dp2.boundary":          {30, 0, 0},
-		"hypervis_dp2.inner":             {30, 3348480, 983040},
-		"vertical_remap":                 {9, 1105920, 516096},
-	},
 	"openacc": {
 		"compute_and_apply_rhs.boundary": {60, 0, 0},
 		"compute_and_apply_rhs.inner":    {60, 7418880, 7991040},
@@ -69,7 +58,7 @@ var bench9Goldens = map[string]map[string]kernelGolden{
 	},
 }
 
-// The four-backend golden: a flip-chaos soak (ne2, 4 levels, 3 tracers,
+// The three-backend golden: a flip-chaos soak (ne2, 4 levels, 3 tracers,
 // 3 ranks, 6 steps, overlapped exchange, scrubbing every step, a ladder
 // supervisor keeping three checkpoint generations) run on every
 // backend. On each one the per-kernel calls/flops/bytes must equal the

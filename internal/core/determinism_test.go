@@ -74,7 +74,7 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 		return StateFNV(job.Gather(local)), stats
 	}
 
-	for _, b := range []exec.Backend{exec.Intel, exec.MPE, exec.OpenACC, exec.Athread} {
+	for _, b := range exec.Backends {
 		b := b
 		t.Run(b.String(), func(t *testing.T) {
 			refHash, refStats := run(b, 1)

@@ -69,7 +69,7 @@ func TestOverlapDifferentialSweep(t *testing.T) {
 		}
 	}
 
-	for _, b := range []exec.Backend{exec.Intel, exec.MPE, exec.OpenACC, exec.Athread} {
+	for _, b := range exec.Backends {
 		b := b
 		t.Run(b.String(), func(t *testing.T) {
 			var ref uint64

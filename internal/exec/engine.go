@@ -295,8 +295,8 @@ func (en *Engine) collect(b Backend, launches int64) Cost {
 	}
 }
 
-// serialCost builds the cost record of a serial (Intel or MPE) kernel
-// run from analytic flop and byte counts.
-func serialCost(b Backend, flops, bytes int64) Cost {
-	return Cost{Backend: b, FlopsScalar: flops, MaxCPEFlops: flops, MemBytes: bytes}
+// serialCost builds the cost record of a serial (Intel) kernel run
+// from analytic flop and byte counts.
+func serialCost(flops, bytes int64) Cost {
+	return Cost{Backend: Intel, FlopsScalar: flops, MaxCPEFlops: flops, MemBytes: bytes}
 }

@@ -11,8 +11,8 @@ func (en *Engine) eulerStep(sub Subset, b Backend, st *dycore.State, dt float64)
 	en.beginLaunch(sub)
 	sel := en.sel(sub)
 	switch b {
-	case Intel, MPE:
-		return en.eulerSerial(sub, b, sel, st, dt)
+	case Intel:
+		return en.eulerSerial(sub, sel, st, dt)
 	case OpenACC:
 		return en.eulerOpenACC(sub, sel, st, dt)
 	case Athread:
@@ -22,9 +22,8 @@ func (en *Engine) eulerStep(sub Subset, b Backend, st *dycore.State, dt float64)
 }
 
 // eulerSerial is the reference path: the dycore element kernel on one
-// conventional core (Intel) or on the management core (MPE), tiled
-// across the worker pool.
-func (en *Engine) eulerSerial(sub Subset, b Backend, sel *ElemSubset, st *dycore.State, dt float64) Cost {
+// conventional core, tiled across the worker pool.
+func (en *Engine) eulerSerial(sub Subset, sel *ElemSubset, st *dycore.State, dt float64) Cost {
 	flops, bytes := en.runTiles(sel, func(w *dynWorker, slots []int, p *serialPartial) {
 		for _, le := range slots {
 			e := en.element(le)
@@ -37,7 +36,7 @@ func (en *Engine) eulerSerial(sub Subset, b Backend, sel *ElemSubset, st *dycore
 			p.bytes += eulerBytes(en.Np, en.Nlev, en.Qsize)
 		}
 	})
-	return en.serialSplit(b, sub.Phase, flops, bytes)
+	return en.serialSplit(sub.Phase, flops, bytes)
 }
 
 // eulerOpenACC is Algorithm 1: the collapse(2) parallelization over

@@ -3,6 +3,7 @@ package exec
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"swcam/internal/dycore"
@@ -73,7 +74,7 @@ func TestEulerBackendsEquivalent(t *testing.T) {
 		results[b] = st
 	}
 	ref := results[Intel]
-	for _, b := range []Backend{MPE, OpenACC, Athread} {
+	for _, b := range []Backend{OpenACC, Athread} {
 		if d := relDiff(ref.Qdp, results[b].Qdp); d > 1e-13 {
 			t.Errorf("%v euler differs from Intel by %g", b, d)
 		}
@@ -135,15 +136,13 @@ func TestRHSBackendsEquivalent(t *testing.T) {
 		results[b] = out
 	}
 	ref := results[Intel]
-	// MPE and OpenACC recompute the serial scans: bitwise identical.
-	for _, b := range []Backend{MPE, OpenACC} {
-		for _, f := range [][2][][]float64{
-			{ref.U, results[b].U}, {ref.V, results[b].V},
-			{ref.T, results[b].T}, {ref.DP, results[b].DP},
-		} {
-			if d := relDiff(f[0], f[1]); d != 0 {
-				t.Errorf("%v rhs differs from Intel by %g (want bitwise)", b, d)
-			}
+	// OpenACC recomputes the serial scans: bitwise identical.
+	for _, f := range [][2][][]float64{
+		{ref.U, results[OpenACC].U}, {ref.V, results[OpenACC].V},
+		{ref.T, results[OpenACC].T}, {ref.DP, results[OpenACC].DP},
+	} {
+		if d := relDiff(f[0], f[1]); d != 0 {
+			t.Errorf("OpenACC rhs differs from Intel by %g (want bitwise)", d)
 		}
 	}
 	// Athread regroups the vertical scans across CPEs: rounding-level
@@ -224,7 +223,7 @@ func TestHypervisBackendsEquivalent(t *testing.T) {
 		results[b] = result{st, lu, lv, lt, lp}
 	}
 	ref := results[Intel]
-	for _, b := range []Backend{MPE, OpenACC, Athread} {
+	for _, b := range []Backend{OpenACC, Athread} {
 		r := results[b]
 		if d := relDiff(ref.lu, r.lu); d > 1e-13 {
 			t.Errorf("%v hypervis pass1 lapU differs by %g", b, d)
@@ -252,7 +251,7 @@ func TestBiharmonicBackendsEquivalent(t *testing.T) {
 		}
 		out[b] = o
 	}
-	for _, b := range []Backend{MPE, OpenACC, Athread} {
+	for _, b := range []Backend{OpenACC, Athread} {
 		if d := relDiff(out[Intel], out[b]); d > 1e-13 {
 			t.Errorf("%v biharmonic differs by %g", b, d)
 		}
@@ -277,7 +276,7 @@ func TestRemapBackendsEquivalent(t *testing.T) {
 		results[b] = st
 	}
 	ref := results[Intel]
-	for _, b := range []Backend{MPE, OpenACC, Athread} {
+	for _, b := range []Backend{OpenACC, Athread} {
 		r := results[b]
 		for name, f := range map[string][2][][]float64{
 			"U": {ref.U, r.U}, "T": {ref.T, r.T},
@@ -408,7 +407,7 @@ func TestVecOpsMatchScalarSlabs(t *testing.T) {
 }
 
 func TestBackendString(t *testing.T) {
-	names := map[Backend]string{Intel: "Intel", MPE: "MPE", OpenACC: "OpenACC", Athread: "Athread"}
+	names := map[Backend]string{Intel: "Intel", OpenACC: "OpenACC", Athread: "Athread"}
 	for b, want := range names {
 		if b.String() != want {
 			t.Errorf("backend %d string = %q", int(b), b.String())
@@ -416,6 +415,25 @@ func TestBackendString(t *testing.T) {
 	}
 	if Backend(9).String() == "" {
 		t.Error("unknown backend string empty")
+	}
+}
+
+// TestParseBackend: every backend's command-line name parses back to
+// it, and nothing else parses — in particular not the MPE, which is a
+// price on the Intel run (perf.MPETime), not a lowering.
+func TestParseBackend(t *testing.T) {
+	for _, b := range Backends {
+		name := strings.ToLower(b.String())
+		if got, err := ParseBackend(name); err != nil || got != b {
+			t.Errorf("ParseBackend(%q) = %v, %v; want %v", name, got, err, b)
+		}
+	}
+	for _, name := range []string{"mpe", "MPE", "", "Intel", "AThread", "openacc "} {
+		if b, err := ParseBackend(name); err == nil {
+			t.Errorf("ParseBackend(%q) = %v, want an error", name, b)
+		} else if !strings.Contains(err.Error(), "unknown backend") {
+			t.Errorf("ParseBackend(%q) error %q does not say unknown backend", name, err)
+		}
 	}
 }
 

@@ -3,8 +3,8 @@
 // when observation is off — the default — and records a wall-clock span
 // plus the kernel's architectural events when an obs.Tracer /
 // obs.KernelTable is attached. Keeping the probe here, above the
-// backend dispatch, means one instrumentation point covers all four
-// execution strategies per kernel.
+// backend dispatch, means one instrumentation point covers all three
+// backends per kernel.
 package exec
 
 import (

@@ -1,7 +1,7 @@
 // Single-source kernel layer: each per-level slab kernel is written
 // ONCE against a small primitive vocabulary (slabOps) and *lowered*
-// onto the four execution strategies, instead of being hand-written
-// four-plus-subset times. The copies had already drifted — the DP2
+// onto the three backends, instead of being hand-written
+// once per backend and subset. The copies had already drifted — the DP2
 // update was modeled as 12·np² scalar flops on OpenACC but 8·np²
 // vector flops on Athread and 16·np² in the serial analytic formula —
 // so the rule enforced here is structural: flop/byte attribution lives
@@ -21,10 +21,10 @@
 // functions (the Athread lowering). A kernel is a slabSpec: buffer
 // shape (inputs, outputs, scratch, whether the metric needs D for the
 // vector Laplacian, whether outputs are read-modify-write) plus a body
-// that calls primitives. The four lowerings reproduce the cost
+// that calls primitives. The three lowerings reproduce the cost
 // semantics of the hand-written kernels they replaced:
 //
-//   - Intel/MPE (lowerSlabSerial): one host core runs the dycore
+//   - Intel (lowerSlabSerial): one host core runs the dycore
 //     scalar slabs in place over state rows; flops are the spec's
 //     primitive-derived analytic count, bytes the compulsory traffic
 //     8·np²·nlev·(nIn+nOut) per element.
@@ -205,8 +205,8 @@ type slabBind struct {
 // caller has already run beginLaunch.
 func (en *Engine) lowerSlab(k *slabSpec, sub Subset, b Backend, bind *slabBind) Cost {
 	switch b {
-	case Intel, MPE:
-		return en.lowerSlabSerial(k, sub, b, bind)
+	case Intel:
+		return en.lowerSlabSerial(k, sub, bind)
 	case OpenACC:
 		return en.lowerSlabOpenACC(k, sub, bind)
 	case Athread:
@@ -224,7 +224,7 @@ var (
 )
 
 // ---------------------------------------------------------------------------
-// Serial lowering (Intel, MPE)
+// Serial lowering (Intel)
 // ---------------------------------------------------------------------------
 
 // serialSlabOps runs the primitives with the dycore scalar slab
@@ -264,7 +264,7 @@ func (s *serialSlabOps) AxpyUpdate(dst []float64, coef float64, src []float64) {
 	}
 }
 
-func (en *Engine) lowerSlabSerial(k *slabSpec, sub Subset, b Backend, bind *slabBind) Cost {
+func (en *Engine) lowerSlabSerial(k *slabSpec, sub Subset, bind *slabBind) Cost {
 	sel := en.sel(sub)
 	np, nlev := en.Np, en.Nlev
 	npsq := np * np
@@ -292,7 +292,7 @@ func (en *Engine) lowerSlabSerial(k *slabSpec, sub Subset, b Backend, bind *slab
 			p.bytes += perElemBytes
 		}
 	})
-	return en.serialSplit(b, sub.Phase, flops, bytes)
+	return en.serialSplit(sub.Phase, flops, bytes)
 }
 
 // ---------------------------------------------------------------------------

@@ -48,7 +48,7 @@ func slabKernelRun(en *Engine, b Backend, st0 *dycore.State, nlev, npsq int,
 	return hashState(st) ^ hashFields(lu, lv, lt, lp, bi), costs
 }
 
-// TestLoweredKernelSweep: one body, four lowerings — every backend,
+// TestLoweredKernelSweep: one body, three lowerings — every backend,
 // worker count, and subset split must produce the SAME bits as the
 // Intel workers=1 Whole reference (the Vec4 slabs are bit-exact
 // against the scalar slabs, so cross-backend identity is exact, not
@@ -113,11 +113,6 @@ func TestLoweredKernelCostGoldens(t *testing.T) {
 			{Backend: Intel, FlopsScalar: 669696, MaxCPEFlops: 669696, MemBytes: 196608},
 			{Backend: Intel, FlopsScalar: 159744, MaxCPEFlops: 159744, MemBytes: 49152},
 		},
-		MPE: {
-			{Backend: MPE, FlopsScalar: 645120, MaxCPEFlops: 645120, MemBytes: 196608},
-			{Backend: MPE, FlopsScalar: 669696, MaxCPEFlops: 669696, MemBytes: 196608},
-			{Backend: MPE, FlopsScalar: 159744, MaxCPEFlops: 159744, MemBytes: 49152},
-		},
 		OpenACC: {
 			{Backend: OpenACC, FlopsScalar: 645120, MaxCPEFlops: 10080, MemBytes: 418176, DMAOps: 2304, Launches: 1, LDMPeak: 3072},
 			{Backend: OpenACC, FlopsScalar: 669696, MaxCPEFlops: 10464, MemBytes: 516480, DMAOps: 3072, Launches: 1, LDMPeak: 3584},
@@ -170,7 +165,7 @@ func TestHypervisUpdateFlopParity(t *testing.T) {
 			// The scalar backends charge the primitive-derived analytic
 			// totals; any per-kernel flop or byte mismatch between them
 			// for identical logical work is a drift regression.
-			if b == Intel || b == MPE || b == OpenACC {
+			if b == Intel || b == OpenACC {
 				want1 := hypervis1Flops(np, shape.nlev) * int64(m.NElems())
 				want2 := hypervis2Flops(np, shape.nlev) * int64(m.NElems())
 				if costs[0].Flops() != want1 || costs[1].Flops() != want2 {
@@ -179,7 +174,7 @@ func TestHypervisUpdateFlopParity(t *testing.T) {
 				}
 			}
 			wantBytes := hypervisBytes(np, shape.nlev) * int64(m.NElems())
-			if b == Intel || b == MPE {
+			if b == Intel {
 				if costs[0].MemBytes != wantBytes || costs[1].MemBytes != wantBytes {
 					t.Errorf("ne%d %v: kernel bytes (%d, %d) != analytic %d",
 						shape.ne, b, costs[0].MemBytes, costs[1].MemBytes, wantBytes)

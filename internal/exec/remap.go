@@ -24,7 +24,7 @@ func (en *Engine) verticalRemap(b Backend, h *dycore.HybridCoord, st *dycore.Sta
 	np, nlev, qsize := en.Np, en.Nlev, en.Qsize
 	npsq := np * np
 	switch b {
-	case Intel, MPE:
+	case Intel:
 		flops, bytes := en.runTiles(sel, func(w *dynWorker, slots []int, p *serialPartial) {
 			for _, le := range slots {
 				dycore.RemapStateElem(h, np, nlev, qsize,
@@ -34,7 +34,7 @@ func (en *Engine) verticalRemap(b Backend, h *dycore.HybridCoord, st *dycore.Sta
 				p.bytes += remapBytes(np, nlev, qsize)
 			}
 		})
-		return serialCost(b, flops, bytes)
+		return serialCost(flops, bytes)
 
 	case OpenACC:
 		// The directive version's whole-slab fetches would overlap other

@@ -12,8 +12,8 @@ func (en *Engine) computeAndApplyRHS(sub Subset, b Backend, cur, base, out *dyco
 	en.beginLaunch(sub)
 	sel := en.sel(sub)
 	switch b {
-	case Intel, MPE:
-		return en.rhsSerial(sub, b, sel, cur, base, out, dt)
+	case Intel:
+		return en.rhsSerial(sub, sel, cur, base, out, dt)
 	case OpenACC:
 		return en.rhsOpenACC(sub, sel, cur, base, out, dt)
 	case Athread:
@@ -22,7 +22,7 @@ func (en *Engine) computeAndApplyRHS(sub Subset, b Backend, cur, base, out *dyco
 	panic("exec: unknown backend")
 }
 
-func (en *Engine) rhsSerial(sub Subset, b Backend, sel *ElemSubset, cur, base, out *dycore.State, dt float64) Cost {
+func (en *Engine) rhsSerial(sub Subset, sel *ElemSubset, cur, base, out *dycore.State, dt float64) Cost {
 	flops, bytes := en.runTiles(sel, func(w *dynWorker, slots []int, p *serialPartial) {
 		for _, le := range slots {
 			e := en.element(le)
@@ -34,7 +34,7 @@ func (en *Engine) rhsSerial(sub Subset, b Backend, sel *ElemSubset, cur, base, o
 			p.bytes += rhsBytes(en.Np, en.Nlev)
 		}
 	})
-	return en.serialSplit(b, sub.Phase, flops, bytes)
+	return en.serialSplit(sub.Phase, flops, bytes)
 }
 
 // rhsOpenACC distributes (element, level) iterations across the CPEs,

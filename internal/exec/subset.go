@@ -152,20 +152,20 @@ func (en *Engine) beginLaunch(sub Subset) {
 
 // serialSplit folds a serial backend's analytic sums through the split
 // accounting: Open parks them, Close reports the pair as one kernel.
-func (en *Engine) serialSplit(b Backend, ph SplitPhase, flops, bytes int64) Cost {
+func (en *Engine) serialSplit(ph SplitPhase, flops, bytes int64) Cost {
 	switch ph {
 	case Open:
 		en.splitPend = true
 		en.pendFlops, en.pendBytes = flops, bytes
-		return Cost{Backend: b}
+		return Cost{Backend: Intel}
 	case Close:
 		en.splitPend = false
 		flops += en.pendFlops
 		bytes += en.pendBytes
 		en.pendFlops, en.pendBytes = 0, 0
-		return serialCost(b, flops, bytes)
+		return serialCost(flops, bytes)
 	}
-	return serialCost(b, flops, bytes)
+	return serialCost(flops, bytes)
 }
 
 // collectSplit folds a CPE backend's counter collection through the

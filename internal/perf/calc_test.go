@@ -20,9 +20,9 @@ func close(t *testing.T, name string, got, want, rtol float64) {
 	}
 }
 
-// TestKernelTimeSerialHandComputed pins the serial (Intel/MPE) roofline
-// against values computed by hand from the published machine constants:
-// time = max(flops/rate, bytes/bw).
+// TestKernelTimeSerialHandComputed pins the serial roofline, on the Xeon
+// (KernelTime) and on the MPE (MPETime), against values computed by hand
+// from the published machine constants: time = max(flops/rate, bytes/bw).
 func TestKernelTimeSerialHandComputed(t *testing.T) {
 	// Compute-bound on Intel: 3.0e9 flops at 3.0 GFlops/s = 1 s exactly.
 	c := exec.Cost{Backend: exec.Intel, FlopsScalar: 3_000_000_000}
@@ -34,8 +34,22 @@ func TestKernelTimeSerialHandComputed(t *testing.T) {
 	close(t, "intel memory-bound", KernelTime(c), 2.0, 1e-12)
 
 	// MPE: 1.1e9 flops at 0.55 GFlops/s = 2 s; 6e9 bytes at 6 GB/s = 1 s.
-	m := exec.Cost{Backend: exec.MPE, FlopsScalar: 1_100_000_000, MemBytes: 6_000_000_000}
-	close(t, "mpe compute-bound", KernelTime(m), 2.0, 1e-12)
+	m := exec.Cost{Backend: exec.Intel, FlopsScalar: 1_100_000_000, MemBytes: 6_000_000_000}
+	close(t, "mpe compute-bound", MPETime(m), 2.0, 1e-12)
+}
+
+// TestMPETimeRejectsCPECost: only a serial run has an MPE price.
+func TestMPETimeRejectsCPECost(t *testing.T) {
+	for _, b := range []exec.Backend{exec.OpenACC, exec.Athread} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("MPETime(%v cost) did not panic", b)
+				}
+			}()
+			MPETime(exec.Cost{Backend: b, FlopsScalar: 1})
+		}()
+	}
 }
 
 // TestKernelTimeCPEHandComputed pins the CPE-cluster model (Athread):

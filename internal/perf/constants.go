@@ -21,9 +21,9 @@ package perf
 //	[lit]   measured values from the Sunway micro-benchmarking literature
 //	        (Xu et al., "Benchmarking SW26010", and the paper's own
 //	        observations, e.g. MPE 2-10x slower than a Xeon core).
-//	[cal]   calibrated here so the four backends land in the paper's
-//	        reported ratio bands; the ledger (ledger.go) marks every
-//	        paper value a constant was fitted to.
+//	[cal]   calibrated here so the four Table 1 strategies land in the
+//	        paper's reported ratio bands; the ledger (ledger.go) marks
+//	        every paper value a constant was fitted to.
 const (
 	// CPERate is the sustained scalar double-precision rate of one CPE,
 	// flops/s. The CPE runs at 1.45 GHz with a dual-issue in-order

@@ -194,7 +194,7 @@ func BuildLedger(t1 []KernelRow) Ledger {
 		p := paperTable1[r.Name]
 		id := "table1." + r.Name
 		l.add(id+".mpe", "Table 1", "MPE/Intel time, "+r.Name, p.mpe/p.intel,
-			r.Times[exec.MPE]/r.Times[exec.Intel], mpeTol)
+			r.MPE/r.Times[exec.Intel], mpeTol)
 		acc := l.add(id+".acc", "Table 1", "Intel/OpenACC time, "+r.Name, p.intel/p.acc,
 			r.Speedup(exec.Intel, exec.OpenACC), perKern)
 		if r.Name == "euler_step" { // ACCMemEff is fitted here

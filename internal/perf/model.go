@@ -14,14 +14,22 @@ func KernelTime(c exec.Cost) float64 {
 	switch c.Backend {
 	case exec.Intel:
 		return serialTime(c, IntelRate, IntelMemBW)
-	case exec.MPE:
-		return serialTime(c, MPERate, MPEMemBW)
 	case exec.OpenACC:
 		return cpeTime(c, ACCRegionOverhead, ACCMemEff)
 	case exec.Athread:
 		return cpeTime(c, SpawnOverhead, AthMemEff)
 	}
 	panic("perf: unknown backend")
+}
+
+// MPETime prices a serial (Intel) cost on the SW26010 management core:
+// the paper's MPE-only port runs the unmodified serial code. A CPE cost
+// has no MPE price, so it panics, as KernelTime does on an unknown backend.
+func MPETime(c exec.Cost) float64 {
+	if c.Backend != exec.Intel {
+		panic("perf: MPETime of a " + c.Backend.String() + " cost")
+	}
+	return serialTime(c, MPERate, MPEMemBW)
 }
 
 func serialTime(c exec.Cost, rate, bw float64) float64 {

@@ -25,7 +25,7 @@ func TestKernelTimePositiveAndOrdered(t *testing.T) {
 	}
 	flops := int64(1e9)
 	intel := KernelTime(mk(exec.Intel, flops, 0, flops, 1e8))
-	mpe := KernelTime(mk(exec.MPE, flops, 0, flops, 1e8))
+	mpe := MPETime(mk(exec.Intel, flops, 0, flops, 1e8))
 	ath := KernelTime(mk(exec.Athread, 0, flops, flops/64, 1e8))
 	if intel <= 0 || mpe <= 0 || ath <= 0 {
 		t.Fatal("non-positive kernel time")
