@@ -84,6 +84,14 @@ type ParallelJob struct {
 	steps   int
 	scratch []*stepScratch // per-rank pooled step workspaces (lazy)
 	red     []*reduceBufs  // per-rank pooled canonical-reduction buffers
+
+	// world is the job's communicator, kept between RunChecked calls so
+	// its warm mailbox freelists and collective scratch make a chunked
+	// run allocate no message buffers. RunChecked replaces it when it is
+	// missing, sized for another rank count (Shrink), or poisoned (the
+	// last run failed); perRank is that run's per-rank stats, pooled.
+	world   *mpirt.World
+	perRank []RunStats
 }
 
 // stepScratch is one rank's reusable step-loop workspace: the SSP-RK2
@@ -316,22 +324,22 @@ func (j *ParallelJob) Run(local []*dycore.State, n int) RunStats {
 // step counter is NOT advanced and the local states are in an undefined,
 // partially-stepped condition — the caller must restore them from a
 // checkpoint before retrying.
+//
+// Every call runs on the job's one world (see jobWorld), with the
+// world's counters zeroed first, so the returned stats and the
+// published mpirt.* counters describe this call alone.
 func (j *ParallelJob) RunChecked(local []*dycore.State, n int) (RunStats, error) {
 	if len(local) != j.NRanks {
 		panic(fmt.Sprintf("core: %d local states for %d ranks", len(local), j.NRanks))
 	}
 	var stats RunStats
 	stats.Cost.Backend = j.Backend
-	perRank := make([]RunStats, j.NRanks)
-	w := mpirt.NewWorld(j.NRanks)
-	if j.Faults != nil {
-		w.SetFaults(j.Faults)
+	if len(j.perRank) != j.NRanks {
+		j.perRank = make([]RunStats, j.NRanks)
 	}
-	if j.RecvTimeout > 0 {
-		w.SetRecvTimeout(j.RecvTimeout)
-	}
-	w.SetRetry(j.Retry)
-	w.SetTracer(j.Obs.T())
+	perRank := j.perRank
+	clear(perRank)
+	w := j.jobWorld()
 	err := w.Run(func(c *mpirt.Comm) {
 		r := c.Rank()
 		for step := 0; step < n; step++ {
@@ -358,11 +366,31 @@ func (j *ParallelJob) RunChecked(local []*dycore.State, n int) (RunStats, error)
 	w.DumpStats(j.Obs.R())
 	recordCost(j.Obs.R(), stats.Cost)
 	if err != nil {
+		// A poisoned world stays poisoned: the next run gets a new one.
+		j.world = nil
 		return stats, err
 	}
 	j.steps += n
 	stats.Steps = j.steps
 	return stats, nil
+}
+
+// jobWorld returns the job's world for the next run, built when there
+// is none or its size is not NRanks, with its counters zeroed and the
+// job's current fault plan, receive deadline, retry policy and tracer
+// attached. The fault plan keeps its own op counters, so reusing the
+// world leaves the fault schedule exactly as a new world would see it.
+func (j *ParallelJob) jobWorld() *mpirt.World {
+	if j.world == nil || j.world.Size() != j.NRanks {
+		j.world = mpirt.NewWorld(j.NRanks)
+	}
+	w := j.world
+	w.ResetStats()
+	w.SetFaults(j.Faults)
+	w.SetRecvTimeout(j.RecvTimeout)
+	w.SetRetry(j.Retry)
+	w.SetTracer(j.Obs.T())
+	return w
 }
 
 // StepCount returns the number of dynamics steps completed so far.

@@ -40,8 +40,13 @@ type Engine struct {
 	tileWG     sync.WaitGroup
 	partials   []serialPartial
 	tilePanics []any
-	curFn      func(w *dynWorker, slots []int, p *serialPartial)
+	curFn      tileFn
 	curSel     *ElemSubset
+
+	// The serial (Intel) launch in flight: its arguments, and the tile
+	// bodies that read them, bound once (see serialArgs).
+	ser      serialArgs
+	serTiles serialTiles
 
 	// Subset execution (see subset.go): the identity subset every Whole
 	// launch runs on, registered subsets re-tiled on SetWorkers, and the
@@ -209,6 +214,7 @@ func NewEngine(m *mesh.Mesh, elems []int, nlev, qsize int) *Engine {
 	for _, k := range slabSpecs {
 		en.slabFlops[k] = k.levelFlops(m.Np)
 	}
+	en.serTiles = serialTiles{rhs: en.rhsTile, euler: en.eulerTile, slab: en.slabTile, remap: en.remapTile}
 	en.SetWorkers(1)
 	return en
 }

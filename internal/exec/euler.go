@@ -24,19 +24,23 @@ func (en *Engine) eulerStep(sub Subset, b Backend, st *dycore.State, dt float64)
 // eulerSerial is the reference path: the dycore element kernel on one
 // conventional core, tiled across the worker pool.
 func (en *Engine) eulerSerial(sub Subset, sel *ElemSubset, st *dycore.State, dt float64) Cost {
-	flops, bytes := en.runTiles(sel, func(w *dynWorker, slots []int, p *serialPartial) {
-		for _, le := range slots {
-			e := en.element(le)
-			for q := 0; q < en.Qsize; q++ {
-				qdp := st.QdpAt(le, q)
-				dycore.EulerStepElem(e, en.M.DerivFlat, en.Np, en.Nlev,
-					st.U[le], st.V[le], qdp, qdp, dt, w.flxU, w.flxV, w.div, w.gv1, w.gv2)
-			}
-			p.flops += eulerStageFlops(en.Np, en.Nlev) * int64(en.Qsize)
-			p.bytes += eulerBytes(en.Np, en.Nlev, en.Qsize)
-		}
-	})
+	flops, bytes := en.runSerial(sel, en.serTiles.euler, serialArgs{cur: st, dt: dt})
 	return en.serialSplit(sub.Phase, flops, bytes)
+}
+
+// eulerTile is eulerSerial's tile body.
+func (en *Engine) eulerTile(w *dynWorker, slots []int, p *serialPartial) {
+	st := en.ser.cur
+	for _, le := range slots {
+		e := en.element(le)
+		for q := 0; q < en.Qsize; q++ {
+			qdp := st.QdpAt(le, q)
+			dycore.EulerStepElem(e, en.M.DerivFlat, en.Np, en.Nlev,
+				st.U[le], st.V[le], qdp, qdp, en.ser.dt, w.flxU, w.flxV, w.div, w.gv1, w.gv2)
+		}
+		p.flops += eulerStageFlops(en.Np, en.Nlev) * int64(en.Qsize)
+		p.bytes += eulerBytes(en.Np, en.Nlev, en.Qsize)
+	}
 }
 
 // eulerOpenACC is Algorithm 1: the collapse(2) parallelization over

@@ -206,7 +206,7 @@ type slabBind struct {
 func (en *Engine) lowerSlab(k *slabSpec, sub Subset, b Backend, bind *slabBind) Cost {
 	switch b {
 	case Intel:
-		return en.lowerSlabSerial(k, sub, bind)
+		return en.lowerSlabSerial(k, sub)
 	case OpenACC:
 		return en.lowerSlabOpenACC(k, sub, bind)
 	case Athread:
@@ -264,35 +264,40 @@ func (s *serialSlabOps) AxpyUpdate(dst []float64, coef float64, src []float64) {
 	}
 }
 
-func (en *Engine) lowerSlabSerial(k *slabSpec, sub Subset, bind *slabBind) Cost {
-	sel := en.sel(sub)
+// lowerSlabSerial runs k over the subset with the bindings in en.bind,
+// the one binding slot every slab launch uses.
+func (en *Engine) lowerSlabSerial(k *slabSpec, sub Subset) Cost {
+	flops, bytes := en.runSerial(en.sel(sub), en.serTiles.slab, serialArgs{slab: k})
+	return en.serialSplit(sub.Phase, flops, bytes)
+}
+
+// slabTile is lowerSlabSerial's tile body.
+func (en *Engine) slabTile(w *dynWorker, slots []int, p *serialPartial) {
+	k, bind := en.ser.slab, &en.bind
 	np, nlev := en.Np, en.Nlev
 	npsq := np * np
 	perElemFlops := en.slabFlops[k] * int64(nlev)
 	perElemBytes := k.serialBytes(np, nlev)
-	flops, bytes := en.runTiles(sel, func(w *dynWorker, slots []int, p *serialPartial) {
-		w.serialSlab = serialSlab{ops: serialSlabOps{en: en, w: w}, io: slabIO{coef: bind.coef}}
-		ops, io := &w.serialSlab.ops, &w.serialSlab.io
-		for i := 0; i < k.nScr; i++ {
-			io.scr[i] = w.kScr[i]
-		}
-		for _, le := range slots {
-			ops.e = en.element(le)
-			for lev := 0; lev < nlev; lev++ {
-				o := lev * npsq
-				for i := 0; i < k.nIn; i++ {
-					io.in[i] = bind.in[i][le][o : o+npsq]
-				}
-				for i := 0; i < k.nOut; i++ {
-					io.out[i] = bind.out[i][le][o : o+npsq]
-				}
-				k.body(ops, io)
+	w.serialSlab = serialSlab{ops: serialSlabOps{en: en, w: w}, io: slabIO{coef: bind.coef}}
+	ops, io := &w.serialSlab.ops, &w.serialSlab.io
+	for i := 0; i < k.nScr; i++ {
+		io.scr[i] = w.kScr[i]
+	}
+	for _, le := range slots {
+		ops.e = en.element(le)
+		for lev := 0; lev < nlev; lev++ {
+			o := lev * npsq
+			for i := 0; i < k.nIn; i++ {
+				io.in[i] = bind.in[i][le][o : o+npsq]
 			}
-			p.flops += perElemFlops
-			p.bytes += perElemBytes
+			for i := 0; i < k.nOut; i++ {
+				io.out[i] = bind.out[i][le][o : o+npsq]
+			}
+			k.body(ops, io)
 		}
-	})
-	return en.serialSplit(sub.Phase, flops, bytes)
+		p.flops += perElemFlops
+		p.bytes += perElemBytes
+	}
 }
 
 // ---------------------------------------------------------------------------

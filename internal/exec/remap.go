@@ -25,15 +25,7 @@ func (en *Engine) verticalRemap(b Backend, h *dycore.HybridCoord, st *dycore.Sta
 	npsq := np * np
 	switch b {
 	case Intel:
-		flops, bytes := en.runTiles(sel, func(w *dynWorker, slots []int, p *serialPartial) {
-			for _, le := range slots {
-				dycore.RemapStateElem(h, np, nlev, qsize,
-					st.U[le], st.V[le], st.T[le], st.DP[le], st.Qdp[le],
-					w.colA, w.colB, w.colC, w.colD, w.rws)
-				p.flops += remapFlops(np, nlev, qsize)
-				p.bytes += remapBytes(np, nlev, qsize)
-			}
-		})
+		flops, bytes := en.runSerial(sel, en.serTiles.remap, serialArgs{cur: st, h: h})
 		return serialCost(flops, bytes)
 
 	case OpenACC:
@@ -181,4 +173,17 @@ func (en *Engine) verticalRemap(b Backend, h *dycore.HybridCoord, st *dycore.Sta
 		return en.collect(Athread, 1)
 	}
 	panic("exec: unknown backend")
+}
+
+// remapTile is the Intel vertical remap's tile body.
+func (en *Engine) remapTile(w *dynWorker, slots []int, p *serialPartial) {
+	st := en.ser.cur
+	np, nlev, qsize := en.Np, en.Nlev, en.Qsize
+	for _, le := range slots {
+		dycore.RemapStateElem(en.ser.h, np, nlev, qsize,
+			st.U[le], st.V[le], st.T[le], st.DP[le], st.Qdp[le],
+			w.colA, w.colB, w.colC, w.colD, w.rws)
+		p.flops += remapFlops(np, nlev, qsize)
+		p.bytes += remapBytes(np, nlev, qsize)
+	}
 }

@@ -23,18 +23,22 @@ func (en *Engine) computeAndApplyRHS(sub Subset, b Backend, cur, base, out *dyco
 }
 
 func (en *Engine) rhsSerial(sub Subset, sel *ElemSubset, cur, base, out *dycore.State, dt float64) Cost {
-	flops, bytes := en.runTiles(sel, func(w *dynWorker, slots []int, p *serialPartial) {
-		for _, le := range slots {
-			e := en.element(le)
-			dycore.ComputeAndApplyRHSElem(e, en.cor[le], en.M.DerivFlat, w.ws, w.rhs,
-				cur.U[le], cur.V[le], cur.T[le], cur.DP[le], cur.Phis[le],
-				base.U[le], base.V[le], base.T[le], base.DP[le],
-				out.U[le], out.V[le], out.T[le], out.DP[le], dt)
-			p.flops += rhsFlops(en.Np, en.Nlev)
-			p.bytes += rhsBytes(en.Np, en.Nlev)
-		}
-	})
+	flops, bytes := en.runSerial(sel, en.serTiles.rhs, serialArgs{cur: cur, base: base, out: out, dt: dt})
 	return en.serialSplit(sub.Phase, flops, bytes)
+}
+
+// rhsTile is rhsSerial's tile body.
+func (en *Engine) rhsTile(w *dynWorker, slots []int, p *serialPartial) {
+	cur, base, out := en.ser.cur, en.ser.base, en.ser.out
+	for _, le := range slots {
+		e := en.element(le)
+		dycore.ComputeAndApplyRHSElem(e, en.cor[le], en.M.DerivFlat, w.ws, w.rhs,
+			cur.U[le], cur.V[le], cur.T[le], cur.DP[le], cur.Phis[le],
+			base.U[le], base.V[le], base.T[le], base.DP[le],
+			out.U[le], out.V[le], out.T[le], out.DP[le], en.ser.dt)
+		p.flops += rhsFlops(en.Np, en.Nlev)
+		p.bytes += rhsBytes(en.Np, en.Nlev)
+	}
 }
 
 // rhsOpenACC distributes (element, level) iterations across the CPEs,

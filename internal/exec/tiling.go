@@ -31,6 +31,7 @@ import (
 	"runtime"
 	"time"
 
+	"swcam/internal/dycore"
 	"swcam/internal/obs"
 	"swcam/internal/sw"
 )
@@ -190,6 +191,35 @@ func firstWorkItem(start, id int) int {
 	return start + r
 }
 
+// tileFn is one tile's body: it runs on worker w over the tile's slots
+// and adds a serial backend's analytic sums to p.
+type tileFn func(w *dynWorker, slots []int, p *serialPartial)
+
+// serialArgs are the arguments of the serial (Intel) launch in flight:
+// the lowering sets them, runSerial clears them after the launch, like
+// curFn. The serial tile bodies read them here instead of capturing
+// them, because a closure that runTiles keeps in curFn escapes to the
+// heap on every launch; the bodies are method values bound once in
+// NewEngine (serialTiles), so a serial launch allocates nothing.
+type serialArgs struct {
+	cur, base, out *dycore.State // rhs: out = base + dt*RHS(cur); euler and remap step cur
+	dt             float64
+	h              *dycore.HybridCoord // remap
+	slab           *slabSpec           // slab kernels, bound through en.bind
+}
+
+// serialTiles are the engine's serial tile bodies as method values.
+type serialTiles struct{ rhs, euler, slab, remap tileFn }
+
+// runSerial runs a serial tile body over sel with the launch's
+// arguments.
+func (en *Engine) runSerial(sel *ElemSubset, fn tileFn, args serialArgs) (flops, bytes int64) {
+	en.ser = args
+	flops, bytes = en.runTiles(sel, fn)
+	en.ser = serialArgs{}
+	return flops, bytes
+}
+
 // runTiles is the one tile runner: it runs fn over every tile of sel on
 // the worker pool, handing each tile its worker (private scratch, and
 // for the CPE lowerings the private core group w.cg), the tile's slice
@@ -201,7 +231,7 @@ func firstWorkItem(start, id int) int {
 // zero-allocation serial path; otherwise a tile panic is parked and
 // re-raised here, on the rank goroutine, where the mpirt runtime's
 // failure handling expects kernel faults to surface.
-func (en *Engine) runTiles(sel *ElemSubset, fn func(w *dynWorker, slots []int, p *serialPartial)) (flops, bytes int64) {
+func (en *Engine) runTiles(sel *ElemSubset, fn tileFn) (flops, bytes int64) {
 	n := len(sel.tiles)
 	for i := 0; i < n; i++ {
 		en.partials[i] = serialPartial{}

@@ -299,8 +299,10 @@ func TestTilePanicPropagates(t *testing.T) {
 // ---------------------------------------------------------------------------
 
 // Once the per-worker pools are warm, a kernel launch's only allocations
-// are launch machinery: the runTiles closure, a Spawn closure per tile on
-// the CPE backends, and the goroutine of each non-caller tile. Crucially
+// are launch machinery: on the CPE backends the runTiles closure and a
+// Spawn closure per tile, and the goroutine of each non-caller tile (the
+// serial backend's tile bodies are bound once, so a one-worker Intel
+// launch allocates nothing: TestSerialLaunchesAllocateNothing). Crucially
 // the bounds are per TILE, not per element or per column: with 96
 // elements and 1536 columns in play, any per-element scratch allocation
 // would blow these limits by orders of magnitude. Split launches are
@@ -335,14 +337,14 @@ func TestTiledSteadyStateAllocs(t *testing.T) {
 		open, cls := Subset{Sel: bnd, Phase: Open}, Subset{Sel: inn, Phase: Close}
 
 		for _, b := range Backends {
-			// One launch over n tiles allocates the runTiles closure, the
-			// goroutine of each of the n-1 non-caller tiles and, on the CPE
-			// backends, one Spawn closure per tile.
+			// One launch over n tiles allocates the goroutine of each of the
+			// n-1 non-caller tiles and, on the CPE backends, the runTiles
+			// closure and one Spawn closure per tile.
 			launch := func(n int) float64 {
 				if b == OpenACC || b == Athread {
 					return float64(2 * n)
 				}
-				return float64(n)
+				return float64(n - 1)
 			}
 			split := launch(len(bnd.tiles)) + launch(len(inn.tiles))
 
@@ -389,6 +391,57 @@ func TestTiledSteadyStateAllocs(t *testing.T) {
 						b, c.name, workers, got, c.budget)
 				}
 			}
+		}
+	}
+}
+
+// TestSerialLaunchesAllocateNothing: on a one-worker engine every Intel
+// launch runs its tile inline with a tile body bound when the engine was
+// built, so a warm launch — whole or either half of a split — makes no
+// heap allocation at all.
+func TestSerialLaunchesAllocateNothing(t *testing.T) {
+	const ne, nlev, qsize = 2, 8, 2
+	m, _, st0 := testSetup(t, ne, nlev, qsize)
+	en := tiledEngine(m, nlev, qsize, 1)
+	h := dycore.NewHybridCoord(nlev)
+	st, out := st0.Clone(), st0.Clone()
+	lapU, lapV, lapT, lapDP := out.U, out.V, out.T, out.DP
+	var bnd, inn []int
+	for le := 0; le < m.NElems(); le++ {
+		if le%3 == 0 {
+			bnd = append(bnd, le)
+		} else {
+			inn = append(inn, le)
+		}
+	}
+	open := Subset{Sel: en.CompileSubset(bnd), Phase: Open}
+	cls := Subset{Sel: en.CompileSubset(inn), Phase: Close}
+	for _, c := range []struct {
+		name string
+		fn   func()
+	}{
+		{"rhs", func() { en.ComputeAndApplyRHSOn(Subset{}, Intel, st, st, out, 10) }},
+		{"rhs open+close", func() {
+			en.ComputeAndApplyRHSOn(open, Intel, st, st, out, 10)
+			en.ComputeAndApplyRHSOn(cls, Intel, st, st, out, 10)
+		}},
+		{"euler", func() { en.EulerStepOn(Subset{}, Intel, st, 10) }},
+		{"euler open+close", func() {
+			en.EulerStepOn(open, Intel, st, 10)
+			en.EulerStepOn(cls, Intel, st, 10)
+		}},
+		{"dp1", func() { en.HypervisDP1On(Subset{}, Intel, st, lapU, lapV, lapT, lapDP) }},
+		{"dp2", func() { en.HypervisDP2On(Subset{}, Intel, lapU, lapV, lapT, lapDP, st, 10, 1e-6, 1e-6) }},
+		{"dp2 open+close", func() {
+			en.HypervisDP2On(open, Intel, lapU, lapV, lapT, lapDP, st, 10, 1e-6, 1e-6)
+			en.HypervisDP2On(cls, Intel, lapU, lapV, lapT, lapDP, st, 10, 1e-6, 1e-6)
+		}},
+		{"biharmonic", func() { en.BiharmonicDP3D(Intel, st.DP, lapDP) }},
+		{"remap", func() { en.VerticalRemap(Intel, h, st) }},
+	} {
+		c.fn() // warm
+		if got := testing.AllocsPerRun(10, c.fn); got != 0 {
+			t.Errorf("Intel %s on one worker: %.1f allocs per call, want 0", c.name, got)
 		}
 	}
 }

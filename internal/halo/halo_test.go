@@ -3,11 +3,13 @@ package halo
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"swcam/internal/mesh"
 	"swcam/internal/mpirt"
+	"swcam/internal/obs"
 )
 
 // makeField builds a random per-element field over the whole mesh with
@@ -477,3 +479,105 @@ func NodeMajor(levels int) Layout { return Layout{Levels: levels, NodeStride: le
 // with neighbour i — the per-message element count used by the machine
 // model. Symmetric between the two ends of a neighbour pair.
 func (p *Plan) SharedNodes(i int) int { return p.Neighbors[i].Nodes }
+
+// TestNeighborsAreExactlyNodeSharers pins Plan.Neighbors to the ranks
+// that hold a copy of some GLL node this rank also holds, ascending, each
+// sharing at least one node — no rank that shares nothing, and none
+// missing. The partitions give some ranks fewer neighbours than there
+// are other ranks, so a plan that listed every rank would fail too.
+func TestNeighborsAreExactlyNodeSharers(t *testing.T) {
+	for _, tc := range []struct{ ne, nranks int }{{4, 12}, {4, 24}, {8, 16}} {
+		m := mesh.New(tc.ne, 4)
+		rankOf, err := m.Partition(tc.nranks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The oracle: for every node, every pair of distinct ranks
+		// holding a copy of it are neighbours.
+		sharers := make([]map[int]bool, tc.nranks)
+		for r := range sharers {
+			sharers[r] = map[int]bool{}
+		}
+		for _, refs := range m.NodeElems {
+			for _, a := range refs {
+				for _, b := range refs {
+					if ra, rb := rankOf[a.Elem], rankOf[b.Elem]; ra != rb {
+						sharers[ra][rb] = true
+					}
+				}
+			}
+		}
+		partial := false
+		for r := 0; r < tc.nranks; r++ {
+			p := NewPlan(m, rankOf, r)
+			var got, want []int
+			for _, nb := range p.Neighbors {
+				got = append(got, nb.Rank)
+				if nb.Nodes == 0 || nb.RecvLen == 0 || len(nb.SendGroup) == 0 {
+					t.Errorf("ne%d/%d ranks: rank %d lists rank %d with nothing to exchange", tc.ne, tc.nranks, r, nb.Rank)
+				}
+			}
+			for nb := 0; nb < tc.nranks; nb++ {
+				if sharers[r][nb] {
+					want = append(want, nb)
+				}
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("ne%d/%d ranks: rank %d neighbours %v, want %v", tc.ne, tc.nranks, r, got, want)
+			}
+			partial = partial || len(want) < tc.nranks-1
+		}
+		if !partial {
+			t.Errorf("ne%d/%d ranks: every rank neighbours every other; the case pins nothing", tc.ne, tc.nranks)
+		}
+	}
+}
+
+// TestInstrumentEitherSink: a plan instrumented with only a registry
+// feeds the halo.* counters, and one instrumented with only a tracer
+// records its exchange spans — either sink alone turns observation on.
+func TestInstrumentEitherSink(t *testing.T) {
+	const nranks, levels = 3, 2
+	m := mesh.New(2, 4)
+	rankOf, _ := m.Partition(nranks)
+	plans := make([]*Plan, nranks)
+	for r := range plans {
+		plans[r] = NewPlan(m, rankOf, r)
+	}
+	exchange := func() (msgs int64) {
+		local := scatterToRanks(makeField(m, levels, 9), plans)
+		stats := make([]Stats, nranks)
+		err := mpirt.NewWorld(nranks).Run(func(c *mpirt.Comm) {
+			r := c.Rank()
+			var err error
+			if stats[r], err = plans[r].DSSOverlap(c, NodeMajor(levels), nil, local[r]); err != nil {
+				t.Error(err)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range stats {
+			msgs += s.Msgs
+		}
+		return msgs
+	}
+
+	reg := obs.NewRegistry()
+	for _, p := range plans {
+		p.Instrument(nil, reg)
+	}
+	msgs := exchange()
+	if got := reg.CounterValue("halo.msgs"); msgs == 0 || got != msgs {
+		t.Errorf("registry-only plans counted halo.msgs = %d, want the %d messages sent", got, msgs)
+	}
+
+	tr := obs.NewTracer()
+	for _, p := range plans {
+		p.Instrument(tr, nil)
+	}
+	exchange()
+	if got := tr.Len(); got != nranks {
+		t.Errorf("tracer-only plans recorded %d spans, want one exchange span per rank (%d)", got, nranks)
+	}
+}

@@ -146,10 +146,19 @@ func crcFloatsStaged(crc uint32, vals []float64) uint32 {
 func payloadCRC(data []float64) uint32 { return CRCFloats(0, data) }
 
 // World owns the mailboxes and counters of an nranks-rank job.
+//
+// A world that completed a Run may run again: its mailbox freelists,
+// per-rank Comm handles (with their collective scratch) and sequence
+// numbers carry over, so a job that keeps one world steps without
+// reallocating its message buffers. Sequence numbers continue across
+// runs, so the delayed original of a message recovered in an earlier
+// run is still discarded as stale. A poisoned world (Run returned an
+// error) stays poisoned and must be replaced.
 type World struct {
 	n     int
 	boxes []*mailbox // one per destination rank
 	stats []Stats
+	comms []Comm // one per rank, reused by every Run
 
 	barrier *barrier
 
@@ -305,12 +314,14 @@ func NewWorld(nranks int) *World {
 		n:       nranks,
 		boxes:   make([]*mailbox, nranks),
 		stats:   make([]Stats, nranks),
+		comms:   make([]Comm, nranks),
 		barrier: newBarrier(nranks),
 		sendSeq: make([]map[seqKey]uint64, nranks),
 	}
 	for i := range w.boxes {
 		w.boxes[i] = newMailbox()
 		w.sendSeq[i] = make(map[seqKey]uint64)
+		w.comms[i] = Comm{world: w, rank: i}
 	}
 	return w
 }
@@ -339,6 +350,11 @@ func (w *World) Stats(rank int) Stats {
 	}
 	return w.stats[rank]
 }
+
+// ResetStats zeroes every rank's counters, so that the next Run's
+// Stats, TotalBytes and DumpStats describe that run alone. Call it
+// between runs, never during one.
+func (w *World) ResetStats() { clear(w.stats) }
 
 // TotalBytes returns the total bytes sent across all ranks.
 func (w *World) TotalBytes() int64 {
@@ -371,7 +387,7 @@ func (w *World) poison(rank int, err error) {
 }
 
 // Run spawns fn on every rank and blocks until all return. Each rank
-// receives its own Comm handle.
+// receives its own Comm handle, the same one on every Run of the world.
 //
 // Failure semantics: if any rank faults — an injected fault, a failed
 // CRC check, a receive timeout, an explicit Fail, or a plain panic in fn
@@ -396,7 +412,7 @@ func (w *World) Run(fn func(c *Comm)) error {
 					}
 				}
 			}()
-			fn(&Comm{world: w, rank: rank})
+			fn(&w.comms[rank])
 		}(r)
 	}
 	wg.Wait()
