@@ -205,21 +205,33 @@ type mailbox struct {
 }
 
 // getBuf takes a recycled payload buffer of length n from the freelist,
-// or allocates one. Called by senders targeting this mailbox.
+// or allocates one. Called by senders targeting this mailbox. It takes
+// the smallest buffer that fits (an exact fit ends the scan), so a short
+// message never holds the buffer a long one needs: a world kept across
+// runs then stops allocating once its freelists hold what one step has
+// in flight.
 func (b *mailbox) getBuf(n int) []float64 {
 	b.mu.Lock()
+	best := -1
 	for i := len(b.free) - 1; i >= 0; i-- {
-		if cap(b.free[i]) >= n {
-			buf := b.free[i][:n]
-			b.free[i] = b.free[len(b.free)-1]
-			b.free[len(b.free)-1] = nil
-			b.free = b.free[:len(b.free)-1]
-			b.mu.Unlock()
-			return buf
+		if c := cap(b.free[i]); c >= n && (best < 0 || c < cap(b.free[best])) {
+			best = i
+			if c == n {
+				break
+			}
 		}
 	}
+	if best < 0 {
+		b.mu.Unlock()
+		return make([]float64, n)
+	}
+	buf := b.free[best][:n]
+	last := len(b.free) - 1
+	b.free[best] = b.free[last]
+	b.free[last] = nil
+	b.free = b.free[:last]
 	b.mu.Unlock()
-	return make([]float64, n)
+	return buf
 }
 
 // putBuf returns a delivered payload buffer to the freelist once the

@@ -118,3 +118,24 @@ func TestStaleOriginalFromEarlierRunDiscarded(t *testing.T) {
 		t.Errorf("%d messages left queued after run 2, want 0", n)
 	}
 }
+
+// TestGetBufTakesSmallestFit: a sender takes the smallest recycled
+// buffer that holds its payload, so a short message never takes the
+// buffer a long one needs, and the long one does not allocate.
+func TestGetBufTakesSmallestFit(t *testing.T) {
+	b := newMailbox()
+	for _, c := range []int{4, 16, 64, 8} {
+		b.putBuf(make([]float64, c))
+	}
+	for _, tc := range []struct{ n, wantCap int }{{8, 8}, {5, 16}, {3, 4}, {64, 64}} {
+		if got := cap(b.getBuf(tc.n)); got != tc.wantCap {
+			t.Errorf("getBuf(%d) took a buffer of capacity %d, want %d", tc.n, got, tc.wantCap)
+		}
+	}
+	if len(b.free) != 0 {
+		t.Errorf("%d buffers left on the freelist, want 0", len(b.free))
+	}
+	if got := cap(b.getBuf(2)); got != 2 {
+		t.Errorf("getBuf(2) on an empty freelist returned capacity %d, want a new buffer of 2", got)
+	}
+}
