@@ -13,23 +13,25 @@ import (
 func main() {
 	cg := sw.NewCoreGroup(0)
 
-	// 1. The 64 KB LDM is a hard wall: this allocation plan fits...
+	// 1. The 64 KB LDM is a hard wall. A kernel's LDM plan is laid out
+	// once, before its first launch, and every CPE of every launch takes
+	// its buffers straight from it. This plan fits...
 	fmt.Println("== LDM discipline ==")
+	var plan sw.LDMPlan
+	tile := plan.Add("tile", 4096) // 32 KB
+	scratch := plan.Add("scratch", 2048)
 	cg.Spawn(func(c *sw.CPE) {
-		if c.ID != 0 {
-			return
-		}
-		tile := c.LDM.MustAlloc("tile", 4096) // 32 KB
-		scratch := c.LDM.MustAlloc("scratch", 2048)
-		fmt.Printf("allocated %d B, %d B free\n", c.LDM.Used(), c.LDM.Free())
-		_ = tile
-		_ = scratch
-		// ...and this one would not: Alloc returns the overflow error the
-		// paper's footprint tool exists to prevent.
-		if _, err := c.LDM.Alloc("too big", 4096); err != nil {
-			fmt.Println("overflow rejected:", err)
-		}
+		c.LDM.Load(&plan)
+		copy(c.LDM.View(scratch), c.LDM.View(tile))
 	})
+	_, max := cg.Counters()
+	fmt.Printf("planned %d B, %d B free\n", max.LDMPeak, sw.LDMBytes-max.LDMPeak)
+	// ...and one more 32 KB buffer would not: the plan rejects it with
+	// the overflow the paper's footprint tool exists to prevent.
+	func() {
+		defer func() { fmt.Println("overflow rejected:", recover()) }()
+		plan.Add("too big", 4096)
+	}()
 
 	// 2. The three-stage column scan of §7.4: a 128-level prefix sum
 	// distributed over the 8 mesh rows. Each row sums its 16 levels, the

@@ -76,7 +76,7 @@ type Cost struct {
 	DMAOps   int64 // discrete DMA transfers (issue latency each)
 	RegMsgs  int64 // register-communication messages
 	Launches int64 // parallel-region spawns (threading overhead each)
-	LDMPeak  int64 // peak LDM working set, bytes (must be <= 64 KB)
+	LDMPeak  int64 // the kernel's largest per-CPE LDM working set, bytes (must be <= 64 KB)
 }
 
 // Flops returns total double-precision operations.

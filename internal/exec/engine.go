@@ -43,10 +43,13 @@ type Engine struct {
 	curFn      tileFn
 	curSel     *ElemSubset
 
-	// The serial (Intel) launch in flight: its arguments, and the tile
-	// bodies that read them, bound once (see serialArgs).
-	ser      serialArgs
-	serTiles serialTiles
+	// The launch in flight: its arguments, and the tile bodies that read
+	// them, bound once (see launchArgs).
+	args   launchArgs
+	bodies tileBodies
+
+	// The CPE lowerings' LDM plans, each built on first use (ldm.go).
+	plans cpePlans
 
 	// Subset execution (see subset.go): the identity subset every Whole
 	// launch runs on, registered subsets re-tiled on SetWorkers, and the
@@ -81,7 +84,13 @@ type Engine struct {
 // the engine's former single shared workspace with this pool is what
 // lets tiles of one kernel run concurrently.
 type dynWorker struct {
-	cg  *sw.CoreGroup
+	en *Engine
+	cg *sw.CoreGroup
+	// The CPE launch in flight on cg: the tile's slots, and the one CPE
+	// body every launch spawns, bound once in ensureCG (runCPE).
+	slots     []int
+	spawnBody func(*sw.CPE)
+
 	ws  *dycore.Workspace
 	rhs *dycore.RHS
 	// Serial-backend scratch.
@@ -116,9 +125,11 @@ type dynWorker struct {
 	snapU, snapV, snapT, snapDP, snapQ [][]float64
 }
 
-func newDynWorker(np, nlev int) *dynWorker {
+func newDynWorker(en *Engine) *dynWorker {
+	np, nlev := en.Np, en.Nlev
 	npsq := np * np
 	w := &dynWorker{
+		en:   en,
 		ws:   dycore.NewWorkspace(np, nlev),
 		rhs:  dycore.NewRHS(np, nlev),
 		flxU: make([]float64, npsq),
@@ -154,20 +165,25 @@ func (w *dynWorker) transposeRemapWS(nlev int) []*dycore.RemapWorkspace {
 }
 
 // ensureCG builds the worker's simulated core group (and the per-CPE
-// slab scratch) on first use by a CPE backend.
+// slab scratch) on first use by a CPE backend, and binds its CPE body.
 func (w *dynWorker) ensureCG() *sw.CoreGroup {
 	if w.cg == nil {
 		w.cg = sw.NewCoreGroup(0)
 		w.cpeSlab = make([]cpeSlab, sw.CPEsPerCG)
+		w.spawnBody = w.runCPE
 	}
 	return w.cg
 }
 
+// runCPE is the worker's CPE body: it runs the launch's lowering body
+// on CPE c.
+func (w *dynWorker) runCPE(c *sw.CPE) { w.en.args.cpe(w.en, w, c) }
+
 // snapshot copies the element rows of slots from the five state field
-// groups into the worker's pooled buffer, returning row views indexed
-// by position in slots. rowLen is nlev*np² (U/V/T/DP rows), qRowLen is
-// qsize*rowLen.
-func (w *dynWorker) snapshot(u, v, t, dp, q [][]float64, slots []int, rowLen, qRowLen int) (su, sv, st, sdp, sq [][]float64) {
+// groups into the worker's pooled buffer, leaving row views indexed by
+// position in slots in snapU, snapV, snapT, snapDP and snapQ. rowLen is
+// nlev*np² (U/V/T/DP rows), qRowLen is qsize*rowLen.
+func (w *dynWorker) snapshot(u, v, t, dp, q [][]float64, slots []int, rowLen, qRowLen int) {
 	n := len(slots)
 	need := n * (4*rowLen + qRowLen)
 	if cap(w.snapBuf) < need {
@@ -194,7 +210,6 @@ func (w *dynWorker) snapshot(u, v, t, dp, q [][]float64, slots []int, rowLen, qR
 		w.snapDP[i] = carve(dp[le])
 		w.snapQ[i] = carve(q[le])
 	}
-	return w.snapU[:n], w.snapV[:n], w.snapT[:n], w.snapDP[:n], w.snapQ[:n]
 }
 
 // NewEngine builds an engine for the given local element set with a
@@ -214,7 +229,8 @@ func NewEngine(m *mesh.Mesh, elems []int, nlev, qsize int) *Engine {
 	for _, k := range slabSpecs {
 		en.slabFlops[k] = k.levelFlops(m.Np)
 	}
-	en.serTiles = serialTiles{rhs: en.rhsTile, euler: en.eulerTile, slab: en.slabTile, remap: en.remapTile}
+	en.bodies = tileBodies{rhs: en.rhsTile, euler: en.eulerTile, slab: en.slabTile, remap: en.remapTile,
+		spawn: en.spawnTile, remapACC: en.remapACCTile}
 	en.SetWorkers(1)
 	return en
 }

@@ -21,7 +21,7 @@ func (en *Engine) hypervisDP1(sub Subset, b Backend, st *dycore.State, lapU, lap
 		in:  [4][][]float64{st.U, st.V, st.T, st.DP},
 		out: [4][][]float64{lapU, lapV, lapT, lapDP},
 	}
-	return en.lowerSlab(&hypervisDP1Spec, sub, b, &en.bind)
+	return en.lowerSlab(&hypervisDP1Spec, sub, b)
 }
 
 // hypervisDP2 runs the second pass + update over the selected element
@@ -36,7 +36,7 @@ func (en *Engine) hypervisDP2(sub Subset, b Backend, lapU, lapV, lapT, lapDP [][
 		out:  [4][][]float64{st.U, st.V, st.T, st.DP},
 		coef: [2]float64{dt * nuV, dt * nuS},
 	}
-	return en.lowerSlab(&hypervisDP2Spec, sub, b, &en.bind)
+	return en.lowerSlab(&hypervisDP2Spec, sub, b)
 }
 
 // biharmonicDP3D runs the weak biharmonic of dp3d as a Whole launch
@@ -47,5 +47,5 @@ func (en *Engine) biharmonicDP3D(b Backend, in, out [][]float64) Cost {
 		in:  [4][][]float64{in},
 		out: [4][][]float64{out},
 	}
-	return en.lowerSlab(&biharmonicDP3DSpec, Subset{}, b, &en.bind)
+	return en.lowerSlab(&biharmonicDP3DSpec, Subset{}, b)
 }

@@ -28,13 +28,13 @@
 //     scalar slabs in place over state rows; flops are the spec's
 //     primitive-derived analytic count, bytes the compulsory traffic
 //     8·np²·nlev·(nIn+nOut) per element.
-//   - OpenACC (lowerSlabOpenACC): (element, level) items round-robin
+//   - OpenACC (slabOpenACCCPE): (element, level) items round-robin
 //     over the 64 CPEs (firstWorkItem preserves the assignment under
-//     tiling); every item resets the LDM and re-fetches metric and
-//     fields — the directive compiler cannot hoist a copyin out of a
-//     collapsed loop — then runs the scalar slabs and charges the same
-//     analytic counts the serial lowering uses.
-//   - Athread (lowerSlabAthread): elements map to mesh columns
+//     tiling); every item re-fetches metric and fields into the same
+//     LDM buffers — the directive compiler cannot hoist a copyin out
+//     of a collapsed loop — then runs the scalar slabs and charges the
+//     same analytic counts the serial lowering uses.
+//   - Athread (slabAthreadCPE): elements map to mesh columns
 //     (le % MeshDim), levels split across rows (rowLevels), the metric
 //     stays resident per element (fetched even for rows with zero
 //     levels — the hand-written kernels did, and counter parity is
@@ -201,21 +201,21 @@ type slabBind struct {
 	coef    [2]float64
 }
 
-// lowerSlab dispatches a slab kernel to its backend lowering. The
-// caller has already run beginLaunch.
-func (en *Engine) lowerSlab(k *slabSpec, sub Subset, b Backend, bind *slabBind) Cost {
+// lowerSlab dispatches a slab kernel, bound in en.bind, to its backend
+// lowering. The caller has already run beginLaunch.
+func (en *Engine) lowerSlab(k *slabSpec, sub Subset, b Backend) Cost {
 	switch b {
 	case Intel:
 		return en.lowerSlabSerial(k, sub)
 	case OpenACC:
-		return en.lowerSlabOpenACC(k, sub, bind)
+		return en.lowerSlabCPE(k, sub, OpenACC, (*Engine).slabOpenACCCPE)
 	case Athread:
-		return en.lowerSlabAthread(k, sub, bind)
+		return en.lowerSlabCPE(k, sub, Athread, (*Engine).slabAthreadCPE)
 	}
 	panic("exec: unknown backend")
 }
 
-// LDM buffer names, for the allocator's overflow diagnostics.
+// LDM buffer names, for the plan's overflow diagnostics.
 var (
 	slabInNames  = [4]string{"in0", "in1", "in2", "in3"}
 	slabOutNames = [4]string{"out0", "out1", "out2", "out3"}
@@ -267,13 +267,13 @@ func (s *serialSlabOps) AxpyUpdate(dst []float64, coef float64, src []float64) {
 // lowerSlabSerial runs k over the subset with the bindings in en.bind,
 // the one binding slot every slab launch uses.
 func (en *Engine) lowerSlabSerial(k *slabSpec, sub Subset) Cost {
-	flops, bytes := en.runSerial(en.sel(sub), en.serTiles.slab, serialArgs{slab: k})
+	flops, bytes := en.launch(en.sel(sub), en.bodies.slab, launchArgs{slab: k})
 	return en.serialSplit(sub.Phase, flops, bytes)
 }
 
 // slabTile is lowerSlabSerial's tile body.
 func (en *Engine) slabTile(w *dynWorker, slots []int, p *serialPartial) {
-	k, bind := en.ser.slab, &en.bind
+	k, bind := en.args.slab, &en.bind
 	np, nlev := en.Np, en.Nlev
 	npsq := np * np
 	perElemFlops := en.slabFlops[k] * int64(nlev)
@@ -356,60 +356,109 @@ func (a *accSlabOps) AxpyUpdate(dst []float64, coef float64, src []float64) {
 	a.c.CountFlops(axpyFlops(a.np))
 }
 
-func (en *Engine) lowerSlabOpenACC(k *slabSpec, sub Subset, bind *slabBind) Cost {
-	sel := en.sel(sub)
-	np, nlev := en.Np, en.Nlev
+// lowerSlabCPE runs body, one of the CPE slab lowerings, over the
+// subset with the bindings in en.bind.
+func (en *Engine) lowerSlabCPE(k *slabSpec, sub Subset, b Backend, body cpeBody) Cost {
+	en.runCPE(en.sel(sub), sub.Phase == Close,
+		launchArgs{slab: k, slabLDM: en.slabPlan(k, b), cpe: body})
+	return en.collectSplit(b, sub.Phase)
+}
+
+// slabLDM is the LDM plan of both CPE lowerings of one slab spec: the
+// derivative matrix and element metric, the spec's input, output and
+// kernel-visible scratch slabs, and the primitives' internal scratch.
+type slabLDM struct {
+	sw.LDMPlan
+	deriv, dinv, dflat, metdet sw.LDMBuf
+	in, out, scr               [4]sw.LDMBuf
+	op                         [6]sw.LDMBuf
+}
+
+func newSlabLDM(k *slabSpec, np int) *slabLDM {
 	npsq := np * np
-	nOp := k.opScratch()
-	en.armCGs(sel, sub.Phase == Close)
-	en.runTiles(sel, func(w *dynWorker, slots []int, _ *serialPartial) {
-		w.cg.Spawn(func(c *sw.CPE) {
-			ldm := c.LDM
-			sl := w.cpeSlabFor(c, np, bind.coef)
-			ops, io := (*accSlabOps)(&sl.ops), &sl.io
-			for _, le := range slots {
-				for it := firstWorkItem(le*nlev, c.ID); it < (le+1)*nlev; it += sw.CPEsPerCG {
-					ldm.Reset()
-					e := en.element(le)
-					o := (it % nlev) * npsq
-					ops.dAlpha = e.DAlpha
-					ops.deriv = ldm.MustAlloc("deriv", npsq)
-					ops.dinv = ldm.MustAlloc("dinv", 4*npsq)
-					if k.needVec {
-						ops.dflat = ldm.MustAlloc("dflat", 4*npsq)
-					}
-					ops.metdet = ldm.MustAlloc("metdet", npsq)
-					c.DMA.GetShared(ops.deriv, en.M.DerivFlat)
-					c.DMA.Get(ops.dinv, e.DinvFlat)
-					if k.needVec {
-						c.DMA.Get(ops.dflat, e.DFlat)
-					}
-					c.DMA.Get(ops.metdet, e.Metdet)
-					for i := 0; i < k.nIn; i++ {
-						io.in[i] = ldm.MustAlloc(slabInNames[i], npsq)
-						c.DMA.Get(io.in[i], bind.in[i][le][o:o+npsq])
-					}
-					for i := 0; i < k.nOut; i++ {
-						io.out[i] = ldm.MustAlloc(slabOutNames[i], npsq)
-						if k.rmw {
-							c.DMA.Get(io.out[i], bind.out[i][le][o:o+npsq])
-						}
-					}
-					for i := 0; i < k.nScr; i++ {
-						io.scr[i] = ldm.MustAlloc(slabScrNames[i], npsq)
-					}
-					for i := 0; i < nOp; i++ {
-						ops.scr[i] = ldm.MustAlloc(slabOpNames[i], npsq)
-					}
-					k.body(ops, io)
-					for i := 0; i < k.nOut; i++ {
-						c.DMA.Put(bind.out[i][le][o:o+npsq], io.out[i])
-					}
+	l := &slabLDM{}
+	p := &l.LDMPlan
+	l.deriv = p.Add("deriv", npsq)
+	l.dinv = p.Add("dinv", 4*npsq)
+	if k.needVec {
+		l.dflat = p.Add("dflat", 4*npsq)
+	}
+	l.metdet = p.Add("metdet", npsq)
+	for i := 0; i < k.nIn; i++ {
+		l.in[i] = p.Add(slabInNames[i], npsq)
+	}
+	for i := 0; i < k.nOut; i++ {
+		l.out[i] = p.Add(slabOutNames[i], npsq)
+	}
+	for i := 0; i < k.nScr; i++ {
+		l.scr[i] = p.Add(slabScrNames[i], npsq)
+	}
+	for i := 0; i < k.opScratch(); i++ {
+		l.op[i] = p.Add(slabOpNames[i], npsq)
+	}
+	return l
+}
+
+// loadSlab lays the launch's slab plan over CPE c's LDM and returns c's
+// slab scratch with every buffer bound to its view.
+func (en *Engine) loadSlab(w *dynWorker, c *sw.CPE) *cpeSlab {
+	k, l := en.args.slab, en.args.slabLDM
+	ldm := c.LDM
+	ldm.Load(&l.LDMPlan)
+	sl := w.cpeSlabFor(c, en.Np, en.bind.coef)
+	ops, io := &sl.ops, &sl.io
+	ops.deriv, ops.dinv, ops.metdet = ldm.View(l.deriv), ldm.View(l.dinv), ldm.View(l.metdet)
+	if k.needVec {
+		ops.dflat = ldm.View(l.dflat)
+	}
+	for i := 0; i < k.nIn; i++ {
+		io.in[i] = ldm.View(l.in[i])
+	}
+	for i := 0; i < k.nOut; i++ {
+		io.out[i] = ldm.View(l.out[i])
+	}
+	for i := 0; i < k.nScr; i++ {
+		io.scr[i] = ldm.View(l.scr[i])
+	}
+	for i := 0; i < k.opScratch(); i++ {
+		ops.scr[i] = ldm.View(l.op[i])
+	}
+	return sl
+}
+
+// slabOpenACCCPE is the OpenACC slab lowering's CPE body: every
+// (element, level) item re-fetches the metric and its fields.
+func (en *Engine) slabOpenACCCPE(w *dynWorker, c *sw.CPE) {
+	k, bind := en.args.slab, &en.bind
+	nlev := en.Nlev
+	npsq := en.Np * en.Np
+	sl := en.loadSlab(w, c)
+	ops, io := (*accSlabOps)(&sl.ops), &sl.io
+	for _, le := range w.slots {
+		for it := firstWorkItem(le*nlev, c.ID); it < (le+1)*nlev; it += sw.CPEsPerCG {
+			e := en.element(le)
+			o := (it % nlev) * npsq
+			ops.dAlpha = e.DAlpha
+			c.DMA.GetShared(ops.deriv, en.M.DerivFlat)
+			c.DMA.Get(ops.dinv, e.DinvFlat)
+			if k.needVec {
+				c.DMA.Get(ops.dflat, e.DFlat)
+			}
+			c.DMA.Get(ops.metdet, e.Metdet)
+			for i := 0; i < k.nIn; i++ {
+				c.DMA.Get(io.in[i], bind.in[i][le][o:o+npsq])
+			}
+			if k.rmw {
+				for i := 0; i < k.nOut; i++ {
+					c.DMA.Get(io.out[i], bind.out[i][le][o:o+npsq])
 				}
 			}
-		})
-	})
-	return en.collectSplit(OpenACC, sub.Phase)
+			k.body(ops, io)
+			for i := 0; i < k.nOut; i++ {
+				c.DMA.Put(bind.out[i][le][o:o+npsq], io.out[i])
+			}
+		}
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -441,68 +490,42 @@ func (a *athSlabOps) AxpyUpdate(dst []float64, coef float64, src []float64) {
 	a.c.CountVecFlops(axpyFlops(a.np))
 }
 
-func (en *Engine) lowerSlabAthread(k *slabSpec, sub Subset, bind *slabBind) Cost {
-	sel := en.sel(sub)
-	np := en.Np
-	npsq := np * np
-	nOp := k.opScratch()
-	en.armCGs(sel, sub.Phase == Close)
-	en.runTiles(sel, func(w *dynWorker, slots []int, _ *serialPartial) {
-		w.cg.Spawn(func(c *sw.CPE) {
-			ldm := c.LDM
-			s, vl := en.rowLevels(c.Row)
-			sl := w.cpeSlabFor(c, np, bind.coef)
-			ops, io := (*athSlabOps)(&sl.ops), &sl.io
-			ops.deriv = ldm.MustAlloc("deriv", npsq)
-			c.Setup(func() { c.DMA.GetShared(ops.deriv, en.M.DerivFlat) })
-			ops.dinv = ldm.MustAlloc("dinv", 4*npsq)
-			if k.needVec {
-				ops.dflat = ldm.MustAlloc("dflat", 4*npsq)
-			}
-			ops.metdet = ldm.MustAlloc("metdet", npsq)
+// slabAthreadCPE is the Athread slab lowering's CPE body.
+func (en *Engine) slabAthreadCPE(w *dynWorker, c *sw.CPE) {
+	k, bind := en.args.slab, &en.bind
+	npsq := en.Np * en.Np
+	s, vl := en.rowLevels(c.Row)
+	sl := en.loadSlab(w, c)
+	ops, io := (*athSlabOps)(&sl.ops), &sl.io
+	c.Setup(func() { c.DMA.GetShared(ops.deriv, en.M.DerivFlat) })
+	for _, le := range w.slots {
+		if le%sw.MeshDim != c.Col {
+			continue
+		}
+		e := en.element(le)
+		ops.dAlpha = e.DAlpha
+		// The metric is fetched per owned element even when this row
+		// holds zero levels: the element/column DMA schedule is
+		// independent of the vertical split.
+		c.DMA.Get(ops.dinv, e.DinvFlat)
+		if k.needVec {
+			c.DMA.Get(ops.dflat, e.DFlat)
+		}
+		c.DMA.Get(ops.metdet, e.Metdet)
+		for lev := s; lev < s+vl; lev++ {
+			o := lev * npsq
 			for i := 0; i < k.nIn; i++ {
-				io.in[i] = ldm.MustAlloc(slabInNames[i], npsq)
+				c.DMA.Get(io.in[i], bind.in[i][le][o:o+npsq])
 			}
+			if k.rmw {
+				for i := 0; i < k.nOut; i++ {
+					c.DMA.Get(io.out[i], bind.out[i][le][o:o+npsq])
+				}
+			}
+			k.body(ops, io)
 			for i := 0; i < k.nOut; i++ {
-				io.out[i] = ldm.MustAlloc(slabOutNames[i], npsq)
+				c.DMA.Put(bind.out[i][le][o:o+npsq], io.out[i])
 			}
-			for i := 0; i < k.nScr; i++ {
-				io.scr[i] = ldm.MustAlloc(slabScrNames[i], npsq)
-			}
-			for i := 0; i < nOp; i++ {
-				ops.scr[i] = ldm.MustAlloc(slabOpNames[i], npsq)
-			}
-			for _, le := range slots {
-				if le%sw.MeshDim != c.Col {
-					continue
-				}
-				e := en.element(le)
-				ops.dAlpha = e.DAlpha
-				// The metric is fetched per owned element even when this
-				// row holds zero levels: the element/column DMA schedule
-				// is independent of the vertical split.
-				c.DMA.Get(ops.dinv, e.DinvFlat)
-				if k.needVec {
-					c.DMA.Get(ops.dflat, e.DFlat)
-				}
-				c.DMA.Get(ops.metdet, e.Metdet)
-				for lev := s; lev < s+vl; lev++ {
-					o := lev * npsq
-					for i := 0; i < k.nIn; i++ {
-						c.DMA.Get(io.in[i], bind.in[i][le][o:o+npsq])
-					}
-					if k.rmw {
-						for i := 0; i < k.nOut; i++ {
-							c.DMA.Get(io.out[i], bind.out[i][le][o:o+npsq])
-						}
-					}
-					k.body(ops, io)
-					for i := 0; i < k.nOut; i++ {
-						c.DMA.Put(bind.out[i][le][o:o+npsq], io.out[i])
-					}
-				}
-			}
-		})
-	})
-	return en.collectSplit(Athread, sub.Phase)
+		}
+	}
 }

@@ -103,9 +103,9 @@ func TestLoweredKernelSweep(t *testing.T) {
 // DP1 → DP2 → biharmonic sequence (Whole, workers=1, ne=2, nlev=8,
 // qsize=1), captured from the run that was differentially verified
 // against the hand-written kernels. Any change to a lowering's flop,
-// byte, DMA, launch, or LDM accounting fails here. Note LDMPeak is a
-// lifetime high-water mark per worker, so DP2's 28·np²·8 = 3584 bytes
-// carries into the biharmonic row of this sequence.
+// byte, DMA, launch, or LDM accounting fails here. LDMPeak is each
+// kernel's own working set (its LDM plan), so the biharmonic rows read
+// its 12·np²·8 = 1536 bytes after DP2's 28·np²·8 = 3584.
 func TestLoweredKernelCostGoldens(t *testing.T) {
 	want := map[Backend][3]Cost{
 		Intel: {
@@ -116,12 +116,12 @@ func TestLoweredKernelCostGoldens(t *testing.T) {
 		OpenACC: {
 			{Backend: OpenACC, FlopsScalar: 645120, MaxCPEFlops: 10080, MemBytes: 418176, DMAOps: 2304, Launches: 1, LDMPeak: 3072},
 			{Backend: OpenACC, FlopsScalar: 669696, MaxCPEFlops: 10464, MemBytes: 516480, DMAOps: 3072, Launches: 1, LDMPeak: 3584},
-			{Backend: OpenACC, FlopsScalar: 159744, MaxCPEFlops: 2496, MemBytes: 172416, DMAOps: 960, Launches: 1, LDMPeak: 3584},
+			{Backend: OpenACC, FlopsScalar: 159744, MaxCPEFlops: 2496, MemBytes: 172416, DMAOps: 960, Launches: 1, LDMPeak: 1536},
 		},
 		Athread: {
 			{Backend: Athread, FlopsVector: 666624, MaxCPEFlops: 10416, MemBytes: 417920, DMAOps: 2176, Launches: 1, LDMPeak: 3072},
 			{Backend: Athread, FlopsVector: 691200, MaxCPEFlops: 10800, MemBytes: 516224, DMAOps: 2944, Launches: 1, LDMPeak: 3584},
-			{Backend: Athread, FlopsVector: 165888, MaxCPEFlops: 2592, MemBytes: 172160, DMAOps: 832, Launches: 1, LDMPeak: 3584},
+			{Backend: Athread, FlopsVector: 165888, MaxCPEFlops: 2592, MemBytes: 172160, DMAOps: 832, Launches: 1, LDMPeak: 1536},
 		},
 	}
 	m, _, st0 := testSetup(t, 2, 8, 1)

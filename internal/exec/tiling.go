@@ -112,12 +112,11 @@ func (en *Engine) SetWorkers(n int) {
 		return
 	}
 	en.workers = n
-	// Keep existing workers (their core-group counters may hold state
+	// Keep existing workers: their core-group counters hold state
 	// between collects only transiently — kernels always collect before
-	// returning — but their LDM high-water marks feed LDMPeak, so
-	// shrinking the pool mid-run would lose nothing correctness-wise).
+	// returning — so shrinking the pool mid-run loses nothing.
 	for len(en.pool) < n {
-		en.pool = append(en.pool, newDynWorker(en.Np, en.Nlev))
+		en.pool = append(en.pool, newDynWorker(en))
 	}
 	en.pool = en.pool[:n]
 	// Subset tiles are not MeshDim-aligned, so a subset can split into
@@ -195,29 +194,53 @@ func firstWorkItem(start, id int) int {
 // and adds a serial backend's analytic sums to p.
 type tileFn func(w *dynWorker, slots []int, p *serialPartial)
 
-// serialArgs are the arguments of the serial (Intel) launch in flight:
-// the lowering sets them, runSerial clears them after the launch, like
-// curFn. The serial tile bodies read them here instead of capturing
-// them, because a closure that runTiles keeps in curFn escapes to the
-// heap on every launch; the bodies are method values bound once in
-// NewEngine (serialTiles), so a serial launch allocates nothing.
-type serialArgs struct {
+// launchArgs are the arguments of the launch in flight: the lowering
+// sets them, launch clears them afterwards, like curFn. Tile and CPE
+// bodies read them here instead of capturing them, because a closure
+// that runTiles keeps in curFn, or that Spawn keeps for its CPEs,
+// escapes to the heap on every launch. The bodies are method values
+// bound once — the tile bodies in NewEngine (tileBodies), each worker's
+// one CPE body in ensureCG (dynWorker.spawnBody) — so a launch
+// allocates nothing.
+type launchArgs struct {
 	cur, base, out *dycore.State // rhs: out = base + dt*RHS(cur); euler and remap step cur
 	dt             float64
 	h              *dycore.HybridCoord // remap
 	slab           *slabSpec           // slab kernels, bound through en.bind
+	slabLDM        *slabLDM            // the CPE slab lowerings' plan for slab
+	cpe            cpeBody             // CPE lowerings: what every CPE of every tile runs
 }
 
-// serialTiles are the engine's serial tile bodies as method values.
-type serialTiles struct{ rhs, euler, slab, remap tileFn }
+// cpeBody is a CPE lowering's body: CPE c of worker w's core group runs
+// it over the tile's slots (w.slots). Lowerings pass a method
+// expression, which is a static function value.
+type cpeBody func(en *Engine, w *dynWorker, c *sw.CPE)
 
-// runSerial runs a serial tile body over sel with the launch's
-// arguments.
-func (en *Engine) runSerial(sel *ElemSubset, fn tileFn, args serialArgs) (flops, bytes int64) {
-	en.ser = args
+// tileBodies are the engine's tile bodies as method values: the serial
+// lowerings', and spawnTile and remapACCTile for the CPE lowerings.
+type tileBodies struct{ rhs, euler, slab, remap, spawn, remapACC tileFn }
+
+// launch runs a tile body over sel with the launch's arguments.
+func (en *Engine) launch(sel *ElemSubset, fn tileFn, args launchArgs) (flops, bytes int64) {
+	en.args = args
 	flops, bytes = en.runTiles(sel, fn)
-	en.ser = serialArgs{}
+	en.args = launchArgs{}
 	return flops, bytes
+}
+
+// runCPE runs a CPE lowering over sel: each tile's core group spawns
+// args.cpe over the tile's slots, with the setup fetch muted as armCGs
+// says.
+func (en *Engine) runCPE(sel *ElemSubset, replayAll bool, args launchArgs) {
+	en.armCGs(sel, replayAll)
+	en.launch(sel, en.bodies.spawn, args)
+}
+
+// spawnTile is the CPE lowerings' tile body.
+func (en *Engine) spawnTile(w *dynWorker, slots []int, _ *serialPartial) {
+	w.slots = slots
+	w.cg.Spawn(w.spawnBody)
+	w.slots = nil
 }
 
 // runTiles is the one tile runner: it runs fn over every tile of sel on

@@ -92,7 +92,7 @@ func TestFirstWorkItem(t *testing.T) {
 
 // tiledEngine builds a second engine over the same mesh/elements with n
 // workers. A fresh engine (rather than SetWorkers on a shared one) keeps
-// the lifetime LDM high-water marks of the two runs independent.
+// the warm pools of the two runs independent.
 func tiledEngine(m *mesh.Mesh, nlev, qsize, workers int) *Engine {
 	elems := make([]int, m.NElems())
 	for i := range elems {
@@ -299,16 +299,14 @@ func TestTilePanicPropagates(t *testing.T) {
 // ---------------------------------------------------------------------------
 
 // Once the per-worker pools are warm, a kernel launch's only allocations
-// are launch machinery: on the CPE backends the runTiles closure and a
-// Spawn closure per tile, and the goroutine of each non-caller tile (the
-// serial backend's tile bodies are bound once, so a one-worker Intel
-// launch allocates nothing: TestSerialLaunchesAllocateNothing). Crucially
-// the bounds are per TILE, not per element or per column: with 96
-// elements and 1536 columns in play, any per-element scratch allocation
-// would blow these limits by orders of magnitude. Split launches are
-// held to the same bound per half, and an uninstrumented engine builds
-// no probe name, prices no slab spec and binds no slab kernel on the
-// heap.
+// are the goroutines of its non-caller tiles: every tile body, serial
+// or CPE, is bound once (TestSerialLaunchesAllocateNothing,
+// TestCPELaunchesAllocateNothing). Crucially the bounds are per TILE,
+// not per element or per column: with 96 elements and 1536 columns in
+// play, any per-element scratch allocation would blow these limits by
+// orders of magnitude. Split launches are held to the same bound per
+// half, and an uninstrumented engine builds no probe name, prices no
+// slab spec and binds no slab kernel on the heap.
 func TestTiledSteadyStateAllocs(t *testing.T) {
 	const ne, nlev, qsize = 4, 8, 2
 	m, _, st0 := testSetup(t, ne, nlev, qsize)
@@ -336,17 +334,11 @@ func TestTiledSteadyStateAllocs(t *testing.T) {
 		bnd, inn := en.CompileSubset(even), en.CompileSubset(odd)
 		open, cls := Subset{Sel: bnd, Phase: Open}, Subset{Sel: inn, Phase: Close}
 
+		// One launch over n tiles allocates the goroutine of each of the
+		// n-1 non-caller tiles.
+		launch := func(n int) float64 { return float64(n - 1) }
+		split := launch(len(bnd.tiles)) + launch(len(inn.tiles))
 		for _, b := range Backends {
-			// One launch over n tiles allocates the goroutine of each of the
-			// n-1 non-caller tiles and, on the CPE backends, the runTiles
-			// closure and one Spawn closure per tile.
-			launch := func(n int) float64 {
-				if b == OpenACC || b == Athread {
-					return float64(2 * n)
-				}
-				return float64(n - 1)
-			}
-			split := launch(len(bnd.tiles)) + launch(len(inn.tiles))
 
 			st := st0.Clone()
 			out := st0.Clone()
@@ -442,6 +434,71 @@ func TestSerialLaunchesAllocateNothing(t *testing.T) {
 		c.fn() // warm
 		if got := testing.AllocsPerRun(10, c.fn); got != 0 {
 			t.Errorf("Intel %s on one worker: %.1f allocs per call, want 0", c.name, got)
+		}
+	}
+}
+
+// TestCPELaunchesAllocateNothing: on a one-worker engine a warm CPE
+// launch — every lowering, whole or either half of a split — makes no
+// heap allocation: its arguments go in the engine's launch slot, its
+// tile body and its worker's CPE body are bound once, its LDM plan is
+// built on the first launch, and Spawn reuses a parked crew.
+func TestCPELaunchesAllocateNothing(t *testing.T) {
+	const ne, nlev, qsize = 2, 16, 2 // nlev/8 = 2: the transposed remap's vector pairs
+	m, _, st0 := testSetup(t, ne, nlev, qsize)
+	h := dycore.NewHybridCoord(nlev)
+	for _, b := range []Backend{OpenACC, Athread} {
+		en := tiledEngine(m, nlev, qsize, 1)
+		st, out := st0.Clone(), st0.Clone()
+		lapU, lapV, lapT, lapDP := out.U, out.V, out.T, out.DP
+		var bnd, inn []int
+		for le := 0; le < m.NElems(); le++ {
+			if le%3 == 0 {
+				bnd = append(bnd, le)
+			} else {
+				inn = append(inn, le)
+			}
+		}
+		open := Subset{Sel: en.CompileSubset(bnd), Phase: Open}
+		cls := Subset{Sel: en.CompileSubset(inn), Phase: Close}
+		cases := []struct {
+			name string
+			fn   func()
+		}{
+			{"rhs", func() { en.ComputeAndApplyRHSOn(Subset{}, b, st, st, out, 10) }},
+			{"rhs open+close", func() {
+				en.ComputeAndApplyRHSOn(open, b, st, st, out, 10)
+				en.ComputeAndApplyRHSOn(cls, b, st, st, out, 10)
+			}},
+			{"euler", func() { en.EulerStepOn(Subset{}, b, st, 10) }},
+			{"euler open+close", func() {
+				en.EulerStepOn(open, b, st, 10)
+				en.EulerStepOn(cls, b, st, 10)
+			}},
+			{"dp1", func() { en.HypervisDP1On(Subset{}, b, st, lapU, lapV, lapT, lapDP) }},
+			{"dp1 open+close", func() {
+				en.HypervisDP1On(open, b, st, lapU, lapV, lapT, lapDP)
+				en.HypervisDP1On(cls, b, st, lapU, lapV, lapT, lapDP)
+			}},
+			{"dp2", func() { en.HypervisDP2On(Subset{}, b, lapU, lapV, lapT, lapDP, st, 10, 1e-6, 1e-6) }},
+			{"dp2 open+close", func() {
+				en.HypervisDP2On(open, b, lapU, lapV, lapT, lapDP, st, 10, 1e-6, 1e-6)
+				en.HypervisDP2On(cls, b, lapU, lapV, lapT, lapDP, st, 10, 1e-6, 1e-6)
+			}},
+			{"biharmonic", func() { en.BiharmonicDP3D(b, st.DP, lapDP) }},
+			{"remap", func() { en.VerticalRemap(b, h, st) }},
+		}
+		if b == Athread {
+			cases = append(cases, struct {
+				name string
+				fn   func()
+			}{"transposed remap", func() { en.VerticalRemapTransposed(h, st) }})
+		}
+		for _, c := range cases {
+			c.fn() // warm
+			if got := testing.AllocsPerRun(10, c.fn); got != 0 {
+				t.Errorf("%v %s on one worker: %.1f allocs per call, want 0", b, c.name, got)
+			}
 		}
 	}
 }

@@ -176,6 +176,10 @@ type World struct {
 	abortMu   sync.Mutex
 	abortRank int
 	abortErr  error
+
+	// The Run in flight: the rank body, and its ranks still running.
+	runFn   func(c *Comm)
+	running sync.WaitGroup
 }
 
 // mailbox is the receive queue of one rank: a condition-variable-guarded
@@ -408,26 +412,19 @@ func (w *World) poison(rank int, err error) {
 // a *RunError naming the first genuinely faulty rank and wrapping its
 // cause. Run never deadlocks on a faulty rank and never re-raises the
 // panic; a nil return means every rank completed.
+//
+// Ranks run on goroutines parked in a package pool between runs (see
+// rankRunner), so a warm Run starts its ranks without allocating.
 func (w *World) Run(fn func(c *Comm)) error {
-	var wg sync.WaitGroup
+	w.runFn = fn
+	w.running.Add(w.n)
 	for r := 0; r < w.n; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					err, ok := p.(rankFailure)
-					if ok {
-						w.poison(rank, err.err)
-					} else {
-						w.poison(rank, fmt.Errorf("%w: %v", ErrPanic, p))
-					}
-				}
-			}()
-			fn(&w.comms[rank])
-		}(r)
+		rr := borrowRankRunner()
+		rr.w, rr.rank = w, r
+		rr.wake <- struct{}{}
 	}
-	wg.Wait()
+	w.running.Wait()
+	w.runFn = nil
 	w.abortMu.Lock()
 	rank, cause := w.abortRank, w.abortErr
 	w.abortMu.Unlock()
@@ -435,6 +432,72 @@ func (w *World) Run(fn func(c *Comm)) error {
 		return &RunError{Rank: rank, Err: cause}
 	}
 	return nil
+}
+
+// rankRunner is a parked goroutine that runs one rank of a World.Run at
+// a time. Run hands it its world and rank in these fields, not in a
+// closure, and wakes it; it runs the rank and parks again.
+type rankRunner struct {
+	wake chan struct{}
+	w    *World
+	rank int
+}
+
+// rankRunners is the pool of parked runners. Its size — and so the
+// number of parked goroutines in the process — is the peak number of
+// ranks that were ever running at once.
+var rankRunners struct {
+	sync.Mutex
+	free []*rankRunner
+}
+
+func borrowRankRunner() *rankRunner {
+	rankRunners.Lock()
+	if n := len(rankRunners.free); n > 0 {
+		rr := rankRunners.free[n-1]
+		rankRunners.free = rankRunners.free[:n-1]
+		rankRunners.Unlock()
+		return rr
+	}
+	rankRunners.Unlock()
+	rr := &rankRunner{wake: make(chan struct{}, 1)}
+	// Runners live as long as the process, like the pool: no stop.
+	go rr.loop()
+	return rr
+}
+
+func (rr *rankRunner) loop() {
+	for range rr.wake {
+		rr.run()
+	}
+}
+
+// run runs the rank it was handed. A panic poisons the world (see Run)
+// and the runner parks again. A rank that calls runtime.Goexit (a test's
+// t.FailNow) ends like any other rank of the run, but it ends this
+// goroutine too, so the runner does not go back to the pool.
+func (rr *rankRunner) run() {
+	w, rank := rr.w, rr.rank
+	returned := false
+	defer func() {
+		p := recover()
+		if p != nil {
+			if err, ok := p.(rankFailure); ok {
+				w.poison(rank, err.err)
+			} else {
+				w.poison(rank, fmt.Errorf("%w: %v", ErrPanic, p))
+			}
+		}
+		rr.w = nil
+		if returned || p != nil {
+			rankRunners.Lock()
+			rankRunners.free = append(rankRunners.free, rr)
+			rankRunners.Unlock()
+		}
+		w.running.Done()
+	}()
+	w.runFn(&w.comms[rank])
+	returned = true
 }
 
 // Comm is one rank's handle to the world.

@@ -1,6 +1,9 @@
 package mpirt
 
 import (
+	"errors"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -137,5 +140,76 @@ func TestGetBufTakesSmallestFit(t *testing.T) {
 	}
 	if got := cap(b.getBuf(2)); got != 2 {
 		t.Errorf("getBuf(2) on an empty freelist returned capacity %d, want a new buffer of 2", got)
+	}
+}
+
+// TestWarmRunAllocatesNothing: World.Run starts its ranks on parked
+// pool goroutines, handing each its world and rank without a closure,
+// so once the pool holds enough runners a Run makes no heap allocation.
+func TestWarmRunAllocatesNothing(t *testing.T) {
+	const nranks = 4
+	w := NewWorld(nranks)
+	var ran [nranks]int
+	body := func(c *Comm) { ran[c.Rank()]++ }
+	run := func() {
+		if err := w.Run(body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // fill the pool
+	if got := testing.AllocsPerRun(20, run); got != 0 {
+		t.Errorf("warm %d-rank Run: %.1f allocs, want 0", nranks, got)
+	}
+	for r, n := range ran {
+		if n != 22 {
+			t.Errorf("rank %d ran %d times, want 22", r, n)
+		}
+	}
+}
+
+// TestRunEndsOnPanicAndGoexit: a rank that panics fails the run naming
+// it, and a rank that calls runtime.Goexit (a test's t.FailNow) ends
+// with the run as before, its pooled goroutine gone; after either, the
+// pool still runs every rank of the next world without allocating.
+func TestRunEndsOnPanicAndGoexit(t *testing.T) {
+	const nranks = 4
+	err := NewWorld(nranks).Run(func(c *Comm) {
+		if c.Rank() == 2 {
+			panic("boom")
+		}
+	})
+	var re *RunError
+	if !errors.As(err, &re) || re.Rank != 2 || !errors.Is(err, ErrPanic) {
+		t.Fatalf("panicking rank 2: Run returned %v", err)
+	}
+
+	var finished atomic.Int32
+	err = NewWorld(nranks).Run(func(c *Comm) {
+		if c.Rank() == 1 {
+			runtime.Goexit()
+		}
+		finished.Add(1)
+	})
+	if err != nil || finished.Load() != nranks-1 {
+		t.Fatalf("Goexit on rank 1: Run returned %v with %d ranks finished, want nil and %d",
+			err, finished.Load(), nranks-1)
+	}
+
+	w := NewWorld(nranks)
+	var ran [nranks]int
+	body := func(c *Comm) { ran[c.Rank()]++ }
+	run := func() {
+		if err := w.Run(body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // replaces the runner that exited
+	if got := testing.AllocsPerRun(10, run); got != 0 {
+		t.Errorf("warm Run after a panic and a Goexit: %.1f allocs, want 0", got)
+	}
+	for r, n := range ran {
+		if n != 12 {
+			t.Errorf("rank %d ran %d times, want 12", r, n)
+		}
 	}
 }

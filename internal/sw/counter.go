@@ -18,7 +18,7 @@ type PerfCounter struct {
 	RegMsgs     int64 // register-communication messages sent
 	RegBytes    int64 // register-communication payload bytes
 	Shuffles    int64 // vector shuffle instructions
-	LDMPeak     int64 // peak LDM working set observed, bytes
+	LDMPeak     int64 // largest one-launch LDM working set since the last reset, bytes
 }
 
 // DMABytes returns total bytes moved by DMA in either direction.

@@ -149,10 +149,10 @@ func (r *runner) launch() {
 			cr.fail(c, p)
 		}
 	}()
-	c.LDM.Reset()
+	c.LDM.used = 0
 	cr.fn(c)
-	if hw := int64(c.LDM.HighWater()); hw > c.Ctr.LDMPeak {
-		c.Ctr.LDMPeak = hw
+	if ws := int64(c.LDM.used * F64Bytes); ws > c.Ctr.LDMPeak {
+		c.Ctr.LDMPeak = ws
 	}
 }
 
