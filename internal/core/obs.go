@@ -54,7 +54,9 @@ func (rj *ResilientJob) observe(e RecoveryEvent) {
 	case "poisoned":
 		reg.Counter("core.recovery.poisoned").Add(1)
 	}
-	rj.Job.Obs.T().Instant(0, "core."+e.Kind, "model")
+	if tr := rj.Job.Obs.T(); tr != nil {
+		tr.Instant(0, "core."+e.Kind, "model")
+	}
 }
 
 // recordCost folds one run's aggregated kernel cost into the unified

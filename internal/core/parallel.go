@@ -241,9 +241,17 @@ func (j *ParallelJob) Scatter(global *dycore.State) []*dycore.State {
 	return out
 }
 
-// Gather reassembles a global state from the per-rank locals.
+// Gather reassembles a global state from the per-rank locals into a
+// new state.
 func (j *ParallelJob) Gather(local []*dycore.State) *dycore.State {
-	g := dycore.NewState(j.Mesh.NElems(), j.Cfg.Np, j.Cfg.Nlev, j.Cfg.Qsize)
+	return j.GatherInto(dycore.NewState(j.Mesh.NElems(), j.Cfg.Np, j.Cfg.Nlev, j.Cfg.Qsize), local)
+}
+
+// GatherInto reassembles a global state from the per-rank locals into
+// g, which must have the job's global shape, and returns it. Every
+// element is owned by exactly one rank, so every field of g is
+// overwritten: a kept g needs no clearing between calls.
+func (j *ParallelJob) GatherInto(g *dycore.State, local []*dycore.State) *dycore.State {
 	for r, st := range local {
 		for le, ge := range j.Plans[r].Elems {
 			copy(g.U[ge], st.U[le])

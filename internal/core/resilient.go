@@ -128,6 +128,8 @@ type ResilientJob struct {
 	spare       genStorage        // storage of the last retired generation, for the next capture
 	enc         [][]float64       // per-rank snapshot encode staging, reused every checkpoint
 	repl        *mpirt.World      // replication world, kept between checkpoints (exchangeBuddies)
+	shipBody    func(*mpirt.Comm) // shipRank bound once, handed to repl.Run
+	shipGen     *ckptGeneration   // the generation shipBody replicates, set for one round
 	suspectRank int               // rank of the most recent attributed failure
 	suspectRun  int               // consecutive failures attributed to suspectRank
 	diskStep    int               // step of the last disk checkpoint written
@@ -295,10 +297,7 @@ func (rj *ResilientJob) Run(local []*dycore.State, n int) (ResilientStats, error
 	if every < 1 {
 		every = 1
 	}
-	// The only mode difference: which function picks the recovery rung.
-	recoverChunk := rj.restoreVerified
 	if rj.Mode == ModeLadder {
-		recoverChunk = rj.recoverLadder
 		// The ladder's first rung: make sure message-level retransmission
 		// is on, and that lost messages surface as timeouts rather than
 		// hanging the job forever when faults are being injected.
@@ -376,7 +375,7 @@ func (rj *ResilientJob) Run(local []*dycore.State, n int) (ResilientStats, error
 		// from the checkpoint on the next attempt.
 		rj.Job.Obs.R().Counter("core.recovery.replayed_steps").Add(int64(chunk))
 		t0 := time.Now()
-		rerr := recoverChunk(&rs, attempt, err)
+		rerr := rj.recoverChunk(&rs, attempt, err)
 		rj.addRecoveryNs(&rs, t0)
 		if rerr != nil {
 			return rs, rerr
@@ -385,6 +384,16 @@ func (rj *ResilientJob) Run(local []*dycore.State, n int) (ResilientStats, error
 	rj.auditAllGenerations(&rs)
 	rs.Run.Steps = rj.Job.StepCount()
 	return rs, nil
+}
+
+// recoverChunk picks and executes the recovery rung for one failed
+// chunk. The mode changes only this choice: ModeLadder escalates
+// through the ladder, ModeGlobal restores a verified generation.
+func (rj *ResilientJob) recoverChunk(rs *ResilientStats, attempt int, cause error) error {
+	if rj.Mode == ModeLadder {
+		return rj.recoverLadder(rs, attempt, cause)
+	}
+	return rj.restoreVerified(rs, attempt, cause)
 }
 
 // deadAfterN returns the escalation threshold with its default applied.
@@ -659,25 +668,12 @@ func (rj *ResilientJob) exchangeBuddies(rs *ResilientStats, g *ckptGeneration) e
 	w := rj.repl
 	w.SetTracer(rj.Job.Obs.T())
 	sent := w.TotalBytes()
-	err := w.Run(func(c *mpirt.Comm) {
-		r := c.Rank()
-		e, eerr := rj.encodeVerified(r, g.step, rj.enc[r])
-		if eerr != nil {
-			mpirt.Fail(eerr)
-		}
-		rj.enc[r] = e
-		buddy := (r + 1) % n
-		prev := (r - 1 + n) % n
-		var sz [1]float64
-		sz[0] = float64(len(e))
-		c.Send(buddy, tagBuddySize, sz[:])
-		c.Send(buddy, tagBuddyData, e)
-		c.Recv(prev, tagBuddySize, sz[:])
-		// Rank r now holds the copy of rank prev.
-		words := int(sz[0])
-		g.store[prev] = slices.Grow(g.store[prev][:0], words)[:words]
-		c.Recv(prev, tagBuddyData, g.store[prev])
-	})
+	if rj.shipBody == nil {
+		rj.shipBody = rj.shipRank
+	}
+	rj.shipGen = g
+	err := w.Run(rj.shipBody)
+	rj.shipGen = nil
 	rs.BuddyBytes += w.TotalBytes() - sent
 	if err != nil {
 		rj.repl = nil
@@ -685,6 +681,29 @@ func (rj *ResilientJob) exchangeBuddies(rs *ResilientStats, g *ckptGeneration) e
 	}
 	copy(g.buddy, g.store)
 	return nil
+}
+
+// shipRank is one rank's body of the buddy replication round for
+// generation shipGen: encode and verify its own snapshot, ship it to
+// rank r+1 and receive rank r-1's replica into the generation's storage.
+func (rj *ResilientJob) shipRank(c *mpirt.Comm) {
+	g, n, r := rj.shipGen, rj.Job.NRanks, c.Rank()
+	e, eerr := rj.encodeVerified(r, g.step, rj.enc[r])
+	if eerr != nil {
+		mpirt.Fail(eerr)
+	}
+	rj.enc[r] = e
+	buddy := (r + 1) % n
+	prev := (r - 1 + n) % n
+	var sz [1]float64
+	sz[0] = float64(len(e))
+	c.Send(buddy, tagBuddySize, sz[:])
+	c.Send(buddy, tagBuddyData, e)
+	c.Recv(prev, tagBuddySize, sz[:])
+	// Rank r now holds the copy of rank prev.
+	words := int(sz[0])
+	g.store[prev] = slices.Grow(g.store[prev][:0], words)[:words]
+	c.Recv(prev, tagBuddyData, g.store[prev])
 }
 
 // encodeVerified encodes rank r's live state into buf's storage and

@@ -138,6 +138,34 @@ func TestWarmChunksAllocateNoPayloads(t *testing.T) {
 	}
 }
 
+// TestWarmChunkAllocatesOnlyItsRankBody: once a job is warm — its
+// world, its engines' workers and LDM plans, its step scratch — a
+// 2-step chunk on four ranks allocates one object, the rank-body
+// closure RunChecked hands World.Run, on the serial Intel lowering and
+// on the Athread CPE lowering. Stepping, the exchanges, the canonical
+// reductions and the kernel launches allocate nothing.
+func TestWarmChunkAllocatesOnlyItsRankBody(t *testing.T) {
+	for _, b := range []exec.Backend{exec.Intel, exec.Athread} {
+		job, local := worldTestJob(t)
+		if b != exec.Intel {
+			var err error
+			if job, err = NewParallelJob(job.Cfg, b, true, 4); err != nil {
+				t.Fatal(err)
+			}
+		}
+		const chunk = 2
+		run := func() {
+			if _, err := job.RunChecked(local, chunk); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // warm
+		if got := testing.AllocsPerRun(5, run); got > 1 {
+			t.Errorf("%v: a warm %d-step chunk allocates %.2f times, want at most the rank-body closure", b, chunk, got)
+		}
+	}
+}
+
 // TestFailedRunGetsFreshWorld: a run that fails poisons its world, so
 // the job drops it; the replay from a checkpoint runs on a new world
 // and reproduces the fault-free trajectory bit for bit.

@@ -1,17 +1,15 @@
 package dycore
 
-import "swcam/internal/mesh"
-
 // Horizontal spectral-element operators on one np x np level slab.
 //
 // Each operator exists in two forms: a *Slab form that consumes flat
 // metric buffers (derivFlat row-major np x np, dinv/d flattened as
 // node*4+2*row+col) and caller-provided scratch — the form the Sunway
-// execution backends run against LDM tiles — and a convenience wrapper
-// taking a *mesh.Element that allocates scratch, used by the serial
-// reference solver. Both perform identical arithmetic in identical
-// order, which is what lets backend-equivalence tests demand agreement
-// to rounding.
+// execution backends run against LDM tiles and the serial reference
+// solver runs with its own scratch — and, in the tests, a convenience
+// wrapper taking a *mesh.Element that allocates scratch. Both perform
+// identical arithmetic in identical order, which is what lets
+// backend-equivalence tests demand agreement to rounding.
 //
 // At np = 4 — CAM-SE's production order, the only one the Athread
 // lowering accepts — every *Slab form runs one fixed-size arithmetic,
@@ -183,18 +181,6 @@ func LaplaceSlab(derivFlat, dinvFlat, metdet []float64, dAlpha float64, np int, 
 	DivergenceSlab(derivFlat, dinvFlat, metdet, dAlpha, np, s1, s2, out, s3, s4)
 }
 
-// LaplaceSphere computes the scalar Laplacian div(grad s)). The result is
-// element-local; global accuracy requires DSS between repeated
-// applications (as in the biharmonic kernels).
-func LaplaceSphere(e *mesh.Element, derivFlat []float64, np int, s, out []float64) {
-	npsq := np * np
-	s1 := make([]float64, npsq)
-	s2 := make([]float64, npsq)
-	s3 := make([]float64, npsq)
-	s4 := make([]float64, npsq)
-	LaplaceSlab(derivFlat, e.DinvFlat, e.Metdet, e.DAlpha, np, s, out, s1, s2, s3, s4)
-}
-
 // VecLaplaceSlab computes the sphere-correct vector Laplacian
 // grad(div) - k x grad(vort) with caller scratch (6 slabs).
 func VecLaplaceSlab(derivFlat, dFlat, dinvFlat, metdet []float64, dAlpha float64, np int,
@@ -210,14 +196,4 @@ func VecLaplaceSlab(derivFlat, dFlat, dinvFlat, metdet []float64, dAlpha float64
 		lu[n] -= -s6[n]
 		lv[n] -= s5[n]
 	}
-}
-
-// VecLaplaceSphere is the element wrapper around VecLaplaceSlab.
-func VecLaplaceSphere(e *mesh.Element, derivFlat []float64, np int, u, v, lu, lv []float64) {
-	npsq := np * np
-	scr := make([]float64, 6*npsq)
-	VecLaplaceSlab(derivFlat, e.DFlat, e.DinvFlat, e.Metdet, e.DAlpha, np,
-		u, v, lu, lv,
-		scr[0:npsq], scr[npsq:2*npsq], scr[2*npsq:3*npsq],
-		scr[3*npsq:4*npsq], scr[4*npsq:5*npsq], scr[5*npsq:6*npsq])
 }

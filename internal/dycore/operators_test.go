@@ -479,6 +479,28 @@ func FuzzNp4Slabs(f *testing.F) {
 	})
 }
 
+// LaplaceSphere computes the scalar Laplacian div(grad s)). The result is
+// element-local; global accuracy requires DSS between repeated
+// applications (as in the biharmonic kernels).
+func LaplaceSphere(e *mesh.Element, derivFlat []float64, np int, s, out []float64) {
+	npsq := np * np
+	s1 := make([]float64, npsq)
+	s2 := make([]float64, npsq)
+	s3 := make([]float64, npsq)
+	s4 := make([]float64, npsq)
+	LaplaceSlab(derivFlat, e.DinvFlat, e.Metdet, e.DAlpha, np, s, out, s1, s2, s3, s4)
+}
+
+// VecLaplaceSphere is the element wrapper around VecLaplaceSlab.
+func VecLaplaceSphere(e *mesh.Element, derivFlat []float64, np int, u, v, lu, lv []float64) {
+	npsq := np * np
+	scr := make([]float64, 6*npsq)
+	VecLaplaceSlab(derivFlat, e.DFlat, e.DinvFlat, e.Metdet, e.DAlpha, np,
+		u, v, lu, lv,
+		scr[0:npsq], scr[npsq:2*npsq], scr[2*npsq:3*npsq],
+		scr[3*npsq:4*npsq], scr[4*npsq:5*npsq], scr[5*npsq:6*npsq])
+}
+
 // GradientSphere is the element wrapper around GradientSlab.
 func GradientSphere(e *mesh.Element, derivFlat []float64, np int, s, gx, gy []float64) {
 	da := make([]float64, np*np)

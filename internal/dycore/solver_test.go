@@ -534,3 +534,16 @@ func (c Config) GravityWaveCFL() float64 {
 	const cGrav = 340.0
 	return cGrav * c.Dt / dxNode
 }
+
+// A warm serial step takes every stage state, Laplacian slab and tracer
+// copy from the Solver: it allocates nothing, on a remap step or not.
+func TestSolverWarmStepAllocatesNothing(t *testing.T) {
+	s := smallSolver(t, 4, 8, 1)
+	st := s.NewState()
+	s.InitBaroclinicWave(st)
+	s.Step(st) // warm
+	s.Step(st)
+	if got := testing.AllocsPerRun(4, func() { s.Step(st) }); got != 0 {
+		t.Errorf("a warm Solver.Step allocates %.1f times, want 0", got)
+	}
+}

@@ -83,6 +83,12 @@ type Solver struct {
 	flxU, flxV, divScr      []float64
 	gv1, gv2                []float64
 	remapWS                 *RemapWorkspace
+	opScr                   []float64 // six slabs of operator scratch (hyperviscosity)
+
+	// The RK stage states and the tracer stage copy, built on the first
+	// step the Solver takes.
+	s1, s2    *State
+	qn, stage [][]float64
 }
 
 // NewSolver builds the mesh and scratch for a configuration.
@@ -115,6 +121,7 @@ func NewSolver(cfg Config) (*Solver, error) {
 	s.scrU = make([]float64, npsq)
 	s.scrV = make([]float64, npsq)
 	s.scrS = make([]float64, npsq)
+	s.opScr = make([]float64, 6*npsq)
 	s.colA = make([]float64, cfg.Nlev)
 	s.colB = make([]float64, cfg.Nlev)
 	s.colC = make([]float64, cfg.Nlev)
@@ -182,9 +189,13 @@ func (s *Solver) applyRHS(cur, base, out *State, dt float64) {
 // three boundary exchanges §7.6 overlaps.
 func (s *Solver) DynStep(st *State) {
 	dt := s.Cfg.Dt
-	s1 := st.Clone()
+	if s.s1 == nil {
+		s.s1, s.s2 = s.NewState(), s.NewState()
+	}
+	s1, s2 := s.s1, s.s2
+	s1.CopyFrom(st)
 	s.applyRHS(st, st, s1, dt)
-	s2 := s1.Clone()
+	s2.CopyFrom(s1)
 	s.applyRHS(s1, s1, s2, dt)
 	for ei := range st.U {
 		SSPRK2Combine(st.U[ei], s2.U[ei], st.U[ei])
@@ -210,14 +221,14 @@ func (s *Solver) HypervisStep(st *State) {
 		for ei, e := range s.Mesh.Elements {
 			HypervisDP1Elem(e, s.Mesh.DerivFlat, np, nlev,
 				st.U[ei], st.V[ei], st.T[ei], st.DP[ei],
-				s.lapU[ei], s.lapV[ei], s.lapT[ei], s.lapDP[ei])
+				s.lapU[ei], s.lapV[ei], s.lapT[ei], s.lapDP[ei], s.opScr)
 		}
 		s.DSSLevelMajor(s.lapU, s.lapV, s.lapT, s.lapDP)
 		for ei, e := range s.Mesh.Elements {
 			HypervisDP2Elem(e, s.Mesh.DerivFlat, np, nlev,
 				s.lapU[ei], s.lapV[ei], s.lapT[ei], s.lapDP[ei],
 				st.U[ei], st.V[ei], st.T[ei], st.DP[ei],
-				dt, s.Cfg.NuV, s.Cfg.NuS, s.scrU, s.scrV, s.scrS)
+				dt, s.Cfg.NuV, s.Cfg.NuS, s.scrU, s.scrV, s.scrS, s.opScr)
 		}
 		s.dssState(st)
 	}
@@ -236,12 +247,18 @@ func (s *Solver) HypervisStep(st *State) {
 func (s *Solver) TracerStep(st *State) {
 	np, nlev, dt := s.Cfg.Np, s.Cfg.Nlev, s.Cfg.Dt
 	npsq := np * np
+	if s.qn == nil {
+		s.qn = make([][]float64, st.NElem())
+		for ei := range s.qn {
+			s.qn[ei] = make([]float64, nlev*npsq)
+		}
+		s.stage = make([][]float64, st.NElem())
+	}
+	qn, stage := s.qn, s.stage
 	for q := 0; q < s.Cfg.Qsize; q++ {
-		qn := make([][]float64, st.NElem())
-		stage := make([][]float64, st.NElem())
 		for ei := range qn {
 			cur := st.QdpAt(ei, q)
-			qn[ei] = append([]float64(nil), cur...)
+			copy(qn[ei], cur)
 			stage[ei] = cur // advance in place; qn keeps the original
 		}
 		advance := func() {
@@ -265,6 +282,7 @@ func (s *Solver) TracerStep(st *State) {
 			SSPRK2Combine(qn[ei], stage[ei], stage[ei])
 		}
 	}
+	clear(stage) // hold no view of st past the call
 }
 
 // RemapStep remaps the whole state back to the reference vertical grid.

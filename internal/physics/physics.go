@@ -84,24 +84,30 @@ type colScratch struct {
 // but a reused struct with swapped slices stays correct).
 func (c *Column) scratch() *colScratch {
 	if c.scr == nil || len(c.scr.emit) != c.Nlev {
-		n := c.Nlev
-		c.scr = &colScratch{
-			tau: make([]float64, n+1), down: make([]float64, n+1), up: make([]float64, n+1),
-			trans: make([]float64, n), emit: make([]float64, n),
-			dz: make([]float64, n), rho: make([]float64, n), g: make([]float64, n),
-			mass: make([]float64, n), z: make([]float64, n), s: make([]float64, n),
-			ta: make([]float64, n), tb: make([]float64, n), tc: make([]float64, n),
-			tm: make([]float64, n), tcp: make([]float64, n),
-			tRef: make([]float64, n), qsRef: make([]float64, n),
-			dT: make([]float64, n), dQ: make([]float64, n),
-		}
+		c.scr = newColScratch(c.Nlev)
 	}
 	return c.scr
 }
 
-// NewColumn allocates a column with nlev levels.
+func newColScratch(n int) *colScratch {
+	return &colScratch{
+		tau: make([]float64, n+1), down: make([]float64, n+1), up: make([]float64, n+1),
+		trans: make([]float64, n), emit: make([]float64, n),
+		dz: make([]float64, n), rho: make([]float64, n), g: make([]float64, n),
+		mass: make([]float64, n), z: make([]float64, n), s: make([]float64, n),
+		ta: make([]float64, n), tb: make([]float64, n), tc: make([]float64, n),
+		tm: make([]float64, n), tcp: make([]float64, n),
+		tRef: make([]float64, n), qsRef: make([]float64, n),
+		dT: make([]float64, n), dQ: make([]float64, n),
+	}
+}
+
+// NewColumn allocates a column with nlev levels, its scheme scratch
+// included: a pool worker's column steps without allocating from its
+// first chunk, whichever Run that chunk falls in.
 func NewColumn(nlev int) *Column {
 	return &Column{
+		scr:  newColScratch(nlev),
 		Nlev: nlev,
 		P:    make([]float64, nlev),
 		DP:   make([]float64, nlev),

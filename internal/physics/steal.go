@@ -246,7 +246,9 @@ func (p *StealPool) Run(nchunks int, fn func(worker, chunk int)) {
 	}
 	p.wg.Add(active)
 	for w := 1; w < active; w++ {
-		go p.workerMain(w)
+		h := borrowStealHelper()
+		h.p, h.w = p, w
+		h.wake <- struct{}{}
 	}
 	p.workerMain(0)
 	p.wg.Wait()
@@ -259,11 +261,76 @@ func (p *StealPool) Run(nchunks int, fn func(worker, chunk int)) {
 	}
 }
 
-// workerMain is one pooled worker: park panics for the coordinator.
+// workerMain is the coordinator's own share of a Run: park a panic for
+// the re-raise after the helpers drain.
 func (p *StealPool) workerMain(w int) {
 	defer p.wg.Done()
 	defer func() { p.panics[w] = recover() }()
 	p.runWorker(w)
+}
+
+// stealHelper is a parked goroutine that runs one helper worker of a
+// StealPool.Run at a time, so a warm Run starts its helpers without
+// allocating. Helpers are shared by every pool in the process.
+type stealHelper struct {
+	wake chan struct{}
+	p    *StealPool
+	w    int
+}
+
+// stealHelpers is the pool of parked helpers. Its size — and so the
+// number of parked goroutines in the process — is the peak number of
+// helpers that were ever running at once.
+var stealHelpers struct {
+	sync.Mutex
+	free []*stealHelper
+}
+
+func borrowStealHelper() *stealHelper {
+	stealHelpers.Lock()
+	if n := len(stealHelpers.free); n > 0 {
+		h := stealHelpers.free[n-1]
+		stealHelpers.free = stealHelpers.free[:n-1]
+		stealHelpers.Unlock()
+		return h
+	}
+	stealHelpers.Unlock()
+	h := &stealHelper{wake: make(chan struct{}, 1)}
+	// Helpers live as long as the process, like the pool: no stop.
+	go h.loop()
+	return h
+}
+
+func (h *stealHelper) loop() {
+	for range h.wake {
+		h.run()
+	}
+}
+
+// run drains the worker it was handed. A panicking chunk is parked in
+// the pool's panics for the coordinator to re-raise, and the helper
+// parks again. A chunk that calls runtime.Goexit ends this goroutine
+// too, so the helper does not go back to the pool; either way the Run
+// is told the worker is done, after the helper is back in the pool so
+// the next Run can borrow it.
+func (h *stealHelper) run() {
+	p, w := h.p, h.w
+	returned := false
+	defer func() {
+		if pc := recover(); pc != nil {
+			p.panics[w] = pc
+			returned = true
+		}
+		h.p = nil
+		if returned {
+			stealHelpers.Lock()
+			stealHelpers.free = append(stealHelpers.free, h)
+			stealHelpers.Unlock()
+		}
+		p.wg.Done()
+	}()
+	p.runWorker(w)
+	returned = true
 }
 
 // runWorker drains the worker's own deque, then steals until no victim

@@ -2,6 +2,7 @@ package physics
 
 import (
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -167,20 +168,77 @@ func TestStealPoolSeedRotatesScanOrder(t *testing.T) {
 	}
 }
 
-// Steady-state Run must not allocate beyond the goroutine-launch
-// machinery: the deques, stats, and panic slots are pooled. The bound
-// is marginal (like exec's tiling budget): workers-1 goroutine starts
-// plus WaitGroup bookkeeping.
+// A warm Run allocates nothing: the deques, stats and panic slots are
+// the pool's, and its helpers are parked goroutines borrowed from the
+// package pool, not started per Run.
 func TestStealPoolSteadyStateAllocs(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		p := NewStealPool(workers, 3)
 		sink := make([]float64, 64)
 		fn := func(w, c int) { sink[c] += float64(w) } // prebuilt: no per-run closure
 		p.Run(64, fn)                                  // warm
-		got := testing.AllocsPerRun(20, func() { p.Run(64, fn) })
-		budget := float64(2 + 2*workers)
-		if got > budget {
-			t.Fatalf("workers=%d: %.1f allocs/run, budget %.0f", workers, got, budget)
+		if got := testing.AllocsPerRun(20, func() { p.Run(64, fn) }); got != 0 {
+			t.Fatalf("workers=%d: %.2f allocs/run, want 0", workers, got)
 		}
 	}
+}
+
+// A chunk that panics on a helper is re-raised on the caller, and the
+// helper parks again: the next Run completes and allocates nothing. A
+// chunk that calls runtime.Goexit on a helper ends that goroutine but
+// still ends the Run, and the next Run completes too.
+func TestStealPoolHelperPanicAndGoexit(t *testing.T) {
+	p := NewStealPool(2, 0)
+	var count atomic.Int32
+	clean := func(w, c int) { count.Add(1) }
+	cleanRun := func(what string) {
+		count.Store(0)
+		p.Run(32, clean)
+		if n := count.Load(); n != 32 {
+			t.Fatalf("after %s: the next Run executed %d/32 chunks", what, n)
+		}
+	}
+	// onHelper runs end in chunk 1, which only the helper (worker 1) can
+	// run: worker 0 owns chunk 0 and holds it until chunk 1 has started.
+	onHelper := func(end func()) func(w, c int) {
+		started := make(chan struct{})
+		return func(w, c int) {
+			switch c {
+			case 0:
+				<-started
+			case 1:
+				if w != 1 {
+					t.Errorf("chunk 1 ran on worker %d, want the helper", w)
+				}
+				close(started)
+				end()
+			}
+		}
+	}
+	cleanRun("warm-up")
+
+	func() {
+		defer func() {
+			if r := recover(); r != "helper boom" {
+				t.Fatalf("helper panic re-raised as %v, want \"helper boom\"", r)
+			}
+		}()
+		p.Run(2, onHelper(func() { panic("helper boom") }))
+	}()
+	cleanRun("a helper panic")
+	if got := testing.AllocsPerRun(10, func() { p.Run(32, clean) }); got != 0 {
+		t.Errorf("after a helper panic, a Run allocates %.2f times, want 0 (the helper parks again)", got)
+	}
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		p.Run(2, onHelper(runtime.Goexit))
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a helper's Goexit did not end Run")
+	}
+	cleanRun("a helper Goexit")
 }

@@ -208,11 +208,16 @@ type Member struct {
 	rj    *core.ResilientJob
 	local []*dycore.State
 	base  *dycore.State // the member's perturbed IC (immutable)
+	// global is the state every publish gathers into, built on the
+	// first publish and kept across rebuilds: the global shape never
+	// changes, even when a shrink changes the rank count.
+	global *dycore.State
 
 	cycle    int         // completed cycles (monotone across restarts)
 	kills    map[int]int // cycle -> remaining injected crashes there
 	jitter   *rand.Rand
 	state    atomic.Int32
+	stateG   *obs.Gauge   // serve.member.<idx>.state (nil = uncounted)
 	restarts atomic.Int64 // restarts performed so far
 
 	mu      sync.Mutex
@@ -248,6 +253,7 @@ func newMember(idx int, sup *Supervisor, cfg Config) (*Member, error) {
 		idx: idx, sup: sup, cfg: cfg, base: g,
 		kills:  kills,
 		jitter: rand.New(rand.NewSource(cfg.Seed ^ int64(0x5eed<<8) ^ int64(idx))),
+		stateG: sup.reg().Gauge(fmt.Sprintf("serve.member.%d.state", idx)),
 	}
 	if err := m.build(nil, 0); err != nil {
 		return nil, err
@@ -327,10 +333,14 @@ func (m *Member) cycleOnce() error {
 	if err != nil {
 		return err
 	}
-	g := m.job.Gather(m.local)
+	if m.global == nil {
+		m.global = m.job.Gather(m.local)
+	} else {
+		m.job.GatherInto(m.global, m.local)
+	}
 	step := m.job.StepCount()
 	simHours := float64(step) * m.cfg.Dycore.Dt / 3600
-	if err := m.sup.store.Publish(m.idx, step, simHours, g); err != nil {
+	if err := m.sup.store.Publish(m.idx, step, simHours, m.global); err != nil {
 		return err
 	}
 	m.cycle++
@@ -356,7 +366,7 @@ func (m *Member) rebuild() error {
 
 func (m *Member) setState(st MemberState) {
 	m.state.Store(int32(st))
-	m.sup.reg().Gauge(fmt.Sprintf("serve.member.%d.state", m.idx)).Set(float64(st))
+	m.stateG.Set(float64(st))
 }
 
 // Index returns the member's ensemble index.

@@ -72,6 +72,9 @@ type storeSlot struct {
 	// count that selects between them.
 	bufs [2]bytes.Buffer
 	n    int64
+	// stepG is the slot's serve.member.<i>.snapshot_step gauge, looked
+	// up on the first publish.
+	stepG *obs.Gauge
 
 	// Reader-side decode cache (the writer never touches it).
 	mu       sync.Mutex
@@ -130,7 +133,10 @@ func (s *Store) Publish(member, step int, simHours float64, st *dycore.State) er
 	}
 	slot.cur.Store(snap)
 	s.reg.Counter("serve.snapshots.published").Add(1)
-	s.reg.Gauge(fmt.Sprintf("serve.member.%d.snapshot_step", member)).Set(float64(step))
+	if slot.stepG == nil && s.reg != nil {
+		slot.stepG = s.reg.Gauge(fmt.Sprintf("serve.member.%d.snapshot_step", member))
+	}
+	slot.stepG.Set(float64(step))
 	if s.OnPublish != nil {
 		cp := make([]byte, len(data))
 		copy(cp, data)
