@@ -85,8 +85,7 @@ type Solver struct {
 	remapWS                 *RemapWorkspace
 	opScr                   []float64 // six slabs of operator scratch (hyperviscosity)
 
-	// The RK stage states and the tracer stage copy, built on the first
-	// step the Solver takes.
+	// The RK stage states and the tracer stage copy.
 	s1, s2    *State
 	qn, stage [][]float64
 }
@@ -132,6 +131,8 @@ func NewSolver(cfg Config) (*Solver, error) {
 	s.gv1 = make([]float64, npsq)
 	s.gv2 = make([]float64, npsq)
 	s.remapWS = NewRemapWorkspace(cfg.Nlev)
+	s.s1, s.s2 = s.NewState(), s.NewState()
+	s.qn, s.stage = allocEl(), make([][]float64, n)
 	return s, nil
 }
 
@@ -189,9 +190,6 @@ func (s *Solver) applyRHS(cur, base, out *State, dt float64) {
 // three boundary exchanges §7.6 overlaps.
 func (s *Solver) DynStep(st *State) {
 	dt := s.Cfg.Dt
-	if s.s1 == nil {
-		s.s1, s.s2 = s.NewState(), s.NewState()
-	}
 	s1, s2 := s.s1, s.s2
 	s1.CopyFrom(st)
 	s.applyRHS(st, st, s1, dt)
@@ -247,13 +245,6 @@ func (s *Solver) HypervisStep(st *State) {
 func (s *Solver) TracerStep(st *State) {
 	np, nlev, dt := s.Cfg.Np, s.Cfg.Nlev, s.Cfg.Dt
 	npsq := np * np
-	if s.qn == nil {
-		s.qn = make([][]float64, st.NElem())
-		for ei := range s.qn {
-			s.qn[ei] = make([]float64, nlev*npsq)
-		}
-		s.stage = make([][]float64, st.NElem())
-	}
 	qn, stage := s.qn, s.stage
 	for q := 0; q < s.Cfg.Qsize; q++ {
 		for ei := range qn {

@@ -34,6 +34,7 @@ import (
 	"unsafe"
 
 	"swcam/internal/obs"
+	"swcam/internal/parked"
 )
 
 // Stats accumulates per-rank communication counters.
@@ -158,7 +159,8 @@ type World struct {
 	n     int
 	boxes []*mailbox // one per destination rank
 	stats []Stats
-	comms []Comm // one per rank, reused by every Run
+	comms []Comm     // one per rank, reused by every Run
+	tasks []rankTask // one per rank: what Run hands a parked goroutine
 
 	barrier *barrier
 
@@ -331,6 +333,7 @@ func NewWorld(nranks int) *World {
 		boxes:   make([]*mailbox, nranks),
 		stats:   make([]Stats, nranks),
 		comms:   make([]Comm, nranks),
+		tasks:   make([]rankTask, nranks),
 		barrier: newBarrier(nranks),
 		sendSeq: make([]map[seqKey]uint64, nranks),
 	}
@@ -338,6 +341,7 @@ func NewWorld(nranks int) *World {
 		w.boxes[i] = newMailbox()
 		w.sendSeq[i] = make(map[seqKey]uint64)
 		w.comms[i] = Comm{world: w, rank: i}
+		w.tasks[i] = rankTask{w: w, rank: i}
 	}
 	return w
 }
@@ -413,15 +417,13 @@ func (w *World) poison(rank int, err error) {
 // cause. Run never deadlocks on a faulty rank and never re-raises the
 // panic; a nil return means every rank completed.
 //
-// Ranks run on goroutines parked in a package pool between runs (see
-// rankRunner), so a warm Run starts its ranks without allocating.
+// Ranks run on goroutines parked in the process's pool between runs
+// (package parked), so a warm Run starts its ranks without allocating.
 func (w *World) Run(fn func(c *Comm)) error {
 	w.runFn = fn
 	w.running.Add(w.n)
-	for r := 0; r < w.n; r++ {
-		rr := borrowRankRunner()
-		rr.w, rr.rank = w, r
-		rr.wake <- struct{}{}
+	for r := range w.tasks {
+		parked.Go(&w.tasks[r])
 	}
 	w.running.Wait()
 	w.runFn = nil
@@ -434,70 +436,27 @@ func (w *World) Run(fn func(c *Comm)) error {
 	return nil
 }
 
-// rankRunner is a parked goroutine that runs one rank of a World.Run at
-// a time. Run hands it its world and rank in these fields, not in a
-// closure, and wakes it; it runs the rank and parks again.
-type rankRunner struct {
-	wake chan struct{}
+// rankTask runs one rank of the world's Run in flight on a parked
+// goroutine; its world and rank are its fields, not a closure's.
+type rankTask struct {
 	w    *World
 	rank int
 }
 
-// rankRunners is the pool of parked runners. Its size — and so the
-// number of parked goroutines in the process — is the peak number of
-// ranks that were ever running at once.
-var rankRunners struct {
-	sync.Mutex
-	free []*rankRunner
-}
+func (t *rankTask) Run() { t.w.runFn(&t.w.comms[t.rank]) }
 
-func borrowRankRunner() *rankRunner {
-	rankRunners.Lock()
-	if n := len(rankRunners.free); n > 0 {
-		rr := rankRunners.free[n-1]
-		rankRunners.free = rankRunners.free[:n-1]
-		rankRunners.Unlock()
-		return rr
-	}
-	rankRunners.Unlock()
-	rr := &rankRunner{wake: make(chan struct{}, 1)}
-	// Runners live as long as the process, like the pool: no stop.
-	go rr.loop()
-	return rr
-}
-
-func (rr *rankRunner) loop() {
-	for range rr.wake {
-		rr.run()
-	}
-}
-
-// run runs the rank it was handed. A panic poisons the world (see Run)
-// and the runner parks again. A rank that calls runtime.Goexit (a test's
-// t.FailNow) ends like any other rank of the run, but it ends this
-// goroutine too, so the runner does not go back to the pool.
-func (rr *rankRunner) run() {
-	w, rank := rr.w, rr.rank
-	returned := false
-	defer func() {
-		p := recover()
-		if p != nil {
-			if err, ok := p.(rankFailure); ok {
-				w.poison(rank, err.err)
-			} else {
-				w.poison(rank, fmt.Errorf("%w: %v", ErrPanic, p))
-			}
+// Done poisons the world if the rank panicked (see Run). A rank that
+// calls runtime.Goexit (a test's t.FailNow) ends like any other rank of
+// the run.
+func (t *rankTask) Done(p any) {
+	if p != nil {
+		if err, ok := p.(rankFailure); ok {
+			t.w.poison(t.rank, err.err)
+		} else {
+			t.w.poison(t.rank, fmt.Errorf("%w: %v", ErrPanic, p))
 		}
-		rr.w = nil
-		if returned || p != nil {
-			rankRunners.Lock()
-			rankRunners.free = append(rankRunners.free, rr)
-			rankRunners.Unlock()
-		}
-		w.running.Done()
-	}()
-	w.runFn(&w.comms[rank])
-	returned = true
+	}
+	t.w.running.Done()
 }
 
 // Comm is one rank's handle to the world.

@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"swcam/internal/obs"
+	"swcam/internal/parked"
 )
 
 // DefaultStealWorkers is the pool size used for "auto" (-phys-workers
@@ -125,6 +126,7 @@ type StealPool struct {
 	deques  []dequeSlot
 	stats   []workerStats
 	panics  []any
+	helpers []stealHelper // helpers[w] runs worker w >= 1 of a Run
 	fn      func(worker, chunk int)
 	active  int // workers participating in the current Run
 	wg      sync.WaitGroup
@@ -149,15 +151,20 @@ func NewStealPool(n int, seed uint64) *StealPool {
 	if n < 1 {
 		n = 1
 	}
-	return &StealPool{
+	p := &StealPool{
 		workers:   n,
 		seed:      seed,
 		deques:    make([]dequeSlot, n),
 		stats:     make([]workerStats, n),
 		panics:    make([]any, n),
+		helpers:   make([]stealHelper, n),
 		cumChunks: make([]int64, n),
 		cumBusyNs: make([]int64, n),
 	}
+	for w := range p.helpers {
+		p.helpers[w] = stealHelper{p: p, w: w}
+	}
+	return p
 }
 
 // Workers reports the pool size.
@@ -246,18 +253,22 @@ func (p *StealPool) Run(nchunks int, fn func(worker, chunk int)) {
 	}
 	p.wg.Add(active)
 	for w := 1; w < active; w++ {
-		h := borrowStealHelper()
-		h.p, h.w = p, w
-		h.wake <- struct{}{}
+		parked.Go(&p.helpers[w])
 	}
 	p.workerMain(0)
 	p.wg.Wait()
 	p.finishRun()
+	// Clear every slot before re-raising, so no panic outlives its Run
+	// (a slot past the next Run's active workers is not rewritten).
+	var first any
 	for w, pc := range p.panics {
-		if pc != nil {
-			p.panics[w] = nil
-			panic(pc)
+		if first == nil {
+			first = pc
 		}
+		p.panics[w] = nil
+	}
+	if first != nil {
+		panic(first)
 	}
 }
 
@@ -269,68 +280,23 @@ func (p *StealPool) workerMain(w int) {
 	p.runWorker(w)
 }
 
-// stealHelper is a parked goroutine that runs one helper worker of a
-// StealPool.Run at a time, so a warm Run starts its helpers without
-// allocating. Helpers are shared by every pool in the process.
+// stealHelper runs one helper worker of a Run on a parked goroutine
+// (package parked), so a warm Run starts its helpers without
+// allocating; its pool and worker index are its fields, not a
+// closure's.
 type stealHelper struct {
-	wake chan struct{}
-	p    *StealPool
-	w    int
+	p *StealPool
+	w int
 }
 
-// stealHelpers is the pool of parked helpers. Its size — and so the
-// number of parked goroutines in the process — is the peak number of
-// helpers that were ever running at once.
-var stealHelpers struct {
-	sync.Mutex
-	free []*stealHelper
-}
+func (h *stealHelper) Run() { h.p.runWorker(h.w) }
 
-func borrowStealHelper() *stealHelper {
-	stealHelpers.Lock()
-	if n := len(stealHelpers.free); n > 0 {
-		h := stealHelpers.free[n-1]
-		stealHelpers.free = stealHelpers.free[:n-1]
-		stealHelpers.Unlock()
-		return h
-	}
-	stealHelpers.Unlock()
-	h := &stealHelper{wake: make(chan struct{}, 1)}
-	// Helpers live as long as the process, like the pool: no stop.
-	go h.loop()
-	return h
-}
-
-func (h *stealHelper) loop() {
-	for range h.wake {
-		h.run()
-	}
-}
-
-// run drains the worker it was handed. A panicking chunk is parked in
-// the pool's panics for the coordinator to re-raise, and the helper
-// parks again. A chunk that calls runtime.Goexit ends this goroutine
-// too, so the helper does not go back to the pool; either way the Run
-// is told the worker is done, after the helper is back in the pool so
-// the next Run can borrow it.
-func (h *stealHelper) run() {
-	p, w := h.p, h.w
-	returned := false
-	defer func() {
-		if pc := recover(); pc != nil {
-			p.panics[w] = pc
-			returned = true
-		}
-		h.p = nil
-		if returned {
-			stealHelpers.Lock()
-			stealHelpers.free = append(stealHelpers.free, h)
-			stealHelpers.Unlock()
-		}
-		p.wg.Done()
-	}()
-	p.runWorker(w)
-	returned = true
+// Done parks a panicking chunk's value for the coordinator to re-raise.
+// A chunk that calls runtime.Goexit ends the worker like a clean
+// return, so the Run still ends.
+func (h *stealHelper) Done(pc any) {
+	h.p.panics[h.w] = pc
+	h.p.wg.Done()
 }
 
 // runWorker drains the worker's own deque, then steals until no victim

@@ -3,6 +3,7 @@ package physics
 import (
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -241,4 +242,50 @@ func TestStealPoolHelperPanicAndGoexit(t *testing.T) {
 		t.Fatal("a helper's Goexit did not end Run")
 	}
 	cleanRun("a helper Goexit")
+}
+
+// When chunks panic on two helpers of one Run, the caller re-raises the
+// lower worker's panic and the other panic does not outlive the Run: the
+// next Run, on fewer workers and then on all of them, completes.
+func TestStealPoolPanicsDoNotOutliveTheirRun(t *testing.T) {
+	p := NewStealPool(3, 0)
+	// Worker w owns chunk w; worker 0 holds chunk 0 until both helpers
+	// have started theirs, so chunks 1 and 2 panic on workers 1 and 2.
+	var started sync.WaitGroup
+	started.Add(2)
+	twoPanics := func(w, c int) {
+		if c == 0 {
+			started.Wait()
+			return
+		}
+		if w != c {
+			t.Errorf("chunk %d ran on worker %d, want its owner", c, w)
+		}
+		started.Done()
+		panic(fmt.Sprintf("boom %d", c))
+	}
+	func() {
+		defer func() {
+			if r := recover(); r != "boom 1" {
+				t.Fatalf("re-raised %v, want \"boom 1\"", r)
+			}
+		}()
+		p.Run(3, twoPanics)
+	}()
+	var count atomic.Int32
+	clean := func(w, c int) { count.Add(1) }
+	for _, n := range []int{2, 32} {
+		count.Store(0)
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("clean Run(%d) after two helper panics re-raised %v", n, r)
+				}
+			}()
+			p.Run(n, clean)
+		}()
+		if got := count.Load(); got != int32(n) {
+			t.Fatalf("clean Run(%d) executed %d chunks", n, got)
+		}
+	}
 }

@@ -208,9 +208,9 @@ type Member struct {
 	rj    *core.ResilientJob
 	local []*dycore.State
 	base  *dycore.State // the member's perturbed IC (immutable)
-	// global is the state every publish gathers into, built on the
-	// first publish and kept across rebuilds: the global shape never
-	// changes, even when a shrink changes the rank count.
+	// global is the state every publish gathers into, kept across
+	// rebuilds: the global shape never changes, even when a shrink
+	// changes the rank count.
 	global *dycore.State
 
 	cycle    int         // completed cycles (monotone across restarts)
@@ -250,7 +250,7 @@ func newMember(idx int, sup *Supervisor, cfg Config) (*Member, error) {
 		kills[c]++
 	}
 	m := &Member{
-		idx: idx, sup: sup, cfg: cfg, base: g,
+		idx: idx, sup: sup, cfg: cfg, base: g, global: s.NewState(),
 		kills:  kills,
 		jitter: rand.New(rand.NewSource(cfg.Seed ^ int64(0x5eed<<8) ^ int64(idx))),
 		stateG: sup.reg().Gauge(fmt.Sprintf("serve.member.%d.state", idx)),
@@ -333,11 +333,7 @@ func (m *Member) cycleOnce() error {
 	if err != nil {
 		return err
 	}
-	if m.global == nil {
-		m.global = m.job.Gather(m.local)
-	} else {
-		m.job.GatherInto(m.global, m.local)
-	}
+	m.job.GatherInto(m.global, m.local)
 	step := m.job.StepCount()
 	simHours := float64(step) * m.cfg.Dycore.Dt / 3600
 	if err := m.sup.store.Publish(m.idx, step, simHours, m.global); err != nil {

@@ -72,8 +72,8 @@ type storeSlot struct {
 	// count that selects between them.
 	bufs [2]bytes.Buffer
 	n    int64
-	// stepG is the slot's serve.member.<i>.snapshot_step gauge, looked
-	// up on the first publish.
+	// stepG is the slot's serve.member.<i>.snapshot_step gauge (nil =
+	// uncounted).
 	stepG *obs.Gauge
 
 	// Reader-side decode cache (the writer never touches it).
@@ -105,7 +105,11 @@ func NewStore(members int, reg *obs.Registry) *Store {
 	} {
 		reg.Counter(c).Add(0)
 	}
-	return &Store{reg: reg, slots: make([]storeSlot, members)}
+	s := &Store{reg: reg, slots: make([]storeSlot, members)}
+	for i := range s.slots {
+		s.slots[i].stepG = reg.Gauge(fmt.Sprintf("serve.member.%d.snapshot_step", i))
+	}
+	return s
 }
 
 // Members returns the slot count.
@@ -122,6 +126,11 @@ func (s *Store) Publish(member, step int, simHours float64, st *dycore.State) er
 		return fmt.Errorf("serve: encoding snapshot of member %d: %w", member, err)
 	}
 	data := buf.Bytes()
+	// The first publish sizes the other buffer too (it holds no
+	// snapshot yet), so the second publish does not grow it either.
+	if other := &slot.bufs[(slot.n+1)%2]; other.Cap() < len(data) {
+		other.Grow(len(data))
+	}
 	slot.n++
 	snap := &snapshot{
 		Meta: Meta{
@@ -133,9 +142,6 @@ func (s *Store) Publish(member, step int, simHours float64, st *dycore.State) er
 	}
 	slot.cur.Store(snap)
 	s.reg.Counter("serve.snapshots.published").Add(1)
-	if slot.stepG == nil && s.reg != nil {
-		slot.stepG = s.reg.Gauge(fmt.Sprintf("serve.member.%d.snapshot_step", member))
-	}
 	slot.stepG.Set(float64(step))
 	if s.OnPublish != nil {
 		cp := make([]byte, len(data))
