@@ -114,28 +114,44 @@ func stateFields(st *dycore.State) [][][]float64 {
 // WriteCheckpoint serializes a state (and the step counter) to w in the
 // current (v2, CRC-trailed) format. It issues one Write per element
 // field slice and buffers nothing itself: hand it a buffered writer when
-// w is a file (SaveCheckpoint does).
+// w is a file (SaveCheckpoint does). A caller that encodes repeatedly
+// keeps a CheckpointCodec and calls its Encode instead.
 func WriteCheckpoint(w io.Writer, st *dycore.State, step int) error {
-	var hdr [headerBytes]byte
+	return new(CheckpointCodec).Encode(w, st, step)
+}
+
+// A CheckpointCodec is the codec's scratch: the header and trailer
+// words, which pass through an io.Writer or io.Reader and so would move
+// to the heap on every call from the stack, and the staged field bytes
+// of a big-endian host (mpirt.WireBytes). Kept between calls, it makes a
+// warm Encode into a writer that does not allocate (a pre-grown
+// bytes.Buffer) allocate nothing. The zero value is ready to use; a
+// codec must not be used by two goroutines at once.
+type CheckpointCodec struct {
+	hdr     [headerBytes]byte
+	trailer [crcBytes]byte
+	stage   []byte
+}
+
+// Encode is WriteCheckpoint through the codec's scratch.
+func (c *CheckpointCodec) Encode(w io.Writer, st *dycore.State, step int) error {
 	for i, word := range headerOf(st, step).words() {
-		binary.LittleEndian.PutUint64(hdr[8*i:], word)
+		binary.LittleEndian.PutUint64(c.hdr[8*i:], word)
 	}
-	if _, err := w.Write(hdr[:]); err != nil {
+	if _, err := w.Write(c.hdr[:]); err != nil {
 		return fmt.Errorf("core: checkpoint header: %w", err)
 	}
-	var stage []byte
 	crc := uint32(0)
 	for _, field := range stateFields(st) {
 		for _, e := range field {
-			if _, err := w.Write(mpirt.WireBytes(e, &stage)); err != nil {
+			if _, err := w.Write(mpirt.WireBytes(e, &c.stage)); err != nil {
 				return fmt.Errorf("core: checkpoint field: %w", err)
 			}
 			crc = mpirt.CRCFloats(crc, e)
 		}
 	}
-	var trailer [crcBytes]byte
-	binary.LittleEndian.PutUint32(trailer[:], crc)
-	if _, err := w.Write(trailer[:]); err != nil {
+	binary.LittleEndian.PutUint32(c.trailer[:], crc)
+	if _, err := w.Write(c.trailer[:]); err != nil {
 		return fmt.Errorf("core: checkpoint crc: %w", err)
 	}
 	return nil
@@ -147,24 +163,23 @@ func WriteCheckpoint(w io.Writer, st *dycore.State, step int) error {
 // checkpoint's bytes from r, one element field slice per Read, straight
 // into the new state; hand it a buffered reader when r is a file.
 func ReadCheckpoint(r io.Reader) (*dycore.State, int, error) {
-	var hdr [headerBytes]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	c := new(CheckpointCodec)
+	if _, err := io.ReadFull(r, c.hdr[:]); err != nil {
 		return nil, 0, fmt.Errorf("core: checkpoint header: %w", err)
 	}
 	var words [headerWords]uint64
 	for i := range words {
-		words[i] = binary.LittleEndian.Uint64(hdr[8*i:])
+		words[i] = binary.LittleEndian.Uint64(c.hdr[8*i:])
 	}
 	h, err := parseHeader(words)
 	if err != nil {
 		return nil, 0, err
 	}
 	st := dycore.NewState(int(h.NElem), int(h.Np), int(h.Nlev), int(h.Qsize))
-	var stage []byte
 	crc := uint32(0)
 	for _, field := range stateFields(st) {
 		for _, e := range field {
-			b := mpirt.WireBytes(e, &stage)
+			b := mpirt.WireBytes(e, &c.stage)
 			if _, err := io.ReadFull(r, b); err != nil {
 				return nil, 0, fmt.Errorf("core: checkpoint field: %w", err)
 			}
@@ -172,11 +187,10 @@ func ReadCheckpoint(r io.Reader) (*dycore.State, int, error) {
 			crc = mpirt.CRCFloats(crc, e)
 		}
 	}
-	var trailer [crcBytes]byte
-	if _, err := io.ReadFull(r, trailer[:]); err != nil {
+	if _, err := io.ReadFull(r, c.trailer[:]); err != nil {
 		return nil, 0, fmt.Errorf("core: checkpoint crc: %w", err)
 	}
-	if want := binary.LittleEndian.Uint32(trailer[:]); crc != want {
+	if want := binary.LittleEndian.Uint32(c.trailer[:]); crc != want {
 		return nil, 0, fmt.Errorf("%w: stored %#x, computed %#x", ErrChecksum, want, crc)
 	}
 	return st, int(h.Step), nil

@@ -200,3 +200,37 @@ func TestCheckpointRejectsGarbage(t *testing.T) {
 		t.Error("truncated checkpoint accepted")
 	}
 }
+
+// TestWarmCheckpointEncodeAllocatesNothing: a CheckpointCodec keeps its
+// header, trailer and staging scratch between calls, so a warm encode
+// into a pre-grown buffer allocates nothing, and it writes the bytes
+// WriteCheckpoint writes.
+func TestWarmCheckpointEncodeAllocatesNothing(t *testing.T) {
+	st := dycore.NewState(6, 4, 3, 2)
+	for _, f := range st.Fields() {
+		for e := range f.Data {
+			for i := range f.Data[e] {
+				f.Data[e][i] = float64(e*1000 + i)
+			}
+		}
+	}
+	var want bytes.Buffer
+	if err := WriteCheckpoint(&want, st, 5); err != nil {
+		t.Fatal(err)
+	}
+	var codec CheckpointCodec
+	var buf bytes.Buffer
+	buf.Grow(want.Len())
+	allocs := testing.AllocsPerRun(20, func() {
+		buf.Reset()
+		if err := codec.Encode(&buf, st, 5); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a warm encode allocates %.1f times, want 0", allocs)
+	}
+	if !bytes.Equal(buf.Bytes(), want.Bytes()) {
+		t.Error("CheckpointCodec.Encode and WriteCheckpoint wrote different bytes")
+	}
+}

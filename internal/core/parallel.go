@@ -445,12 +445,14 @@ func (j *ParallelJob) stepRank(c *mpirt.Comm, r int, st *dycore.State, rs *RunSt
 
 	// --- Dynamics: SSP-RK2 with DSS after each stage. ---
 	sc := j.stepScratchFor(r, st)
+	// The RHS writes every U, V, T and DP value of its output across the
+	// two subsets, and no stage reads a stage state's tracers, so the
+	// only stage-state input to copy is the second stage's Phis.
 	s1, s2 := sc.s1, sc.s2
-	s1.CopyFrom(st)
+	s1.CopyPhisFrom(st)
 	j.runDSS(c, r, rs, nlev, func(sub exec.Subset) exec.Cost {
 		return en.ComputeAndApplyRHSOn(sub, j.Backend, st, st, s1, cfg.Dt)
 	}, s1.U, s1.V, s1.T, s1.DP)
-	s2.CopyFrom(s1)
 	j.runDSS(c, r, rs, nlev, func(sub exec.Subset) exec.Cost {
 		return en.ComputeAndApplyRHSOn(sub, j.Backend, s1, s1, s2, cfg.Dt)
 	}, s2.U, s2.V, s2.T, s2.DP)

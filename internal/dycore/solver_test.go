@@ -547,3 +547,36 @@ func TestSolverWarmStepAllocatesNothing(t *testing.T) {
 		t.Errorf("a warm Solver.Step allocates %.1f times, want 0", got)
 	}
 }
+
+// TestDynStepNeedsOnlyPhisOfStageStates pins what DynStep copies into
+// its RK stage states: only Phis. Stage states filled with NaN must give
+// the same bits as fresh ones.
+func TestDynStepNeedsOnlyPhisOfStageStates(t *testing.T) {
+	fresh, poisoned := smallSolver(t, 2, 8, 1), smallSolver(t, 2, 8, 1)
+	for _, st := range []*State{poisoned.s1, poisoned.s2} {
+		for _, f := range st.Fields() {
+			for _, e := range f.Data {
+				for i := range e {
+					e[i] = math.NaN()
+				}
+			}
+		}
+	}
+	a, b := fresh.NewState(), poisoned.NewState()
+	fresh.InitBaroclinicWave(a)
+	poisoned.InitBaroclinicWave(b)
+	for i := 0; i < 2; i++ {
+		fresh.DynStep(a)
+		poisoned.DynStep(b)
+	}
+	bf := b.Fields()
+	for i, f := range a.Fields() {
+		for e := range f.Data {
+			for k, v := range f.Data[e] {
+				if w := bf[i].Data[e][k]; math.Float64bits(v) != math.Float64bits(w) {
+					t.Fatalf("%s elem %d value %d: NaN stage states give %v, fresh ones %v", f.Name, e, k, w, v)
+				}
+			}
+		}
+	}
+}

@@ -118,6 +118,16 @@ func (s *State) CopyFrom(o *State) {
 	cp(s.Phis, o.Phis)
 }
 
+// CopyPhisFrom copies o's surface geopotential into s. It is all that an
+// RK stage state takes from the state its stage starts from: the RHS
+// writes every U, V, T and DP value of its output, and no stage reads a
+// stage state's tracers.
+func (s *State) CopyPhisFrom(o *State) {
+	for i := range o.Phis {
+		copy(s.Phis[i], o.Phis[i])
+	}
+}
+
 // QdpAt returns the slice of tracer q for element e (all levels).
 func (s *State) QdpAt(e, q int) []float64 {
 	n := s.Nlev * s.NpSq()

@@ -191,9 +191,8 @@ func (s *Solver) applyRHS(cur, base, out *State, dt float64) {
 func (s *Solver) DynStep(st *State) {
 	dt := s.Cfg.Dt
 	s1, s2 := s.s1, s.s2
-	s1.CopyFrom(st)
+	s1.CopyPhisFrom(st) // the second stage reads s1's Phis; s2's is never read
 	s.applyRHS(st, st, s1, dt)
-	s2.CopyFrom(s1)
 	s.applyRHS(s1, s1, s2, dt)
 	for ei := range st.U {
 		SSPRK2Combine(st.U[ei], s2.U[ei], st.U[ei])

@@ -94,42 +94,63 @@ func LevelMajor(levels, npsq int) Layout {
 	return Layout{Levels: levels, NodeStride: 1, LevelStride: npsq}
 }
 
-// resolveLocal assembles every purely local group: the weighted sum of
-// its copies, written back into each of them. Remote groups go through
-// the canonical chain instead (assembleRemote). Both run level-innermost:
-// one [levels] strip per (group, field), each term added to all of its
-// levels before the next. Every level's sum still takes its terms in
-// order from 0.0, so the DSS is bit-identical to summing level by level.
-func (p *Plan) resolveLocal(strip []float64, lay Layout, nfields int, fields ...[][]float64) {
-	for gi := range p.Groups {
+// assemble completes the DSS of every shared node once the messages are
+// in, a field at a time, so that each pass touches one field's slab of
+// the rank: first the purely local groups, then the remote ones.
+func (p *Plan) assemble(lay Layout, fields [][][]float64) {
+	for f, field := range fields {
+		p.resolveLocal(lay, field)
+		p.assembleRemote(lay, len(fields), f, field)
+	}
+}
+
+// resolveLocal assembles every purely local group of one field: level by
+// level, the weighted copies are summed in a register from 0.0 in
+// mesh.NodeElems order and the sum is stored into every copy. The edge
+// (two-copy) and corner (four-copy) shapes are unrolled. Each product
+// is rounded explicitly, as the packed products of remote groups are, so
+// no architecture fuses it into the add and a node's sum never depends
+// on whether its copies are local.
+func (p *Plan) resolveLocal(lay Layout, field [][]float64) {
+	ns, ls := lay.NodeStride, lay.LevelStride
+	n := (lay.Levels-1)*ls + 1 // the span of one copy's levels
+	for _, gi := range p.local2 {
 		g := &p.Groups[gi]
-		if g.Remote {
-			continue
+		a, b := g.Refs[0], g.Refs[1]
+		wa, wb := g.W[0], g.W[1]
+		xa, xb := field[a.Elem][a.Node*ns:][:n], field[b.Elem][b.Node*ns:][:n]
+		for i := 0; i < n; i += ls {
+			s := 0.0
+			s += float64(wa * xa[i])
+			s += float64(wb * xb[i])
+			xa[i], xb[i] = s, s
 		}
-		for f := 0; f < nfields; f++ {
-			clear(strip)
-			for r := range g.Refs {
-				addCopy(strip, g, r, lay, fields[f])
+	}
+	for _, gi := range p.local4 {
+		g := &p.Groups[gi]
+		a, b, c, d := g.Refs[0], g.Refs[1], g.Refs[2], g.Refs[3]
+		wa, wb, wc, wd := g.W[0], g.W[1], g.W[2], g.W[3]
+		xa, xb := field[a.Elem][a.Node*ns:][:n], field[b.Elem][b.Node*ns:][:n]
+		xc, xd := field[c.Elem][c.Node*ns:][:n], field[d.Elem][d.Node*ns:][:n]
+		for i := 0; i < n; i += ls {
+			s := 0.0
+			s += float64(wa * xa[i])
+			s += float64(wb * xb[i])
+			s += float64(wc * xc[i])
+			s += float64(wd * xd[i])
+			xa[i], xb[i], xc[i], xd[i] = s, s, s, s
+		}
+	}
+	for _, gi := range p.localN {
+		g := &p.Groups[gi]
+		for i := 0; i < n; i += ls {
+			s := 0.0
+			for r, ref := range g.Refs {
+				s += float64(g.W[r] * field[ref.Elem][ref.Node*ns+i])
 			}
-			scatterStrip(strip, g, lay, fields[f])
-		}
-	}
-}
-
-// addCopy adds local copy r of group g, weighted, to every level of strip.
-func addCopy(strip []float64, g *Group, r int, lay Layout, field [][]float64) {
-	w, src := g.W[r], field[g.Refs[r].Elem][g.Refs[r].Node*lay.NodeStride:]
-	for l := range strip {
-		strip[l] += w * src[l*lay.LevelStride]
-	}
-}
-
-// scatterStrip writes the assembled strip into every local copy of g.
-func scatterStrip(strip []float64, g *Group, lay Layout, field [][]float64) {
-	for _, ref := range g.Refs {
-		dst := field[ref.Elem][ref.Node*lay.NodeStride:]
-		for l, v := range strip {
-			dst[l*lay.LevelStride] = v
+			for _, ref := range g.Refs {
+				field[ref.Elem][ref.Node*ns+i] = s
+			}
 		}
 	}
 }
@@ -157,30 +178,56 @@ func (p *Plan) packNeighbor(nb *Neighbor, buf []float64, lay Layout, nfields int
 	}
 }
 
-// assembleRemote resolves every remote-shared group by walking its
-// canonical chain — local copies weighted in place, remote copies read
-// from the neighbour receive buffers — and writes the total back into
-// all local copies. The chain order is mesh.NodeElems order on every
-// rank, so the result is bit-identical to the serial DSS and independent
-// of the partition.
-func (p *Plan) assembleRemote(strip []float64, recvBufs [][]float64, lay Layout, nfields int, fields ...[][]float64) {
-	for gi := range p.Groups {
-		g := &p.Groups[gi]
-		if !g.Remote {
-			continue
-		}
-		for f := 0; f < nfields; f++ {
-			clear(strip)
-			for _, t := range g.Chain {
-				if t.Local {
-					addCopy(strip, g, t.Ref, lay, fields[f])
-					continue
-				}
-				for l, v := range recvBufs[t.Nb][(t.Pos*nfields+f)*len(strip):][:len(strip)] {
-					strip[l] += v
-				}
+// assembleRemote assembles every remote group of field f (of nf) by
+// walking its canonical chain, and stores the total into all local
+// copies. Every term is read from a message buffer as a contiguous
+// [levels] run: a received copy from its receive buffer, a local copy
+// from a send buffer, where packNeighbor left its w·x. Each level's sum
+// adds the chain's terms in mesh.NodeElems order from 0.0 on every rank,
+// so the result is bit-identical to the serial DSS and independent of
+// the partition. The edge (two-term) and corner (four-term) chains are
+// unrolled; a generic loop takes the rest, such as cube corners.
+func (p *Plan) assembleRemote(lay Layout, nf, f int, field [][]float64) {
+	ns, ls, nl := lay.NodeStride, lay.LevelStride, lay.Levels
+	n := (nl-1)*ls + 1 // the span of one copy's levels
+	term := func(e int) []float64 { return p.msgs[(e*nf+f)*nl:][:nl] }
+	for i, gi := range p.remote {
+		chain := p.chain[p.chainStart[i]:p.chainStart[i+1]]
+		refs := p.Groups[gi].Refs
+		x := field[refs[0].Elem][refs[0].Node*ns:][:n]
+		switch len(chain) {
+		case 2:
+			a, b := term(chain[0]), term(chain[1])
+			for l, v := range a {
+				s := 0.0
+				s += v
+				s += b[l]
+				x[l*ls] = s
 			}
-			scatterStrip(strip, g, lay, fields[f])
+		case 4:
+			a, b, c, d := term(chain[0]), term(chain[1]), term(chain[2]), term(chain[3])
+			for l, v := range a {
+				s := 0.0
+				s += v
+				s += b[l]
+				s += c[l]
+				s += d[l]
+				x[l*ls] = s
+			}
+		default:
+			for l := 0; l < nl; l++ {
+				s := 0.0
+				for _, e := range chain {
+					s += p.msgs[(e*nf+f)*nl+l]
+				}
+				x[l*ls] = s
+			}
+		}
+		for _, ref := range refs[1:] {
+			y := field[ref.Elem][ref.Node*ns:][:n]
+			for k := 0; k < n; k += ls {
+				y[k] = x[k]
+			}
 		}
 	}
 }
@@ -242,13 +289,7 @@ func (p *Plan) dss(c *mpirt.Comm, lay Layout, computeInner func(), staged bool, 
 		name = "halo.dss_original"
 	}
 	defer p.exchangeProbe(name, st)()
-	stride := lay.Levels
-	strip := p.ensureScratch(stride)
-	p.ensureBufs(nf, stride)
-	recvBufs := p.recvBufs
-	if staged {
-		recvBufs = p.staged
-	}
+	p.ensureBufs(nf, lay.Levels, staged)
 
 	// Remote-shared copies live entirely on boundary elements, which are
 	// ready: pack their weighted values and get the messages moving first.
@@ -256,7 +297,11 @@ func (p *Plan) dss(c *mpirt.Comm, lay Layout, computeInner func(), staged bool, 
 	// request slots; nothing blocks until after the overlap window.
 	for i := range p.Neighbors {
 		nb := &p.Neighbors[i]
-		c.IrecvInto(&p.recvReqs[i], nb.Rank, tagDSS, p.recvBufs[i])
+		buf := p.recvBufs[i]
+		if staged {
+			buf = p.landing[i]
+		}
+		c.IrecvInto(&p.recvReqs[i], nb.Rank, tagDSS, buf)
 	}
 	for i := range p.Neighbors {
 		nb := &p.Neighbors[i]
@@ -297,7 +342,7 @@ func (p *Plan) dss(c *mpirt.Comm, lay Layout, computeInner func(), staged bool, 
 			st.WaitNs += time.Since(w0).Nanoseconds()
 		}
 		if staged {
-			copy(p.staged[i], p.recvBufs[i])
+			copy(p.recvBufs[i], p.landing[i])
 			st.StagingBytes += int64(len(p.recvBufs[i]) * 8)
 		}
 		st.UnpackBytes += int64(len(p.recvBufs[i]) * 8)
@@ -305,7 +350,6 @@ func (p *Plan) dss(c *mpirt.Comm, lay Layout, computeInner func(), staged bool, 
 	// All receives verified; only now touch the fields. The overlap
 	// flavour assembles shared nodes straight from the receive buffers —
 	// the direct unpack that removes the staging copy.
-	p.resolveLocal(strip, lay, nf, fields...)
-	p.assembleRemote(strip, recvBufs, lay, nf, fields...)
+	p.assemble(lay, fields)
 	return *st, nil
 }

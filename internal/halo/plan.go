@@ -31,6 +31,7 @@ package halo
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"swcam/internal/mesh"
@@ -49,11 +50,16 @@ type LocalRef struct {
 // message. The chain lists every copy of the node in mesh.NodeElems
 // order (ascending element id), so summing it term by term reproduces
 // the serial DSS bit for bit on every rank that holds the node.
+//
+// Every term is read from a message buffer: a received copy from the
+// receive buffer of neighbour Nb, a local copy from the send buffer to
+// neighbour Nb, where packing already stored the very w·x product the
+// sum needs. Pos is the entry within that buffer.
 type ChainTerm struct {
 	Local bool
 	Ref   int // Local: index into Group.Refs
-	Nb    int // !Local: index into Plan.Neighbors
-	Pos   int // !Local: entry index within that neighbour's message
+	Nb    int // index into Plan.Neighbors: its send buffer if Local, else its receive buffer
+	Pos   int // entry index within that buffer
 }
 
 // Group is one shared GLL node as seen from this rank: the local copies
@@ -99,17 +105,29 @@ type Plan struct {
 	BoundaryElems []int
 	InnerElems    []int
 
-	scratch []float64 // the [levels] accumulation strip of one (group, field), grown on demand
+	// The assembly's group lists, by shape: purely local groups of two
+	// copies (element edges), of four (element corners) and of any other
+	// count (cube corners hold three), then the remote groups. Each is a
+	// list of slots into Groups, ascending.
+	local2, local4, localN, remote []int
+	// The remote chains compiled to message entries: remote group i's
+	// terms are read from entries chain[chainStart[i]:chainStart[i+1]]
+	// of msgs, counted over every send buffer and then every receive
+	// buffer, in neighbour order.
+	chain, chainStart []int
 
-	// Persistent per-neighbour exchange buffers and request slots, grown
-	// on demand like scratch and reused every timestep so the steady-state
-	// exchange performs no heap allocation (HOMME likewise allocates its
-	// edge buffers once per schedule).
-	sendBufs [][]float64
-	recvBufs [][]float64
-	staged   [][]float64 // DSSOriginal's modeled receive->pack staging copy
-	sendReqs []mpirt.Request
-	recvReqs []mpirt.Request
+	// Persistent exchange buffers and request slots, grown on demand and
+	// reused every timestep so the steady-state exchange performs no heap
+	// allocation (HOMME likewise allocates its edge buffers once per
+	// schedule). msgs is one arena of msgEntries entries of nf·levels
+	// values; sendBufs and recvBufs are its per-neighbour views.
+	msgs       []float64
+	msgEntries int
+	sendBufs   [][]float64
+	recvBufs   [][]float64
+	landing    [][]float64 // where DSSOriginal receives, before its staging copy into recvBufs
+	sendReqs   []mpirt.Request
+	recvReqs   []mpirt.Request
 	// exchStats is the in-progress exchange's stats accumulator. It lives
 	// on the Plan because its address is taken by the obs probe closure,
 	// which would force a per-call heap allocation as a local.
@@ -172,6 +190,7 @@ func NewPlan(m *mesh.Mesh, rankOf []int, rank int) *Plan {
 	// NodeElems refs in the same order, sender entry order and receiver
 	// chain positions agree by construction.
 	boundary := map[int]bool{}
+	var touched []int // neighbours holding copies of the current node, in chain order
 	for _, refs := range m.NodeElems {
 		var local []LocalRef
 		var w []float64
@@ -191,11 +210,22 @@ func NewPlan(m *mesh.Mesh, rankOf []int, rank int) *Plan {
 			continue // unshared node, no DSS needed
 		}
 		g := Group{Refs: local, W: w, Slot: len(p.Groups), Remote: remote}
+		switch {
+		case remote:
+			p.remote = append(p.remote, g.Slot)
+		case len(local) == 2:
+			p.local2 = append(p.local2, g.Slot)
+		case len(local) == 4:
+			p.local4 = append(p.local4, g.Slot)
+		default:
+			p.localN = append(p.localN, g.Slot)
+		}
 		if remote {
 			// Canonical chain over every copy, and per-neighbour message
 			// positions advanced in the same canonical order.
+			g.Chain = make([]ChainTerm, 0, len(refs))
+			touched = touched[:0]
 			localIdx := 0
-			touched := map[int]bool{}
 			for _, r := range refs {
 				if rankOf[r.Elem] == rank {
 					g.Chain = append(g.Chain, ChainTerm{Local: true, Ref: localIdx})
@@ -206,13 +236,24 @@ func NewPlan(m *mesh.Mesh, rankOf []int, rank int) *Plan {
 				nb := &p.Neighbors[ni]
 				g.Chain = append(g.Chain, ChainTerm{Nb: ni, Pos: nb.RecvLen})
 				nb.RecvLen++
-				touched[ni] = true
+				if !slices.Contains(touched, ni) {
+					touched = append(touched, ni)
+				}
 			}
 			// Every local copy of the node is sent to every neighbour
-			// that holds it, in chain (NodeElems) order.
-			for ni := range touched {
+			// that holds it, in chain (NodeElems) order. The chain reads
+			// each local term back from the first such neighbour's send
+			// buffer, where packing leaves its w·x.
+			for _, ni := range touched {
 				nb := &p.Neighbors[ni]
 				nb.Nodes++
+				if ni == touched[0] {
+					for k := range g.Chain {
+						if t := &g.Chain[k]; t.Local {
+							t.Nb, t.Pos = ni, len(nb.SendGroup)+t.Ref
+						}
+					}
+				}
 				for li := range g.Refs {
 					nb.SendGroup = append(nb.SendGroup, g.Slot)
 					nb.SendRef = append(nb.SendRef, li)
@@ -223,6 +264,30 @@ func NewPlan(m *mesh.Mesh, rankOf []int, rank int) *Plan {
 			}
 		}
 		p.Groups = append(p.Groups, g)
+	}
+
+	// Compile every remote chain to the msgs entries its terms are read
+	// from: the send buffers' entries first, then the receive buffers'.
+	sendStart := make([]int, len(p.Neighbors))
+	recvStart := make([]int, len(p.Neighbors))
+	for i, nb := range p.Neighbors {
+		sendStart[i] = p.msgEntries
+		p.msgEntries += len(nb.SendGroup)
+	}
+	for i, nb := range p.Neighbors {
+		recvStart[i] = p.msgEntries
+		p.msgEntries += nb.RecvLen
+	}
+	p.chainStart = make([]int, 1, len(p.remote)+1)
+	for _, gi := range p.remote {
+		for _, t := range p.Groups[gi].Chain {
+			if t.Local {
+				p.chain = append(p.chain, sendStart[t.Nb]+t.Pos)
+			} else {
+				p.chain = append(p.chain, recvStart[t.Nb]+t.Pos)
+			}
+		}
+		p.chainStart = append(p.chainStart, len(p.chain))
 	}
 
 	for le := range p.Elems {
@@ -238,43 +303,44 @@ func NewPlan(m *mesh.Mesh, rankOf []int, rank int) *Plan {
 // NLocal returns the number of elements owned by this rank.
 func (p *Plan) NLocal() int { return len(p.Elems) }
 
-func (p *Plan) ensureScratch(n int) []float64 {
-	if cap(p.scratch) < n {
-		p.scratch = make([]float64, n)
-	}
-	return p.scratch[:n]
-}
-
-// ensureBufs sizes the persistent per-neighbour send/receive/staging
-// buffers and request slots for an exchange of nf fields with `stride`
-// values per node. Buffers only ever grow, so after the first exchange
-// of a given shape the hot path is allocation-free.
-func (p *Plan) ensureBufs(nf, stride int) {
+// ensureBufs sizes the persistent exchange buffers and request slots for
+// an exchange of nf fields with `stride` values per node, and cuts the
+// per-neighbour views of msgs: every send buffer, then every receive
+// buffer. The landing buffers are sized only when landing is set
+// (DSSOriginal). Buffers only ever grow, so after the first exchange of
+// a given shape the hot path is allocation-free.
+func (p *Plan) ensureBufs(nf, stride int, landing bool) {
 	n := len(p.Neighbors)
 	if len(p.sendBufs) < n {
 		p.sendBufs = make([][]float64, n)
 		p.recvBufs = make([][]float64, n)
-		p.staged = make([][]float64, n)
+		p.landing = make([][]float64, n)
 		p.sendReqs = make([]mpirt.Request, n)
 		p.recvReqs = make([]mpirt.Request, n)
 	}
+	entry := nf * stride
+	if total := p.msgEntries * entry; cap(p.msgs) < total {
+		p.msgs = make([]float64, total)
+	} else {
+		p.msgs = p.msgs[:total]
+	}
+	off := 0
 	for i := range p.Neighbors {
-		nb := &p.Neighbors[i]
-		if sl := len(nb.SendGroup) * nf * stride; cap(p.sendBufs[i]) < sl {
-			p.sendBufs[i] = make([]float64, sl)
-		} else {
-			p.sendBufs[i] = p.sendBufs[i][:sl]
+		l := len(p.Neighbors[i].SendGroup) * entry
+		p.sendBufs[i] = p.msgs[off : off+l : off+l]
+		off += l
+	}
+	for i := range p.Neighbors {
+		l := p.Neighbors[i].RecvLen * entry
+		p.recvBufs[i] = p.msgs[off : off+l : off+l]
+		off += l
+		if !landing {
+			continue
 		}
-		rl := nb.RecvLen * nf * stride
-		if cap(p.recvBufs[i]) < rl {
-			p.recvBufs[i] = make([]float64, rl)
+		if cap(p.landing[i]) < l {
+			p.landing[i] = make([]float64, l)
 		} else {
-			p.recvBufs[i] = p.recvBufs[i][:rl]
-		}
-		if cap(p.staged[i]) < rl {
-			p.staged[i] = make([]float64, rl)
-		} else {
-			p.staged[i] = p.staged[i][:rl]
+			p.landing[i] = p.landing[i][:l]
 		}
 	}
 }

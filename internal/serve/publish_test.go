@@ -67,9 +67,10 @@ func TestPublishedSnapshotsMatchFreshGather(t *testing.T) {
 
 // TestWarmPublishCycleAllocs pins what a warm publish cycle allocates:
 // per member, the rank-body closure of its chunk, the two checkpoint
-// generations and the checkpoint event of its supervised run, the
-// published snapshot's descriptor, and the checkpoint encoder's header
-// and trailer — and no copy of the global state.
+// generations and the checkpoint event of its supervised run, and the
+// published snapshot's descriptor — no copy of the global state, and
+// nothing in the snapshot encode, which goes through the slot's kept
+// CheckpointCodec.
 func TestWarmPublishCycleAllocs(t *testing.T) {
 	sup := publishTestSupervisor(t)
 	if err := sup.RunCycles(2); err != nil {
@@ -80,7 +81,7 @@ func TestWarmPublishCycleAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if budget := float64(7 * len(sup.members)); got > budget {
+	if budget := float64(5 * len(sup.members)); got > budget {
 		t.Errorf("a warm publish cycle of %d members allocates %.1f times, budget %.0f", len(sup.members), got, budget)
 	}
 }

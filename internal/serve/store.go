@@ -68,10 +68,11 @@ type snapshot struct {
 type storeSlot struct {
 	cur atomic.Pointer[snapshot]
 
-	// Writer-owned: the two alternating encode buffers and the publish
-	// count that selects between them.
-	bufs [2]bytes.Buffer
-	n    int64
+	// Writer-owned: the two alternating encode buffers, the publish
+	// count that selects between them, and the codec's scratch.
+	bufs  [2]bytes.Buffer
+	n     int64
+	codec core.CheckpointCodec
 	// stepG is the slot's serve.member.<i>.snapshot_step gauge (nil =
 	// uncounted).
 	stepG *obs.Gauge
@@ -122,7 +123,7 @@ func (s *Store) Publish(member, step int, simHours float64, st *dycore.State) er
 	slot := &s.slots[member]
 	buf := &slot.bufs[slot.n%2]
 	buf.Reset()
-	if err := core.WriteCheckpoint(buf, st, step); err != nil {
+	if err := slot.codec.Encode(buf, st, step); err != nil {
 		return fmt.Errorf("serve: encoding snapshot of member %d: %w", member, err)
 	}
 	data := buf.Bytes()
