@@ -32,25 +32,51 @@ func (p *Plan) stripResolveLocal(strip []float64, lay Layout, fields [][][]float
 	}
 }
 
-func (p *Plan) stripAssembleRemote(strip []float64, recvBufs [][]float64, lay Layout, fields [][][]float64) {
+// stripAssembleRemote derives each remote-shared node's chain from the
+// mesh rather than from the plan's compiled one: every copy in
+// mesh.NodeElems order, a received copy taking the next entry of its
+// owner's receive buffer.
+func (p *Plan) stripAssembleRemote(strip []float64, m *mesh.Mesh, rankOf []int, lay Layout, fields [][][]float64) {
 	nf := len(fields)
-	for gi := range p.Groups {
-		g := &p.Groups[gi]
-		if !g.Remote {
-			continue
+	nbOf := map[int]int{}
+	for i, nb := range p.Neighbors {
+		nbOf[nb.Rank] = i
+	}
+	next := make([]int, len(p.Neighbors)) // the next receive entry from each neighbour
+	type term struct{ ref, nb, pos int }  // ref >= 0: local copy; else received
+	for _, refs := range m.NodeElems {
+		var g Group
+		var chain []term
+		for _, r := range refs {
+			if rankOf[r.Elem] == p.Rank {
+				chain = append(chain, term{ref: len(g.Refs)})
+				g.Refs = append(g.Refs, LocalRef{Elem: p.LocalOf[r.Elem], Node: r.Idx})
+				g.W = append(g.W, m.Elements[r.Elem].DSSW[r.Idx])
+				continue
+			}
+			chain = append(chain, term{ref: -1, nb: nbOf[rankOf[r.Elem]]})
+		}
+		if len(g.Refs) == 0 || len(g.Refs) == len(chain) {
+			continue // not on this rank, or purely local
+		}
+		for k, t := range chain {
+			if t.ref < 0 {
+				chain[k].pos = next[t.nb]
+				next[t.nb]++
+			}
 		}
 		for f, field := range fields {
 			clear(strip)
-			for _, t := range g.Chain {
-				if t.Local {
-					addCopy(strip, g, t.Ref, lay, field)
+			for _, t := range chain {
+				if t.ref >= 0 {
+					addCopy(strip, &g, t.ref, lay, field)
 					continue
 				}
-				for l, v := range recvBufs[t.Nb][(t.Pos*nf+f)*len(strip):][:len(strip)] {
+				for l, v := range p.recvBufs[t.nb][(t.pos*nf+f)*len(strip):][:len(strip)] {
 					strip[l] += v
 				}
 			}
-			scatterStrip(strip, g, lay, field)
+			scatterStrip(strip, &g, lay, field)
 		}
 	}
 }
@@ -122,7 +148,7 @@ func TestAssemblyMatchesStripOracle(t *testing.T) {
 				for _, nf := range []int{1, 4} {
 					for _, overlap := range []bool{false, true} {
 						name := fmt.Sprintf("ne%d/%d ranks/%+v/%d fields/overlap=%v", ne, nranks, lay, nf, overlap)
-						diffAgainstOracle(t, name, m, plans, lay, nf, overlap)
+						diffAgainstOracle(t, name, m, rankOf, plans, lay, nf, overlap)
 					}
 				}
 			}
@@ -134,7 +160,7 @@ func TestAssemblyMatchesStripOracle(t *testing.T) {
 	}
 }
 
-func diffAgainstOracle(t *testing.T, name string, m *mesh.Mesh, plans []*Plan, lay Layout, nf int, overlap bool) {
+func diffAgainstOracle(t *testing.T, name string, m *mesh.Mesh, rankOf []int, plans []*Plan, lay Layout, nf int, overlap bool) {
 	t.Helper()
 	nranks := len(plans)
 	got := make([][][][]float64, nranks)  // [rank][field][elem][value]
@@ -161,7 +187,7 @@ func diffAgainstOracle(t *testing.T, name string, m *mesh.Mesh, plans []*Plan, l
 		}
 		strip := make([]float64, lay.Levels)
 		p.stripResolveLocal(strip, lay, want[r])
-		p.stripAssembleRemote(strip, p.recvBufs, lay, want[r])
+		p.stripAssembleRemote(strip, m, rankOf, lay, want[r])
 	})
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)

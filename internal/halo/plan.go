@@ -45,33 +45,14 @@ type LocalRef struct {
 	Node int // local node index within the element, j*np+i
 }
 
-// ChainTerm is one link of a shared node's canonical summation chain: a
-// single element copy, either held locally or arriving from a neighbour
-// message. The chain lists every copy of the node in mesh.NodeElems
-// order (ascending element id), so summing it term by term reproduces
-// the serial DSS bit for bit on every rank that holds the node.
-//
-// Every term is read from a message buffer: a received copy from the
-// receive buffer of neighbour Nb, a local copy from the send buffer to
-// neighbour Nb, where packing already stored the very w·x product the
-// sum needs. Pos is the entry within that buffer.
-type ChainTerm struct {
-	Local bool
-	Ref   int // Local: index into Group.Refs
-	Nb    int // index into Plan.Neighbors: its send buffer if Local, else its receive buffer
-	Pos   int // entry index within that buffer
-}
-
 // Group is one shared GLL node as seen from this rank: the local copies
 // that contribute to it and their DSS weights, both in mesh.NodeElems
-// order. Remote groups additionally carry the full canonical chain over
-// local and received copies.
+// order.
 type Group struct {
 	Refs   []LocalRef
 	W      []float64 // DSSW weight of each local copy
 	Slot   int       // index of this group in Plan.Groups
 	Remote bool      // true when other ranks also hold copies
-	Chain  []ChainTerm
 }
 
 // Neighbor is one adjacent rank and the agreed-order schedules exchanged
@@ -110,10 +91,16 @@ type Plan struct {
 	// count (cube corners hold three), then the remote groups. Each is a
 	// list of slots into Groups, ascending.
 	local2, local4, localN, remote []int
-	// The remote chains compiled to message entries: remote group i's
-	// terms are read from entries chain[chainStart[i]:chainStart[i+1]]
-	// of msgs, counted over every send buffer and then every receive
-	// buffer, in neighbour order.
+	// The remote groups' canonical summation chains, compiled to message
+	// entries. A chain lists every copy of its node, local or not, in
+	// mesh.NodeElems order (ascending element id), so summing it term by
+	// term reproduces the serial DSS bit for bit on every rank that holds
+	// the node. Remote group i's terms are read from entries
+	// chain[chainStart[i]:chainStart[i+1]] of msgs, counted over every
+	// send buffer and then every receive buffer, in neighbour order: a
+	// received copy from its receive buffer, a local copy from a send
+	// buffer, where packing already stored the very w·x product the sum
+	// needs.
 	chain, chainStart []int
 
 	// Persistent exchange buffers and request slots, grown on demand and
@@ -191,6 +178,10 @@ func NewPlan(m *mesh.Mesh, rankOf []int, rank int) *Plan {
 	// chain positions agree by construction.
 	boundary := map[int]bool{}
 	var touched []int // neighbours holding copies of the current node, in chain order
+	// chainBuf[k] is the buffer chain[k] indexes while the plan is built:
+	// send buffer i, or receive buffer i as len(Neighbors)+i.
+	var chainBuf []int
+	p.chainStart = []int{0}
 	for _, refs := range m.NodeElems {
 		var local []LocalRef
 		var w []float64
@@ -222,19 +213,20 @@ func NewPlan(m *mesh.Mesh, rankOf []int, rank int) *Plan {
 		}
 		if remote {
 			// Canonical chain over every copy, and per-neighbour message
-			// positions advanced in the same canonical order.
-			g.Chain = make([]ChainTerm, 0, len(refs))
+			// positions advanced in the same canonical order. A local
+			// term is placed once the neighbours are known.
+			first := len(p.chain)
 			touched = touched[:0]
-			localIdx := 0
 			for _, r := range refs {
 				if rankOf[r.Elem] == rank {
-					g.Chain = append(g.Chain, ChainTerm{Local: true, Ref: localIdx})
-					localIdx++
+					p.chain = append(p.chain, 0)
+					chainBuf = append(chainBuf, -1)
 					continue
 				}
 				ni := nbIndex[rankOf[r.Elem]]
 				nb := &p.Neighbors[ni]
-				g.Chain = append(g.Chain, ChainTerm{Nb: ni, Pos: nb.RecvLen})
+				p.chain = append(p.chain, nb.RecvLen)
+				chainBuf = append(chainBuf, len(p.Neighbors)+ni)
 				nb.RecvLen++
 				if !slices.Contains(touched, ni) {
 					touched = append(touched, ni)
@@ -244,16 +236,17 @@ func NewPlan(m *mesh.Mesh, rankOf []int, rank int) *Plan {
 			// that holds it, in chain (NodeElems) order. The chain reads
 			// each local term back from the first such neighbour's send
 			// buffer, where packing leaves its w·x.
+			pos := len(p.Neighbors[touched[0]].SendGroup)
+			for k := first; k < len(p.chain); k++ {
+				if chainBuf[k] < 0 {
+					p.chain[k], chainBuf[k] = pos, touched[0]
+					pos++
+				}
+			}
+			p.chainStart = append(p.chainStart, len(p.chain))
 			for _, ni := range touched {
 				nb := &p.Neighbors[ni]
 				nb.Nodes++
-				if ni == touched[0] {
-					for k := range g.Chain {
-						if t := &g.Chain[k]; t.Local {
-							t.Nb, t.Pos = ni, len(nb.SendGroup)+t.Ref
-						}
-					}
-				}
 				for li := range g.Refs {
 					nb.SendGroup = append(nb.SendGroup, g.Slot)
 					nb.SendRef = append(nb.SendRef, li)
@@ -266,28 +259,19 @@ func NewPlan(m *mesh.Mesh, rankOf []int, rank int) *Plan {
 		p.Groups = append(p.Groups, g)
 	}
 
-	// Compile every remote chain to the msgs entries its terms are read
-	// from: the send buffers' entries first, then the receive buffers'.
-	sendStart := make([]int, len(p.Neighbors))
-	recvStart := make([]int, len(p.Neighbors))
+	// Translate each chain entry from its buffer to msgs: the send
+	// buffers' entries first, then the receive buffers'.
+	bufStart := make([]int, 2*len(p.Neighbors))
 	for i, nb := range p.Neighbors {
-		sendStart[i] = p.msgEntries
+		bufStart[i] = p.msgEntries
 		p.msgEntries += len(nb.SendGroup)
 	}
 	for i, nb := range p.Neighbors {
-		recvStart[i] = p.msgEntries
+		bufStart[len(p.Neighbors)+i] = p.msgEntries
 		p.msgEntries += nb.RecvLen
 	}
-	p.chainStart = make([]int, 1, len(p.remote)+1)
-	for _, gi := range p.remote {
-		for _, t := range p.Groups[gi].Chain {
-			if t.Local {
-				p.chain = append(p.chain, sendStart[t.Nb]+t.Pos)
-			} else {
-				p.chain = append(p.chain, recvStart[t.Nb]+t.Pos)
-			}
-		}
-		p.chainStart = append(p.chainStart, len(p.chain))
+	for k, b := range chainBuf {
+		p.chain[k] += bufStart[b]
 	}
 
 	for le := range p.Elems {
