@@ -139,11 +139,16 @@ func TestWarmChunksAllocateNoPayloads(t *testing.T) {
 }
 
 // TestWarmChunkAllocatesOnlyItsRankBody: once a job is warm — its
-// world, its engines' workers and LDM plans, its step scratch — a
-// 2-step chunk on four ranks allocates one object, the rank-body
-// closure RunChecked hands World.Run, on the serial Intel lowering and
-// on the Athread CPE lowering. Stepping, the exchanges, the canonical
-// reductions and the kernel launches allocate nothing.
+// world, its engines' workers and LDM plans, its step scratch — stepping
+// allocates nothing, on the serial Intel lowering and on the Athread CPE
+// lowering: a 6-step chunk on four ranks allocates no more than a 2-step
+// one, and a 2-step chunk allocates one object, the rank-body closure
+// RunChecked hands World.Run. Each count is the least of three tries.
+// The marginal count holds under the race detector too. The absolute one
+// is checked without it: under the detector's schedules the pools that
+// only grow, mpirt's mailbox buffers (mailbox.getBuf) and sw's CPE crews
+// (borrowCrew), now and then meet a new peak of messages or launches in
+// flight, and the try that grows one counts it.
 func TestWarmChunkAllocatesOnlyItsRankBody(t *testing.T) {
 	for _, b := range []exec.Backend{exec.Intel, exec.Athread} {
 		job, local := worldTestJob(t)
@@ -153,15 +158,25 @@ func TestWarmChunkAllocatesOnlyItsRankBody(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		const chunk = 2
-		run := func() {
-			if _, err := job.RunChecked(local, chunk); err != nil {
-				t.Fatal(err)
+		allocs := func(steps int) float64 {
+			run := func() {
+				if _, err := job.RunChecked(local, steps); err != nil {
+					t.Fatal(err)
+				}
 			}
+			run() // warm
+			least := math.Inf(1)
+			for try := 0; try < 3; try++ {
+				least = min(least, testing.AllocsPerRun(3, run))
+			}
+			return least
 		}
-		run() // warm
-		if got := testing.AllocsPerRun(5, run); got > 1 {
-			t.Errorf("%v: a warm %d-step chunk allocates %.2f times, want at most the rank-body closure", b, chunk, got)
+		two, six := allocs(2), allocs(6)
+		if perStep := (six - two) / 4; perStep > 0 {
+			t.Errorf("%v: a warm chunk allocates %.2f times per step (2 steps: %.2f, 6 steps: %.2f), want 0", b, perStep, two, six)
+		}
+		if !raceEnabled && two > 1 {
+			t.Errorf("%v: a warm 2-step chunk allocates %.2f times, want at most the rank-body closure", b, two)
 		}
 	}
 }

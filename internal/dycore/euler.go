@@ -14,16 +14,20 @@ import "swcam/internal/mesh"
 func EulerStepElem(e *mesh.Element, derivFlat []float64, np, nlev int,
 	u, v, in, out []float64, dt float64,
 	flxU, flxV, div, gv1, gv2 []float64) {
-	npsq := np * np
-	for k := 0; k < nlev; k++ {
-		o := k * npsq
-		for n := 0; n < npsq; n++ {
-			flxU[n] = u[o+n] * in[o+n]
-			flxV[n] = v[o+n] * in[o+n]
+	npsq, size := np*np, nlev*np*np
+	var op Operators
+	op.Set(np, e.DAlpha, derivFlat, e.DinvFlat, e.DFlat, e.Metdet)
+	u, v, in, out = u[:size:size], v[:size:size], in[:size:size], out[:size:size]
+	flxU, flxV, div = flxU[:npsq], flxV[:npsq], div[:npsq]
+	for o := 0; o < size; o += npsq {
+		uk, vk, ink, outk := u[o:o+npsq], v[o:o+npsq], in[o:o+npsq], out[o:o+npsq]
+		for n, q := range ink {
+			flxU[n] = uk[n] * q
+			flxV[n] = vk[n] * q
 		}
-		DivergenceSlab(derivFlat, e.DinvFlat, e.Metdet, e.DAlpha, np, flxU, flxV, div, gv1, gv2)
-		for n := 0; n < npsq; n++ {
-			out[o+n] = in[o+n] - dt*div[n]
+		op.Divergence(flxU, flxV, div, gv1, gv2)
+		for n, d := range div {
+			outk[n] = ink[n] - dt*d
 		}
 	}
 }
@@ -36,6 +40,7 @@ func EulerStepElem(e *mesh.Element, derivFlat []float64, np, nlev int,
 // SphereMP quadrature weights.
 func LimiterClipAndSum(qdp, w []float64) float64 {
 	var clipped, positive float64
+	w = w[:len(qdp)]
 	for n := range qdp {
 		if qdp[n] < 0 {
 			clipped += -qdp[n] * w[n]
@@ -63,6 +68,7 @@ func LimiterClipAndSum(qdp, w []float64) float64 {
 //
 // where stage2 already holds q1 + dt f(q1). out may alias qn or stage2.
 func SSPRK2Combine(qn, stage2, out []float64) {
+	qn, stage2 = qn[:len(out)], stage2[:len(out)]
 	for i := range out {
 		out[i] = 0.5*qn[i] + 0.5*stage2[i]
 	}

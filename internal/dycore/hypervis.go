@@ -27,12 +27,13 @@ func HypervisDP1Elem(e *mesh.Element, derivFlat []float64, np, nlev int,
 	lapU, lapV, lapT, lapDP []float64, scr []float64) {
 	npsq := np * np
 	s1, s2, s3, s4, s5, s6 := scratchSlabs(scr, npsq)
+	var op Operators
+	op.Set(np, e.DAlpha, derivFlat, e.DinvFlat, e.DFlat, e.Metdet)
 	for k := 0; k < nlev; k++ {
 		o := k * npsq
-		VecLaplaceSlab(derivFlat, e.DFlat, e.DinvFlat, e.Metdet, e.DAlpha, np,
-			u[o:o+npsq], v[o:o+npsq], lapU[o:o+npsq], lapV[o:o+npsq], s1, s2, s3, s4, s5, s6)
-		LaplaceSlab(derivFlat, e.DinvFlat, e.Metdet, e.DAlpha, np, tt[o:o+npsq], lapT[o:o+npsq], s1, s2, s3, s4)
-		LaplaceSlab(derivFlat, e.DinvFlat, e.Metdet, e.DAlpha, np, dp[o:o+npsq], lapDP[o:o+npsq], s1, s2, s3, s4)
+		op.VecLaplace(u[o:o+npsq], v[o:o+npsq], lapU[o:o+npsq], lapV[o:o+npsq], s1, s2, s3, s4, s5, s6)
+		op.Laplace(tt[o:o+npsq], lapT[o:o+npsq], s1, s2, s3, s4)
+		op.Laplace(dp[o:o+npsq], lapDP[o:o+npsq], s1, s2, s3, s4)
 	}
 }
 
@@ -48,19 +49,20 @@ func HypervisDP2Elem(e *mesh.Element, derivFlat []float64, np, nlev int,
 	scrU, scrV, scrS, scr []float64) {
 	npsq := np * np
 	s1, s2, s3, s4, s5, s6 := scratchSlabs(scr, npsq)
+	var op Operators
+	op.Set(np, e.DAlpha, derivFlat, e.DinvFlat, e.DFlat, e.Metdet)
 	for k := 0; k < nlev; k++ {
 		o := k * npsq
-		VecLaplaceSlab(derivFlat, e.DFlat, e.DinvFlat, e.Metdet, e.DAlpha, np,
-			lapU[o:o+npsq], lapV[o:o+npsq], scrU, scrV, s1, s2, s3, s4, s5, s6)
+		op.VecLaplace(lapU[o:o+npsq], lapV[o:o+npsq], scrU, scrV, s1, s2, s3, s4, s5, s6)
 		for n := 0; n < npsq; n++ {
 			u[o+n] -= dt * nuV * scrU[n]
 			v[o+n] -= dt * nuV * scrV[n]
 		}
-		LaplaceSlab(derivFlat, e.DinvFlat, e.Metdet, e.DAlpha, np, lapT[o:o+npsq], scrS, s1, s2, s3, s4)
+		op.Laplace(lapT[o:o+npsq], scrS, s1, s2, s3, s4)
 		for n := 0; n < npsq; n++ {
 			tt[o+n] -= dt * nuS * scrS[n]
 		}
-		LaplaceSlab(derivFlat, e.DinvFlat, e.Metdet, e.DAlpha, np, lapDP[o:o+npsq], scrS, s1, s2, s3, s4)
+		op.Laplace(lapDP[o:o+npsq], scrS, s1, s2, s3, s4)
 		for n := 0; n < npsq; n++ {
 			dp[o+n] -= dt * nuS * scrS[n]
 		}

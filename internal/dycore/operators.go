@@ -2,17 +2,14 @@ package dycore
 
 // Horizontal spectral-element operators on one np x np level slab.
 //
-// Each operator exists in two forms: a *Slab form that consumes flat
-// metric buffers (derivFlat row-major np x np, dinv/d flattened as
-// node*4+2*row+col) and caller-provided scratch — the form the Sunway
-// execution backends run against LDM tiles and the serial reference
-// solver runs with its own scratch — and, in the tests, a convenience
-// wrapper taking a *mesh.Element that allocates scratch. Both perform
-// identical arithmetic in identical order, which is what lets
+// Each operator is a method of Operators, one element's metrics, run
+// with caller-provided scratch — by the serial kernels and solvers on
+// main memory and by the Sunway execution backends on LDM tiles, all
+// with identical arithmetic in identical order, which is what lets
 // backend-equivalence tests demand agreement to rounding.
 //
 // At np = 4 — CAM-SE's production order, the only one the Athread
-// lowering accepts — every *Slab form runs one fixed-size arithmetic,
+// lowering accepts — every operator runs one fixed-size arithmetic,
 // shared by all lowerings: array views, so no bounds check survives, and
 // both m-reductions written out in the generic loop's operand order,
 // leading 0.0 + included so a -0 product still becomes +0. It has two
@@ -90,15 +87,86 @@ func covariantDerivSlab(derivFlat []float64, dAlpha float64, np int, s, da, db [
 	}
 }
 
-// GradientSlab computes the spherical gradient of scalar slab s into
+// Operators are one element's horizontal operators: its flat metrics
+// (derivFlat row-major np x np, dinv/d flattened as node*4+2*row+col,
+// metdet) for the generic loops and, at np = 4, their array views,
+// converted once per element by Set rather than once per operator call.
+type Operators struct {
+	np                         int
+	dAlpha, fac                float64 // fac = 2/dAlpha
+	deriv, dinv, dflat, metdet []float64
+	d4, metdet4                *slab4
+	dinv4, dflat4              *metric4
+}
+
+// Set makes o the operators of an element with the given metrics; one
+// that none of the caller's operators reads may be nil.
+func (o *Operators) Set(np int, dAlpha float64, deriv, dinv, dflat, metdet []float64) {
+	*o = Operators{np: np, dAlpha: dAlpha, fac: 2 / dAlpha, deriv: deriv, dinv: dinv, dflat: dflat, metdet: metdet}
+	if np == 4 {
+		o.d4 = (*slab4)(deriv)
+		if dinv != nil {
+			o.dinv4 = (*metric4)(dinv)
+		}
+		if dflat != nil {
+			o.dflat4 = (*metric4)(dflat)
+		}
+		if metdet != nil {
+			o.metdet4 = (*slab4)(metdet)
+		}
+	}
+}
+
+// Gradient computes the spherical gradient of scalar slab s into
 // (gx, gy), using scratch slices da, db (np*np each).
-func GradientSlab(derivFlat, dinvFlat []float64, dAlpha float64, np int, s, gx, gy, da, db []float64) {
-	if np != 4 {
-		gradientSlabGeneric(derivFlat, dinvFlat, dAlpha, np, s, gx, gy, da, db)
+func (o *Operators) Gradient(s, gx, gy, da, db []float64) {
+	if o.d4 == nil {
+		gradientSlabGeneric(o.deriv, o.dinv, o.dAlpha, o.np, s, gx, gy, da, db)
 		return
 	}
-	runGradient4((*slab4)(derivFlat), (*metric4)(dinvFlat), 2/dAlpha,
-		(*slab4)(s), (*slab4)(gx), (*slab4)(gy), (*slab4)(da), (*slab4)(db))
+	runGradient4(o.d4, o.dinv4, o.fac, (*slab4)(s), (*slab4)(gx), (*slab4)(gy), (*slab4)(da), (*slab4)(db))
+}
+
+// Divergence computes the spherical divergence of (u, v) into div,
+// using scratch gv1, gv2 (np*np each).
+func (o *Operators) Divergence(u, v, div, gv1, gv2 []float64) {
+	if o.d4 == nil {
+		divergenceSlabGeneric(o.deriv, o.dinv, o.metdet, o.dAlpha, o.np, u, v, div, gv1, gv2)
+		return
+	}
+	runDivergence4(o.d4, o.dinv4, o.metdet4, o.fac, (*slab4)(u), (*slab4)(v), (*slab4)(div), (*slab4)(gv1), (*slab4)(gv2))
+}
+
+// Vorticity computes the radial curl component of (u, v) into vort,
+// using scratch cov1, cov2.
+func (o *Operators) Vorticity(u, v, vort, cov1, cov2 []float64) {
+	if o.d4 == nil {
+		vorticitySlabGeneric(o.deriv, o.dflat, o.metdet, o.dAlpha, o.np, u, v, vort, cov1, cov2)
+		return
+	}
+	runVorticity4(o.d4, o.dflat4, o.metdet4, o.fac, (*slab4)(u), (*slab4)(v), (*slab4)(vort), (*slab4)(cov1), (*slab4)(cov2))
+}
+
+// Laplace computes div(grad s)) with caller scratch (4 slabs).
+func (o *Operators) Laplace(s, out, s1, s2, s3, s4 []float64) {
+	o.Gradient(s, s1, s2, s3, s4)
+	o.Divergence(s1, s2, out, s3, s4)
+}
+
+// VecLaplace computes the sphere-correct vector Laplacian
+// grad(div) - k x grad(vort) with caller scratch (6 slabs).
+func (o *Operators) VecLaplace(u, v, lu, lv, s1, s2, s3, s4, s5, s6 []float64) {
+	div, vort := s1, s2
+	o.Divergence(u, v, div, s3, s4)
+	o.Vorticity(u, v, vort, s3, s4)
+	o.Gradient(div, lu, lv, s3, s4)
+	o.Gradient(vort, s5, s6, s3, s4)
+	lv, s5, s6 = lv[:len(lu)], s5[:len(lu)], s6[:len(lu)]
+	for n := range lu {
+		// k x grad(vort) = (-gy, gx); subtract it.
+		lu[n] -= -s6[n]
+		lv[n] -= s5[n]
+	}
 }
 
 func gradientSlabGeneric(derivFlat, dinvFlat []float64, dAlpha float64, np int, s, gx, gy, da, db []float64) {
@@ -108,17 +176,6 @@ func gradientSlabGeneric(derivFlat, dinvFlat []float64, dAlpha float64, np int, 
 		gx[n] = (dinvFlat[4*n+0]*da[n] + dinvFlat[4*n+2]*db[n]) * Rrearth
 		gy[n] = (dinvFlat[4*n+1]*da[n] + dinvFlat[4*n+3]*db[n]) * Rrearth
 	}
-}
-
-// DivergenceSlab computes the spherical divergence of (u, v) into div,
-// using scratch gv1, gv2 (np*np each).
-func DivergenceSlab(derivFlat, dinvFlat, metdet []float64, dAlpha float64, np int, u, v, div, gv1, gv2 []float64) {
-	if np != 4 {
-		divergenceSlabGeneric(derivFlat, dinvFlat, metdet, dAlpha, np, u, v, div, gv1, gv2)
-		return
-	}
-	runDivergence4((*slab4)(derivFlat), (*metric4)(dinvFlat), (*slab4)(metdet), 2/dAlpha,
-		(*slab4)(u), (*slab4)(v), (*slab4)(div), (*slab4)(gv1), (*slab4)(gv2))
 }
 
 func divergenceSlabGeneric(derivFlat, dinvFlat, metdet []float64, dAlpha float64, np int, u, v, div, gv1, gv2 []float64) {
@@ -143,17 +200,6 @@ func divergenceSlabGeneric(derivFlat, dinvFlat, metdet []float64, dAlpha float64
 	}
 }
 
-// VorticitySlab computes the radial curl component of (u, v) into vort,
-// using scratch cov1, cov2.
-func VorticitySlab(derivFlat, dFlat, metdet []float64, dAlpha float64, np int, u, v, vort, cov1, cov2 []float64) {
-	if np != 4 {
-		vorticitySlabGeneric(derivFlat, dFlat, metdet, dAlpha, np, u, v, vort, cov1, cov2)
-		return
-	}
-	runVorticity4((*slab4)(derivFlat), (*metric4)(dFlat), (*slab4)(metdet), 2/dAlpha,
-		(*slab4)(u), (*slab4)(v), (*slab4)(vort), (*slab4)(cov1), (*slab4)(cov2))
-}
-
 func vorticitySlabGeneric(derivFlat, dFlat, metdet []float64, dAlpha float64, np int, u, v, vort, cov1, cov2 []float64) {
 	npsq := np * np
 	for n := 0; n < npsq; n++ {
@@ -172,28 +218,5 @@ func vorticitySlabGeneric(derivFlat, dFlat, metdet []float64, dAlpha float64, np
 			n := j*np + i
 			vort[n] = (dda - ddb) * fac * Rrearth / metdet[n]
 		}
-	}
-}
-
-// LaplaceSlab computes div(grad s)) with caller scratch (4 slabs).
-func LaplaceSlab(derivFlat, dinvFlat, metdet []float64, dAlpha float64, np int, s, out, s1, s2, s3, s4 []float64) {
-	GradientSlab(derivFlat, dinvFlat, dAlpha, np, s, s1, s2, s3, s4)
-	DivergenceSlab(derivFlat, dinvFlat, metdet, dAlpha, np, s1, s2, out, s3, s4)
-}
-
-// VecLaplaceSlab computes the sphere-correct vector Laplacian
-// grad(div) - k x grad(vort) with caller scratch (6 slabs).
-func VecLaplaceSlab(derivFlat, dFlat, dinvFlat, metdet []float64, dAlpha float64, np int,
-	u, v, lu, lv, s1, s2, s3, s4, s5, s6 []float64) {
-	npsq := np * np
-	div, vort := s1, s2
-	DivergenceSlab(derivFlat, dinvFlat, metdet, dAlpha, np, u, v, div, s3, s4)
-	VorticitySlab(derivFlat, dFlat, metdet, dAlpha, np, u, v, vort, s3, s4)
-	GradientSlab(derivFlat, dinvFlat, dAlpha, np, div, lu, lv, s3, s4)
-	GradientSlab(derivFlat, dinvFlat, dAlpha, np, vort, s5, s6, s3, s4)
-	for n := 0; n < npsq; n++ {
-		// k x grad(vort) = (-gy, gx); subtract it.
-		lu[n] -= -s6[n]
-		lv[n] -= s5[n]
 	}
 }

@@ -536,3 +536,46 @@ func CurlSphere(e *mesh.Element, derivFlat []float64, np int, psi, u, v []float6
 		v[n] = gx[n]
 	}
 }
+
+// The *Slab forms: one call of one operator with the flat metrics it
+// reads, the form the operator tests and benchmarks drive.
+
+// GradientSlab computes the spherical gradient of scalar slab s into
+// (gx, gy), using scratch slices da, db (np*np each).
+func GradientSlab(derivFlat, dinvFlat []float64, dAlpha float64, np int, s, gx, gy, da, db []float64) {
+	var o Operators
+	o.Set(np, dAlpha, derivFlat, dinvFlat, nil, nil)
+	o.Gradient(s, gx, gy, da, db)
+}
+
+// DivergenceSlab computes the spherical divergence of (u, v) into div,
+// using scratch gv1, gv2 (np*np each).
+func DivergenceSlab(derivFlat, dinvFlat, metdet []float64, dAlpha float64, np int, u, v, div, gv1, gv2 []float64) {
+	var o Operators
+	o.Set(np, dAlpha, derivFlat, dinvFlat, nil, metdet)
+	o.Divergence(u, v, div, gv1, gv2)
+}
+
+// VorticitySlab computes the radial curl component of (u, v) into vort,
+// using scratch cov1, cov2.
+func VorticitySlab(derivFlat, dFlat, metdet []float64, dAlpha float64, np int, u, v, vort, cov1, cov2 []float64) {
+	var o Operators
+	o.Set(np, dAlpha, derivFlat, nil, dFlat, metdet)
+	o.Vorticity(u, v, vort, cov1, cov2)
+}
+
+// LaplaceSlab computes div(grad s)) with caller scratch (4 slabs).
+func LaplaceSlab(derivFlat, dinvFlat, metdet []float64, dAlpha float64, np int, s, out, s1, s2, s3, s4 []float64) {
+	var o Operators
+	o.Set(np, dAlpha, derivFlat, dinvFlat, nil, metdet)
+	o.Laplace(s, out, s1, s2, s3, s4)
+}
+
+// VecLaplaceSlab computes the sphere-correct vector Laplacian
+// grad(div) - k x grad(vort) with caller scratch (6 slabs).
+func VecLaplaceSlab(derivFlat, dFlat, dinvFlat, metdet []float64, dAlpha float64, np int,
+	u, v, lu, lv, s1, s2, s3, s4, s5, s6 []float64) {
+	var o Operators
+	o.Set(np, dAlpha, derivFlat, dinvFlat, dFlat, metdet)
+	o.VecLaplace(u, v, lu, lv, s1, s2, s3, s4, s5, s6)
+}

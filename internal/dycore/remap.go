@@ -98,24 +98,26 @@ func (rw *RemapWorkspace) Prepare(dpS, dpT []float64) {
 	if math.Abs(totS-totT) > 1e-8*math.Max(totS, 1) {
 		panic(fmt.Sprintf("dycore: PPM remap column totals differ: %g vs %g", totS, totT))
 	}
-	dp := rw.dpS
+	dp, slopeW, edgeW := rw.dpS[:n:n], rw.slopeW[:n:n], rw.edgeW[:n:n]
 	copy(dp, dpS)
 	rw.dpT = append(rw.dpT[:0], dpT...)
 
-	// Slope weights (CW84 eq. 1.7).
-	for j := 1; j < n-1; j++ {
-		dm, d0, dp1 := dp[j-1], dp[j], dp[j+1]
-		rw.slopeW[j] = slopeWeights{
+	// Slope weights (CW84 eq. 1.7); loops run over a stencil's right cell r.
+	for r := 2; r < n; r++ {
+		j := r - 1
+		dm, d0, dp1 := dp[j-1], dp[j], dp[r]
+		slopeW[j] = slopeWeights{
 			w0: d0 / (dm + d0 + dp1),
 			w1: (2*dm + d0) / (dp1 + d0),
 			w2: (d0 + 2*dp1) / (dm + d0),
 		}
 	}
 	// Edge weights (CW84 eq. 1.6) and the low-order boundary edges.
-	for j := 1; j < n-2; j++ {
-		dm, d0, d1, d2 := dp[j-1], dp[j], dp[j+1], dp[j+2]
+	for r := 3; r < n; r++ {
+		j := r - 2
+		dm, d0, d1, d2 := dp[j-1], dp[j], dp[j+1], dp[r]
 		sum := dm + d0 + d1 + d2
-		rw.edgeW[j] = edgeWeights{
+		edgeW[j] = edgeWeights{
 			lin:   d0 / (d0 + d1),
 			inv:   1 / sum,
 			jump:  2 * d1 * d0 / (d0 + d1) * ((dm+d0)/(2*d0+d1) - (d2+d1)/(2*d1+d0)),
@@ -133,10 +135,11 @@ func (rw *RemapWorkspace) Prepare(dpS, dpT []float64) {
 	// cell), and every cell before the one holding a shallower depth
 	// fails that test for z too. A depth that does not grow (a negative
 	// or NaN thickness) restarts the walk from the top.
-	zS := rw.zS
+	zS := rw.zS[: n+1 : n+1]
+	zTop, zBot := zS[:n], zS[1:][:n]
 	zS[0] = 0
-	for j := 0; j < n; j++ {
-		zS[j+1] = zS[j] + dp[j]
+	for j, d := range dp {
+		zBot[j] = zTop[j] + d
 	}
 	m := len(dpT) - 1
 	if m < 0 {
@@ -145,27 +148,28 @@ func (rw *RemapWorkspace) Prepare(dpS, dpT []float64) {
 	if cap(rw.walk) < m {
 		rw.walk = make([]remapStep, m)
 	}
-	rw.walk = rw.walk[:m]
+	walk := rw.walk[:m]
+	rw.walk = walk
 	zt, zPrev, j := 0.0, math.Inf(-1), 0
-	for t := range rw.walk {
-		zt += dpT[t]
+	for t, d := range dpT[:m] {
+		zt += d
 		if zt <= 0 {
-			rw.walk[t] = remapStep{j: -1}
+			walk[t] = remapStep{j: -1}
 			continue
 		}
 		if !(zt >= zPrev) {
 			j = 0
 		}
-		for !(zt <= zS[j+1] || j == n-1) {
+		for !(zt <= zBot[j] || j == n-1) {
 			j++
 		}
 		zPrev = zt
-		x := (zt - zS[j]) / dp[j]
+		x := (zt - zTop[j]) / dp[j]
 		if x > 1 {
 			x = 1
 		}
 		x2 := x * x
-		rw.walk[t] = remapStep{j: j, x: x, x2: x2, cub: x2/2 - x2*x/3}
+		walk[t] = remapStep{j: j, x: x, x2: x2, cub: x2/2 - x2*x/3}
 	}
 }
 
@@ -175,14 +179,16 @@ func (rw *RemapWorkspace) Prepare(dpS, dpT []float64) {
 // at the model top and surface.
 func (rw *RemapWorkspace) buildPPM(a []float64) {
 	n := len(a)
-	dp, slope, edge, c := rw.dpS, rw.slope, rw.edge, &rw.coef
+	dp, slope, edge, slopeW, edgeW := rw.dpS[:n:n], rw.slope[:n:n], rw.edge[:n+1:n+1], rw.slopeW[:n:n], rw.edgeW[:n:n]
+	aL, da, a6 := rw.coef.aL[:n:n], rw.coef.da[:n:n], rw.coef.a6[:n:n]
 	// Limited slopes (CW84 eq. 1.7-1.8).
 	slope[0], slope[n-1] = 0, 0
-	for j := 1; j < n-1; j++ {
-		dl, dr := a[j]-a[j-1], a[j+1]-a[j]
+	for r := 2; r < n; r++ {
+		j := r - 1
+		dl, dr := a[j]-a[j-1], a[r]-a[j]
 		slope[j] = 0
 		if dr*dl > 0 {
-			w := &rw.slopeW[j]
+			w := &slopeW[j]
 			s := w.w0 * (w.w1*dr + w.w2*dl)
 			lim := math.Min(math.Abs(s), 2*math.Abs(dl))
 			lim = math.Min(lim, 2*math.Abs(dr))
@@ -190,10 +196,12 @@ func (rw *RemapWorkspace) buildPPM(a []float64) {
 		}
 	}
 	// Edge values between cells j and j+1 (CW84 eq. 1.6).
-	for j := 1; j < n-2; j++ {
-		w := &rw.edgeW[j]
-		da := a[j+1] - a[j]
-		edge[j+1] = a[j] + w.lin*da + w.inv*(w.jump*da-w.right*slope[j+1]+w.left*slope[j])
+	eL, eR := edge[:n], edge[1:][:n]
+	for r := 3; r < n; r++ {
+		j := r - 2
+		w := &edgeW[j]
+		d := a[j+1] - a[j]
+		eR[j] = a[j] + w.lin*d + w.inv*(w.jump*d-w.right*slope[j+1]+w.left*slope[j])
 	}
 	// Low-order edges near the column boundaries.
 	edge[0] = a[0]
@@ -201,23 +209,23 @@ func (rw *RemapWorkspace) buildPPM(a []float64) {
 	edge[n-1] = (a[n-2]*dp[n-1] + a[n-1]*dp[n-2]) / rw.denN
 	edge[n] = a[n-1]
 
-	for j := 0; j < n; j++ {
-		aL, aR := edge[j], edge[j+1]
+	for j, aj := range a {
+		aLj, aRj := eL[j], eR[j]
 		// Monotonize the parabola (CW84 eq. 1.10).
-		if (aR-a[j])*(a[j]-aL) <= 0 {
-			aL, aR = a[j], a[j]
+		if (aRj-aj)*(aj-aLj) <= 0 {
+			aLj, aRj = aj, aj
 		} else {
-			d := aR - aL
-			a6 := 6*a[j] - 3*(aL+aR)
-			if d*a6 > d*d {
-				aL = 3*a[j] - 2*aR
-			} else if -d*d > d*a6 {
-				aR = 3*a[j] - 2*aL
+			d := aRj - aLj
+			a6j := 6*aj - 3*(aLj+aRj)
+			if d*a6j > d*d {
+				aLj = 3*aj - 2*aRj
+			} else if -d*d > d*a6j {
+				aRj = 3*aj - 2*aLj
 			}
 		}
-		c.aL[j] = aL
-		c.da[j] = aR - aL
-		c.a6[j] = 6*a[j] - 3*(aL+aR)
+		aL[j] = aLj
+		da[j] = aRj - aLj
+		a6[j] = 6*aj - 3*(aLj+aRj)
 	}
 }
 
@@ -225,36 +233,38 @@ func (rw *RemapWorkspace) buildPPM(a []float64) {
 // the target averages out. It is exactly conservative: the cumulative
 // mass at the column bottom is reproduced to roundoff.
 func (rw *RemapWorkspace) Apply(a, out []float64) {
-	n := len(rw.dpS)
-	if len(a) != n || len(out) != len(rw.dpT) {
+	dpS, dpT := rw.dpS, rw.dpT
+	n := len(dpS)
+	if len(a) != n || len(out) != len(dpT) {
 		panic("dycore: PPM remap length mismatch")
 	}
 	rw.buildPPM(a)
-	c := &rw.coef
-	dpS := rw.dpS
+	aL, da, a6 := rw.coef.aL[:n:n], rw.coef.da[:n:n], rw.coef.a6[:n:n]
 
 	// Cumulative source mass at source interfaces.
-	cum := rw.cum
+	cum := rw.cum[: n+1 : n+1]
+	cumTop, cumBot := cum[:n], cum[1:][:n]
 	cum[0] = 0
-	for j := 0; j < n; j++ {
-		cum[j+1] = cum[j] + a[j]*dpS[j]
+	for j, d := range dpS {
+		cumBot[j] = cumTop[j] + a[j]*d
 	}
 	// Cumulative mass at each target interface: the prepared cell's
-	// cumulative mass plus the parabola's integral into it.
+	// cumulative mass plus the parabola's integral into it; the last
+	// takes the exact column total (exact conservation).
 	mPrev := 0.0
-	last := len(rw.dpT) - 1
-	for t, d := range rw.dpT {
+	walk := rw.walk
+	outW := out[:len(walk)]
+	for t, d := range dpT[:len(walk)] {
 		var m float64
-		switch {
-		case t == last:
-			m = cum[n] // exact conservation at the column end
-		case rw.walk[t].j >= 0:
-			s := &rw.walk[t]
+		if s := &walk[t]; s.j >= 0 {
 			j := s.j
-			m = cum[j] + dpS[j]*(c.aL[j]*s.x+c.da[j]*s.x2/2+c.a6[j]*s.cub)
+			m = cumTop[j] + dpS[j]*(aL[j]*s.x+da[j]*s.x2/2+a6[j]*s.cub)
 		}
-		out[t] = (m - mPrev) / d
+		outW[t] = (m - mPrev) / d
 		mPrev = m
+	}
+	if last := len(dpT) - 1; last >= 0 {
+		out[last] = (cum[n] - mPrev) / dpT[last]
 	}
 }
 
@@ -267,24 +277,27 @@ func (rw *RemapWorkspace) Apply(a, out []float64) {
 func RemapStateElem(h *HybridCoord, np, nlev, qsize int,
 	u, v, tt, dp, qdp []float64,
 	colSrc, colVal, colRef, colOut []float64, rw *RemapWorkspace) {
-	npsq := np * np
+	npsq, size := np*np, nlev*np*np
+	u, v, tt, dp, qdp = u[:size:size], v[:size:size], tt[:size:size], dp[:size:size], qdp[:qsize*size]
+	colSrc, colVal, colRef, colOut = colSrc[:nlev], colVal[:nlev], colRef[:nlev], colOut[:nlev]
+	step := uint(npsq) // column loops bound level k and field index i both: neither is checked
 	for n := 0; n < npsq; n++ {
 		// Deformed column and its implied surface pressure.
 		ps := PTop
-		for k := 0; k < nlev; k++ {
-			colSrc[k] = dp[k*npsq+n]
+		for k, i := 0, uint(n); k < nlev && i < uint(len(dp)); k, i = k+1, i+step {
+			colSrc[k] = dp[i]
 			ps += colSrc[k]
 		}
 		h.ReferenceDP(ps, colRef)
 		rw.Prepare(colSrc, colRef)
 
 		remapField := func(f []float64) {
-			for k := 0; k < nlev; k++ {
-				colVal[k] = f[k*npsq+n]
+			for k, i := 0, uint(n); k < nlev && i < uint(len(f)); k, i = k+1, i+step {
+				colVal[k] = f[i]
 			}
 			rw.Apply(colVal, colOut)
-			for k := 0; k < nlev; k++ {
-				f[k*npsq+n] = colOut[k]
+			for k, i := 0, uint(n); k < nlev && i < uint(len(f)); k, i = k+1, i+step {
+				f[i] = colOut[k]
 			}
 		}
 		remapField(u)
@@ -294,17 +307,17 @@ func RemapStateElem(h *HybridCoord, np, nlev, qsize int,
 			// Tracers advect as mass qdp; remap the mixing ratio
 			// q = qdp/dp (a cell average) and rebuild mass on the
 			// reference grid.
-			base := q * nlev * npsq
-			for k := 0; k < nlev; k++ {
-				colVal[k] = qdp[base+k*npsq+n] / colSrc[k]
+			base := uint(q*size + n)
+			for k, i := 0, base; k < nlev && i < uint(len(qdp)); k, i = k+1, i+step {
+				colVal[k] = qdp[i] / colSrc[k]
 			}
 			rw.Apply(colVal, colOut)
-			for k := 0; k < nlev; k++ {
-				qdp[base+k*npsq+n] = colOut[k] * colRef[k]
+			for k, i := 0, base; k < nlev && i < uint(len(qdp)); k, i = k+1, i+step {
+				qdp[i] = colOut[k] * colRef[k]
 			}
 		}
-		for k := 0; k < nlev; k++ {
-			dp[k*npsq+n] = colRef[k]
+		for k, i := 0, uint(n); k < nlev && i < uint(len(dp)); k, i = k+1, i+step {
+			dp[i] = colRef[k]
 		}
 	}
 }

@@ -9,13 +9,11 @@ import (
 // Workspace holds preallocated per-element scratch for the RHS kernels,
 // sized for one element at a time; kernels must not retain it.
 type Workspace struct {
-	np, nlev int
-	pInt     []float64 // interface pressures, (nlev+1) per node (node-major)
+	np       int
 	pMid     []float64 // midpoint pressures, level-major slabs
 	phi      []float64 // midpoint geopotential
-	divDp    []float64 // div(v dp) per level
-	cumDiv   []float64 // vertical running sum of divDp
-	omegaP   []float64 // omega/p
+	run      []float64 // each node's running column value, one scan at a time
+	div      []float64 // div(v dp) at the level
 	ke       []float64
 	vort     []float64
 	gx, gy   []float64
@@ -41,44 +39,44 @@ func Coriolis(e *mesh.Element) []float64 {
 func NewWorkspace(np, nlev int) *Workspace {
 	npsq := np * np
 	return &Workspace{
-		np: np, nlev: nlev,
-		pInt:   make([]float64, (nlev+1)*npsq),
-		pMid:   make([]float64, nlev*npsq),
-		phi:    make([]float64, nlev*npsq),
-		divDp:  make([]float64, nlev*npsq),
-		cumDiv: make([]float64, nlev*npsq),
-		omegaP: make([]float64, nlev*npsq),
-		ke:     make([]float64, npsq),
-		vort:   make([]float64, npsq),
-		gx:     make([]float64, npsq),
-		gy:     make([]float64, npsq),
-		gpx:    make([]float64, npsq),
-		gpy:    make([]float64, npsq),
-		tx:     make([]float64, npsq),
-		ty:     make([]float64, npsq),
-		flxU:   make([]float64, npsq),
-		flxV:   make([]float64, npsq),
-		s1:     make([]float64, npsq),
-		s2:     make([]float64, npsq),
+		np:   np,
+		pMid: make([]float64, nlev*npsq),
+		phi:  make([]float64, nlev*npsq),
+		run:  make([]float64, npsq),
+		div:  make([]float64, npsq),
+		ke:   make([]float64, npsq),
+		vort: make([]float64, npsq),
+		gx:   make([]float64, npsq),
+		gy:   make([]float64, npsq),
+		gpx:  make([]float64, npsq),
+		gpy:  make([]float64, npsq),
+		tx:   make([]float64, npsq),
+		ty:   make([]float64, npsq),
+		flxU: make([]float64, npsq),
+		flxV: make([]float64, npsq),
+		s1:   make([]float64, npsq),
+		s2:   make([]float64, npsq),
 	}
 }
 
-// PressureScans fills the workspace pInt/pMid arrays from the layer
+// The element kernels reslice each field to [:size:size] once, so only a
+// level's first o:o+npsq reslice is checked and no node loop has a check.
+
+// PressureScans fills the workspace pMid array from the layer
 // thicknesses of one element: the vertical prefix-sum the paper
 // parallelizes over the CPE mesh with register communication (§7.4).
-// dp is level-major; pInt is stored node-major ((nlev+1) values per node)
-// because it is consumed column-wise.
+// It runs level by level, each node's interface pressure in w.run.
 func (w *Workspace) PressureScans(dp []float64) {
-	np, nlev := w.np, w.nlev
-	npsq := np * np
-	for n := 0; n < npsq; n++ {
-		p := PTop
-		w.pInt[n*(nlev+1)] = p
-		for k := 0; k < nlev; k++ {
-			d := dp[k*npsq+n]
-			w.pMid[k*npsq+n] = p + d/2
-			p += d
-			w.pInt[n*(nlev+1)+k+1] = p
+	npsq, size := w.np*w.np, len(w.pMid)
+	dp, pMid, p := dp[:size:size], w.pMid[:size:size], w.run[:npsq]
+	for n := range p {
+		p[n] = PTop
+	}
+	for o := 0; o < size; o += npsq {
+		dk, mk := dp[o:o+npsq], pMid[o:o+npsq]
+		for n, d := range dk {
+			mk[n] = p[n] + d/2
+			p[n] += d
 		}
 	}
 }
@@ -90,14 +88,16 @@ func (w *Workspace) PressureScans(dp []float64) {
 //	phi_int(k)   = phi_int(k+1) + Rd T(k) dp(k) / pMid(k)
 //	phi(k)       = phi_int(k+1) + Rd T(k) dp(k) / (2 pMid(k))
 func (w *Workspace) GeopotentialScan(tt, dp, phis []float64) {
-	np, nlev := w.np, w.nlev
-	npsq := np * np
-	for n := 0; n < npsq; n++ {
-		phiInt := phis[n]
-		for k := nlev - 1; k >= 0; k-- {
-			dphi := Rd * tt[k*npsq+n] * dp[k*npsq+n] / w.pMid[k*npsq+n]
-			w.phi[k*npsq+n] = phiInt + dphi/2
-			phiInt += dphi
+	npsq, size := w.np*w.np, len(w.pMid)
+	tt, dp, pMid, phi := tt[:size:size], dp[:size:size], w.pMid[:size:size], w.phi[:size:size]
+	phiInt := w.run[:npsq]
+	copy(phiInt, phis)
+	for o := size - npsq; o >= 0; o -= npsq {
+		tk, dk, mk, fk := tt[o:o+npsq], dp[o:o+npsq], pMid[o:o+npsq], phi[o:o+npsq]
+		for n, t := range tk {
+			dphi := Rd * t * dk[n] / mk[n]
+			fk[n] = phiInt[n] + dphi/2
+			phiInt[n] += dphi
 		}
 	}
 }
@@ -133,72 +133,72 @@ func ComputeAndApplyRHSElem(e *mesh.Element, cor, derivFlat []float64, w *Worksp
 	outU, outV, outT, outDP []float64,
 	dt float64) {
 
-	np, nlev := w.np, w.nlev
-	npsq := np * np
+	npsq, size := w.np*w.np, len(w.pMid)
+	var op Operators
+	op.Set(w.np, e.DAlpha, derivFlat, e.DinvFlat, e.DFlat, e.Metdet)
 
 	// Vertical scans: pressure and geopotential.
 	w.PressureScans(curDP)
 	w.GeopotentialScan(curT, curDP, phis)
 
-	// Per-level horizontal terms; divDp feeds the omega scan below.
-	for k := 0; k < nlev; k++ {
-		o := k * npsq
-		uk, vk := curU[o:o+npsq], curV[o:o+npsq]
+	curU, curV, curT, curDP = curU[:size:size], curV[:size:size], curT[:size:size], curDP[:size:size]
+	pMid, phi := w.pMid[:size:size], w.phi[:size:size]
+	ut, vt, tt, dpt := rhs.Ut[:size:size], rhs.Vt[:size:size], rhs.Tt[:size:size], rhs.DPt[:size:size]
+	baseU, baseV, baseT, baseDP = baseU[:size:size], baseV[:size:size], baseT[:size:size], baseDP[:size:size]
+	outU, outV, outT, outDP = outU[:size:size], outV[:size:size], outT[:size:size], outDP[:size:size]
+	cor, run, div, ke, vort := cor[:npsq], w.run[:npsq], w.div[:npsq], w.ke[:npsq], w.vort[:npsq]
+	gx, gy, gpx, gpy, tx, ty := w.gx[:npsq], w.gy[:npsq], w.gpx[:npsq], w.gpy[:npsq], w.tx[:npsq], w.ty[:npsq]
+	flxU, flxV := w.flxU[:npsq], w.flxV[:npsq]
+	clear(run)
+	for o := 0; o < size; o += npsq {
+		uk, vk, tk, dk := curU[o:o+npsq], curV[o:o+npsq], curT[o:o+npsq], curDP[o:o+npsq]
+
 		// Mass flux and its divergence.
-		for n := 0; n < npsq; n++ {
-			w.flxU[n] = uk[n] * curDP[o+n]
-			w.flxV[n] = vk[n] * curDP[o+n]
+		for n, d := range dk {
+			flxU[n] = uk[n] * d
+			flxV[n] = vk[n] * d
 		}
-		DivergenceSlab(derivFlat, e.DinvFlat, e.Metdet, e.DAlpha, np,
-			w.flxU, w.flxV, w.divDp[o:o+npsq], w.s1, w.s2)
-	}
-
-	// Omega scan: omega(k) = v.grad(p)(k) - [sum_{l<k} divDp(l) + divDp(k)/2].
-	// The cumulative sum is the third vertical dependency chain of §7.4.
-	for n := 0; n < npsq; n++ {
-		run := 0.0
-		for k := 0; k < nlev; k++ {
-			w.cumDiv[k*npsq+n] = run + w.divDp[k*npsq+n]/2
-			run += w.divDp[k*npsq+n]
-		}
-	}
-
-	for k := 0; k < nlev; k++ {
-		o := k * npsq
-		uk, vk := curU[o:o+npsq], curV[o:o+npsq]
-		tk := curT[o : o+npsq]
+		op.Divergence(flxU, flxV, div, w.s1, w.s2)
 
 		// Kinetic energy + geopotential gradient (vector-invariant form).
-		for n := 0; n < npsq; n++ {
-			w.ke[n] = (uk[n]*uk[n]+vk[n]*vk[n])/2 + w.phi[o+n]
+		pk, fk := pMid[o:o+npsq], phi[o:o+npsq]
+		for n, f := range fk {
+			ke[n] = (uk[n]*uk[n]+vk[n]*vk[n])/2 + f
 		}
-		GradientSlab(derivFlat, e.DinvFlat, e.DAlpha, np, w.ke, w.gx, w.gy, w.s1, w.s2)
+		op.Gradient(ke, gx, gy, w.s1, w.s2)
 		// Pressure gradient at the level.
-		GradientSlab(derivFlat, e.DinvFlat, e.DAlpha, np, w.pMid[o:o+npsq], w.gpx, w.gpy, w.s1, w.s2)
+		op.Gradient(pk, gpx, gpy, w.s1, w.s2)
 		// Temperature gradient for horizontal advection.
-		GradientSlab(derivFlat, e.DinvFlat, e.DAlpha, np, tk, w.tx, w.ty, w.s1, w.s2)
+		op.Gradient(tk, tx, ty, w.s1, w.s2)
 		// Relative vorticity.
-		VorticitySlab(derivFlat, e.DFlat, e.Metdet, e.DAlpha, np, uk, vk, w.vort, w.s1, w.s2)
+		op.Vorticity(uk, vk, vort, w.s1, w.s2)
 
-		for n := 0; n < npsq; n++ {
-			absv := w.vort[n] + cor[n]
-			p := w.pMid[o+n]
-			vgradP := uk[n]*w.gpx[n] + vk[n]*w.gpy[n]
-			omega := vgradP - w.cumDiv[o+n]
-			w.omegaP[o+n] = omega / p
+		utk, vtk, ttk, dptk := ut[o:o+npsq], vt[o:o+npsq], tt[o:o+npsq], dpt[o:o+npsq]
+		bu, bv, bt, bdp := baseU[o:o+npsq], baseV[o:o+npsq], baseT[o:o+npsq], baseDP[o:o+npsq]
+		ou, ov, ot, odp := outU[o:o+npsq], outV[o:o+npsq], outT[o:o+npsq], outDP[o:o+npsq]
+		for n, c := range cor {
+			// Omega scan: omega(k) = v.grad(p)(k) - [sum_{l<k} divDp(l) +
+			// divDp(k)/2]. The running sum is the third vertical
+			// dependency chain of §7.4.
+			cumDiv := run[n] + div[n]/2
+			run[n] += div[n]
 
-			rhs.Ut[o+n] = absv*vk[n] - w.gx[n] - Rd*tk[n]/p*w.gpx[n]
-			rhs.Vt[o+n] = -absv*uk[n] - w.gy[n] - Rd*tk[n]/p*w.gpy[n]
-			rhs.Tt[o+n] = -(uk[n]*w.tx[n] + vk[n]*w.ty[n]) + Kappa*tk[n]*w.omegaP[o+n]
-			rhs.DPt[o+n] = -w.divDp[o+n]
+			absv := vort[n] + c
+			p := pk[n]
+			vgradP := uk[n]*gpx[n] + vk[n]*gpy[n]
+			omega := vgradP - cumDiv
+			omegaP := omega / p
+
+			utk[n] = absv*vk[n] - gx[n] - Rd*tk[n]/p*gpx[n]
+			vtk[n] = -absv*uk[n] - gy[n] - Rd*tk[n]/p*gpy[n]
+			ttk[n] = -(uk[n]*tx[n] + vk[n]*ty[n]) + Kappa*tk[n]*omegaP
+			dptk[n] = -div[n]
+
+			// Apply: out = base + dt * tendency.
+			ou[n] = bu[n] + dt*utk[n]
+			ov[n] = bv[n] + dt*vtk[n]
+			ot[n] = bt[n] + dt*ttk[n]
+			odp[n] = bdp[n] + dt*dptk[n]
 		}
-	}
-
-	// Apply: out = base + dt * tendency.
-	for i := 0; i < nlev*npsq; i++ {
-		outU[i] = baseU[i] + dt*rhs.Ut[i]
-		outV[i] = baseV[i] + dt*rhs.Vt[i]
-		outT[i] = baseT[i] + dt*rhs.Tt[i]
-		outDP[i] = baseDP[i] + dt*rhs.DPt[i]
 	}
 }

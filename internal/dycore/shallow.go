@@ -113,18 +113,20 @@ func (s *SWSolver) applyRHS(cur, base, out *SWState, dt float64) {
 	m := s.Mesh
 	np := m.Np
 	npsq := np * np
+	var op Operators
 	for ei, e := range m.Elements {
 		u, v, h := cur.U[ei], cur.V[ei], cur.H[ei]
-		VorticitySlab(m.DerivFlat, e.DFlat, e.Metdet, e.DAlpha, np, u, v, s.vort, s.s1, s.s2)
+		op.Set(np, e.DAlpha, m.DerivFlat, e.DinvFlat, e.DFlat, e.Metdet)
+		op.Vorticity(u, v, s.vort, s.s1, s.s2)
 		for n := 0; n < npsq; n++ {
 			s.ke[n] = (u[n]*u[n]+v[n]*v[n])/2 + Gravit*(h[n]+s.Hs[ei][n])
 		}
-		GradientSlab(m.DerivFlat, e.DinvFlat, e.DAlpha, np, s.ke, s.gx, s.gy, s.s1, s.s2)
+		op.Gradient(s.ke, s.gx, s.gy, s.s1, s.s2)
 		for n := 0; n < npsq; n++ {
 			s.flxU[n] = u[n] * h[n]
 			s.flxV[n] = v[n] * h[n]
 		}
-		DivergenceSlab(m.DerivFlat, e.DinvFlat, e.Metdet, e.DAlpha, np, s.flxU, s.flxV, s.divH, s.s1, s.s2)
+		op.Divergence(s.flxU, s.flxV, s.divH, s.s1, s.s2)
 		for n := 0; n < npsq; n++ {
 			f := 2 * Omega * math.Sin(e.Lat[n])
 			absv := s.vort[n] + f
@@ -147,22 +149,21 @@ func (s *SWSolver) hypervis(st *SWState) {
 	m := s.Mesh
 	np := m.Np
 	npsq := np * np
+	var op Operators
 	for ei, e := range m.Elements {
-		VecLaplaceSlab(m.DerivFlat, e.DFlat, e.DinvFlat, e.Metdet, e.DAlpha, np,
-			st.U[ei], st.V[ei], s.lapU[ei], s.lapV[ei], s.s1, s.s2, s.s3, s.s4, s.s5, s.s6)
-		LaplaceSlab(m.DerivFlat, e.DinvFlat, e.Metdet, e.DAlpha, np,
-			st.H[ei], s.lapH[ei], s.s1, s.s2, s.s3, s.s4)
+		op.Set(np, e.DAlpha, m.DerivFlat, e.DinvFlat, e.DFlat, e.Metdet)
+		op.VecLaplace(st.U[ei], st.V[ei], s.lapU[ei], s.lapV[ei], s.s1, s.s2, s.s3, s.s4, s.s5, s.s6)
+		op.Laplace(st.H[ei], s.lapH[ei], s.s1, s.s2, s.s3, s.s4)
 	}
 	s.dss(s.lapU, s.lapV, s.lapH)
 	for ei, e := range m.Elements {
-		VecLaplaceSlab(m.DerivFlat, e.DFlat, e.DinvFlat, e.Metdet, e.DAlpha, np,
-			s.lapU[ei], s.lapV[ei], s.s5, s.s6, s.s1, s.s2, s.s3, s.s4, s.gx, s.gy)
+		op.Set(np, e.DAlpha, m.DerivFlat, e.DinvFlat, e.DFlat, e.Metdet)
+		op.VecLaplace(s.lapU[ei], s.lapV[ei], s.s5, s.s6, s.s1, s.s2, s.s3, s.s4, s.gx, s.gy)
 		for n := 0; n < npsq; n++ {
 			st.U[ei][n] -= s.Dt * s.Nu * s.s5[n]
 			st.V[ei][n] -= s.Dt * s.Nu * s.s6[n]
 		}
-		LaplaceSlab(m.DerivFlat, e.DinvFlat, e.Metdet, e.DAlpha, np,
-			s.lapH[ei], s.s1, s.s2, s.s3, s.s4, s.gx)
+		op.Laplace(s.lapH[ei], s.s1, s.s2, s.s3, s.s4, s.gx)
 		for n := 0; n < npsq; n++ {
 			st.H[ei][n] -= s.Dt * s.Nu * s.s1[n]
 		}

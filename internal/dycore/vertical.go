@@ -70,7 +70,9 @@ func (h *HybridCoord) InterfacePressure(ps float64, pInt []float64) {
 // ReferenceDP fills dp (len Nlev) with the reference layer thicknesses
 // for surface pressure ps — the target grid of the vertical remap.
 func (h *HybridCoord) ReferenceDP(ps float64, dp []float64) {
-	for k := 0; k < h.Nlev; k++ {
-		dp[k] = (h.HyAI[k+1]-h.HyAI[k])*P0 + (h.HyBI[k+1]-h.HyBI[k])*ps
+	dp = dp[:h.Nlev]
+	aTop, aBot, bTop, bBot := h.HyAI[:len(dp)], h.HyAI[1:][:len(dp)], h.HyBI[:len(dp)], h.HyBI[1:][:len(dp)]
+	for k := range dp {
+		dp[k] = (aBot[k]-aTop[k])*P0 + (bBot[k]-bTop[k])*ps
 	}
 }

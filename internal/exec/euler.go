@@ -93,6 +93,7 @@ func (en *Engine) eulerOpenACCCPE(w *dynWorker, c *sw.CPE) {
 	deriv, dinv, metdet := ldm.View(l.deriv), ldm.View(l.dinv), ldm.View(l.metdet)
 	uT, vT, qT := ldm.View(l.u), ldm.View(l.v), ldm.View(l.qdp)
 	flxU, flxV, div, gv1, gv2 := ldm.View(l.flxU), ldm.View(l.flxV), ldm.View(l.div), ldm.View(l.gv1), ldm.View(l.gv2)
+	var op dycore.Operators
 	// Per-element restart keeps the global (element, tracer) -> CPE
 	// assignment and per-CPE item order of the contiguous collapse(2)
 	// loop.
@@ -104,6 +105,7 @@ func (en *Engine) eulerOpenACCCPE(w *dynWorker, c *sw.CPE) {
 			c.DMA.GetShared(deriv, en.M.DerivFlat)
 			c.DMA.Get(dinv, e.DinvFlat)
 			c.DMA.Get(metdet, e.Metdet)
+			op.Set(np, e.DAlpha, deriv, dinv, nil, metdet)
 			c.DMA.Get(uT, st.U[le])
 			c.DMA.Get(vT, st.V[le])
 			qdp := st.QdpAt(le, q)
@@ -115,8 +117,7 @@ func (en *Engine) eulerOpenACCCPE(w *dynWorker, c *sw.CPE) {
 					flxU[n] = uT[o+n] * qT[o+n]
 					flxV[n] = vT[o+n] * qT[o+n]
 				}
-				dycore.DivergenceSlab(deriv, dinv, metdet, e.DAlpha, np,
-					flxU, flxV, div, gv1, gv2)
+				op.Divergence(flxU, flxV, div, gv1, gv2)
 				for n := 0; n < npsq; n++ {
 					qT[o+n] -= dt * div[n]
 				}
@@ -159,6 +160,7 @@ func (en *Engine) eulerAthreadCPE(w *dynWorker, c *sw.CPE) {
 	dinv, metdet := ldm.View(l.dinv), ldm.View(l.metdet)
 	uT, vT, qT := ldm.View(l.u)[:slab], ldm.View(l.v)[:slab], ldm.View(l.qdp)[:slab]
 	flxU, flxV, div, gv1, gv2 := ldm.View(l.flxU), ldm.View(l.flxV), ldm.View(l.div), ldm.View(l.gv1), ldm.View(l.gv2)
+	var op dycore.Operators
 
 	// Column membership is per element (le % MeshDim), so any
 	// slot list executes on the same CPEs as a contiguous run.
@@ -173,6 +175,7 @@ func (en *Engine) eulerAthreadCPE(w *dynWorker, c *sw.CPE) {
 		// Non-q arrays: one DMA per element, reused across all tracers.
 		c.DMA.Get(dinv, e.DinvFlat)
 		c.DMA.Get(metdet, e.Metdet)
+		op.Set(np, e.DAlpha, deriv, dinv, nil, metdet)
 		c.DMA.Get(uT, st.U[le][s*npsq:s*npsq+slab])
 		c.DMA.Get(vT, st.V[le][s*npsq:s*npsq+slab])
 
@@ -189,8 +192,7 @@ func (en *Engine) eulerAthreadCPE(w *dynWorker, c *sw.CPE) {
 					vv.Mul(qv).Store(flxV, 4*j)
 				}
 				c.CountVecFlops(int64(2 * npsq))
-				divergenceSlabVec4(c, deriv, dinv, metdet, e.DAlpha,
-					flxU, flxV, div, gv1, gv2)
+				divergenceSlabVec4(c, &op, flxU, flxV, div, gv1, gv2)
 				for j := 0; j < np; j++ {
 					qv := sw.LoadVec4(qT, o+4*j)
 					dv := sw.LoadVec4(div, 4*j)

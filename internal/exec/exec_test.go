@@ -352,12 +352,13 @@ func TestVecOpsMatchScalarSlabs(t *testing.T) {
 	}
 	d, dA := m.DerivFlat, e.DAlpha
 	divS, gxS, gyS, vortS, lapS, luS, lvS := slab(), slab(), slab(), slab(), slab(), slab(), slab()
-	dycore.DivergenceSlab(d, e.DinvFlat, e.Metdet, dA, np, u, v, divS, scr[0], scr[1])
-	dycore.GradientSlab(d, e.DinvFlat, dA, np, u, gxS, gyS, scr[0], scr[1])
-	dycore.VorticitySlab(d, e.DFlat, e.Metdet, dA, np, u, v, vortS, scr[0], scr[1])
-	dycore.LaplaceSlab(d, e.DinvFlat, e.Metdet, dA, np, u, lapS, scr[0], scr[1], scr[2], scr[3])
-	dycore.VecLaplaceSlab(d, e.DFlat, e.DinvFlat, e.Metdet, dA, np, u, v, luS, lvS,
-		scr[0], scr[1], scr[2], scr[3], scr[4], scr[5])
+	var eo dycore.Operators
+	eo.Set(np, dA, d, e.DinvFlat, e.DFlat, e.Metdet)
+	eo.Divergence(u, v, divS, scr[0], scr[1])
+	eo.Gradient(u, gxS, gyS, scr[0], scr[1])
+	eo.Vorticity(u, v, vortS, scr[0], scr[1])
+	eo.Laplace(u, lapS, scr[0], scr[1], scr[2], scr[3])
+	eo.VecLaplace(u, v, luS, lvS, scr[0], scr[1], scr[2], scr[3], scr[4], scr[5])
 
 	divV, gxV, gyV, vortV, lapV, luV, lvV := slab(), slab(), slab(), slab(), slab(), slab(), slab()
 	var charged [5]int64
@@ -371,14 +372,11 @@ func TestVecOpsMatchScalarSlabs(t *testing.T) {
 			g[i] = c.LDM.MustAlloc(slabOpNames[i], npsq)
 		}
 		ops := []func(){
-			func() { divergenceSlabVec4(c, d, e.DinvFlat, e.Metdet, dA, u, v, divV, g[0], g[1]) },
-			func() { gradientSlabVec4(c, d, e.DinvFlat, dA, u, gxV, gyV, g[0], g[1]) },
-			func() { vorticitySlabVec4(c, d, e.DFlat, e.Metdet, dA, u, v, vortV, g[0], g[1]) },
-			func() { laplaceSlabVec4(c, d, e.DinvFlat, e.Metdet, dA, u, lapV, g[0], g[1], g[2], g[3]) },
-			func() {
-				vecLaplaceSlabVec4(c, d, e.DFlat, e.DinvFlat, e.Metdet, dA, u, v, luV, lvV,
-					g[0], g[1], g[2], g[3], g[4], g[5])
-			},
+			func() { divergenceSlabVec4(c, &eo, u, v, divV, g[0], g[1]) },
+			func() { gradientSlabVec4(c, &eo, u, gxV, gyV, g[0], g[1]) },
+			func() { vorticitySlabVec4(c, &eo, u, v, vortV, g[0], g[1]) },
+			func() { laplaceSlabVec4(c, &eo, u, lapV, g[0], g[1], g[2], g[3]) },
+			func() { vecLaplaceSlabVec4(c, &eo, u, v, luV, lvV, g[0], g[1], g[2], g[3], g[4], g[5]) },
 		}
 		for i, op := range ops {
 			before := c.Ctr.FlopsVector

@@ -49,7 +49,6 @@ package exec
 
 import (
 	"swcam/internal/dycore"
-	"swcam/internal/mesh"
 	"swcam/internal/sw"
 )
 
@@ -232,9 +231,8 @@ var (
 // scratch. No per-call attribution: serial flops are the spec's
 // analytic count, summed per element by the lowering.
 type serialSlabOps struct {
-	en *Engine
 	w  *dynWorker
-	e  *mesh.Element
+	op dycore.Operators // the element's, set once per element
 }
 
 // serialSlab is a worker's scratch for a serial slab launch. Like
@@ -248,14 +246,12 @@ type serialSlab struct {
 
 func (s *serialSlabOps) VecLaplace(u, v, lu, lv []float64) {
 	w := s.w
-	dycore.VecLaplaceSlab(s.en.M.DerivFlat, s.e.DFlat, s.e.DinvFlat, s.e.Metdet, s.e.DAlpha, s.en.Np,
-		u, v, lu, lv, w.opScr[0], w.opScr[1], w.opScr[2], w.opScr[3], w.opScr[4], w.opScr[5])
+	s.op.VecLaplace(u, v, lu, lv, w.opScr[0], w.opScr[1], w.opScr[2], w.opScr[3], w.opScr[4], w.opScr[5])
 }
 
 func (s *serialSlabOps) Laplace(src, out []float64) {
 	w := s.w
-	dycore.LaplaceSlab(s.en.M.DerivFlat, s.e.DinvFlat, s.e.Metdet, s.e.DAlpha, s.en.Np,
-		src, out, w.opScr[0], w.opScr[1], w.opScr[2], w.opScr[3])
+	s.op.Laplace(src, out, w.opScr[0], w.opScr[1], w.opScr[2], w.opScr[3])
 }
 
 func (s *serialSlabOps) AxpyUpdate(dst []float64, coef float64, src []float64) {
@@ -278,13 +274,14 @@ func (en *Engine) slabTile(w *dynWorker, slots []int, p *serialPartial) {
 	npsq := np * np
 	perElemFlops := en.slabFlops[k] * int64(nlev)
 	perElemBytes := k.serialBytes(np, nlev)
-	w.serialSlab = serialSlab{ops: serialSlabOps{en: en, w: w}, io: slabIO{coef: bind.coef}}
+	w.serialSlab = serialSlab{ops: serialSlabOps{w: w}, io: slabIO{coef: bind.coef}}
 	ops, io := &w.serialSlab.ops, &w.serialSlab.io
 	for i := 0; i < k.nScr; i++ {
 		io.scr[i] = w.kScr[i]
 	}
 	for _, le := range slots {
-		ops.e = en.element(le)
+		e := en.element(le)
+		ops.op.Set(np, e.DAlpha, en.M.DerivFlat, e.DinvFlat, e.DFlat, e.Metdet)
 		for lev := 0; lev < nlev; lev++ {
 			o := lev * npsq
 			for i := 0; i < k.nIn; i++ {
@@ -311,7 +308,7 @@ type cpeSlabOps struct {
 	c                          *sw.CPE
 	np                         int
 	deriv, dinv, dflat, metdet []float64
-	dAlpha                     float64
+	op                         dycore.Operators // over the LDM metric, set per element
 	scr                        [6][]float64
 }
 
@@ -338,14 +335,12 @@ func (w *dynWorker) cpeSlabFor(c *sw.CPE, np int, coef [2]float64) *cpeSlab {
 type accSlabOps cpeSlabOps
 
 func (a *accSlabOps) VecLaplace(u, v, lu, lv []float64) {
-	dycore.VecLaplaceSlab(a.deriv, a.dflat, a.dinv, a.metdet, a.dAlpha, a.np,
-		u, v, lu, lv, a.scr[0], a.scr[1], a.scr[2], a.scr[3], a.scr[4], a.scr[5])
+	a.op.VecLaplace(u, v, lu, lv, a.scr[0], a.scr[1], a.scr[2], a.scr[3], a.scr[4], a.scr[5])
 	a.c.CountFlops(vecLapFlops(a.np))
 }
 
 func (a *accSlabOps) Laplace(src, out []float64) {
-	dycore.LaplaceSlab(a.deriv, a.dinv, a.metdet, a.dAlpha, a.np,
-		src, out, a.scr[0], a.scr[1], a.scr[2], a.scr[3])
+	a.op.Laplace(src, out, a.scr[0], a.scr[1], a.scr[2], a.scr[3])
 	a.c.CountFlops(lapFlops(a.np))
 }
 
@@ -438,13 +433,13 @@ func (en *Engine) slabOpenACCCPE(w *dynWorker, c *sw.CPE) {
 		for it := firstWorkItem(le*nlev, c.ID); it < (le+1)*nlev; it += sw.CPEsPerCG {
 			e := en.element(le)
 			o := (it % nlev) * npsq
-			ops.dAlpha = e.DAlpha
 			c.DMA.GetShared(ops.deriv, en.M.DerivFlat)
 			c.DMA.Get(ops.dinv, e.DinvFlat)
 			if k.needVec {
 				c.DMA.Get(ops.dflat, e.DFlat)
 			}
 			c.DMA.Get(ops.metdet, e.Metdet)
+			ops.op.Set(ops.np, e.DAlpha, ops.deriv, ops.dinv, ops.dflat, ops.metdet)
 			for i := 0; i < k.nIn; i++ {
 				c.DMA.Get(io.in[i], bind.in[i][le][o:o+npsq])
 			}
@@ -473,13 +468,11 @@ func (en *Engine) slabOpenACCCPE(w *dynWorker, c *sw.CPE) {
 type athSlabOps cpeSlabOps
 
 func (a *athSlabOps) VecLaplace(u, v, lu, lv []float64) {
-	vecLaplaceSlabVec4(a.c, a.deriv, a.dflat, a.dinv, a.metdet, a.dAlpha,
-		u, v, lu, lv, a.scr[0], a.scr[1], a.scr[2], a.scr[3], a.scr[4], a.scr[5])
+	vecLaplaceSlabVec4(a.c, &a.op, u, v, lu, lv, a.scr[0], a.scr[1], a.scr[2], a.scr[3], a.scr[4], a.scr[5])
 }
 
 func (a *athSlabOps) Laplace(src, out []float64) {
-	laplaceSlabVec4(a.c, a.deriv, a.dinv, a.metdet, a.dAlpha,
-		src, out, a.scr[0], a.scr[1], a.scr[2], a.scr[3])
+	laplaceSlabVec4(a.c, &a.op, src, out, a.scr[0], a.scr[1], a.scr[2], a.scr[3])
 }
 
 func (a *athSlabOps) AxpyUpdate(dst []float64, coef float64, src []float64) {
@@ -503,7 +496,6 @@ func (en *Engine) slabAthreadCPE(w *dynWorker, c *sw.CPE) {
 			continue
 		}
 		e := en.element(le)
-		ops.dAlpha = e.DAlpha
 		// The metric is fetched per owned element even when this row
 		// holds zero levels: the element/column DMA schedule is
 		// independent of the vertical split.
@@ -512,6 +504,7 @@ func (en *Engine) slabAthreadCPE(w *dynWorker, c *sw.CPE) {
 			c.DMA.Get(ops.dflat, e.DFlat)
 		}
 		c.DMA.Get(ops.metdet, e.Metdet)
+		ops.op.Set(ops.np, e.DAlpha, ops.deriv, ops.dinv, ops.dflat, ops.metdet)
 		for lev := s; lev < s+vl; lev++ {
 			o := lev * npsq
 			for i := 0; i < k.nIn; i++ {

@@ -112,6 +112,7 @@ func (en *Engine) rhsOpenACCCPE(w *dynWorker, c *sw.CPE) {
 	gx, gy, gpx, gpy := ldm.View(l.gx), ldm.View(l.gy), ldm.View(l.gpx), ldm.View(l.gpy)
 	tx, ty, vort, ke, sa, sb := ldm.View(l.tx), ldm.View(l.ty), ldm.View(l.vort), ldm.View(l.ke), ldm.View(l.sa), ldm.View(l.sb)
 	outU, outV, outT, outDP := ldm.View(l.outU), ldm.View(l.outV), ldm.View(l.outT), ldm.View(l.outDP)
+	var op dycore.Operators
 	// Per-element restart of the round-robin item loop: the global
 	// (element, level) -> CPE assignment — and each CPE's item order —
 	// is identical to one loop over a contiguous range covering the same
@@ -127,6 +128,7 @@ func (en *Engine) rhsOpenACCCPE(w *dynWorker, c *sw.CPE) {
 			c.DMA.Get(metdet, e.Metdet)
 			c.DMA.Get(cor, en.cor[le])
 			c.DMA.Get(phis, cur.Phis[le])
+			op.Set(np, e.DAlpha, deriv, dinv, dflat, metdet)
 
 			for n := 0; n < npsq; n++ {
 				pRun[n] = dycore.PTop
@@ -144,7 +146,7 @@ func (en *Engine) rhsOpenACCCPE(w *dynWorker, c *sw.CPE) {
 					flxU[n] = uL[n] * dpL[n]
 					flxV[n] = vL[n] * dpL[n]
 				}
-				dycore.DivergenceSlab(deriv, dinv, metdet, e.DAlpha, np, flxU, flxV, div, s1, s2)
+				op.Divergence(flxU, flxV, div, s1, s2)
 				c.CountFlops(int64(2*npsq) + divFlops(np))
 				if l < k {
 					for n := 0; n < npsq; n++ {
@@ -200,10 +202,10 @@ func (en *Engine) rhsOpenACCCPE(w *dynWorker, c *sw.CPE) {
 			for n := 0; n < npsq; n++ {
 				ke[n] = (uK[n]*uK[n]+vK[n]*vK[n])/2 + phiK[n]
 			}
-			dycore.GradientSlab(deriv, dinv, e.DAlpha, np, ke, gx, gy, sa, sb)
-			dycore.GradientSlab(deriv, dinv, e.DAlpha, np, pMidK, gpx, gpy, sa, sb)
-			dycore.GradientSlab(deriv, dinv, e.DAlpha, np, tK, tx, ty, sa, sb)
-			dycore.VorticitySlab(deriv, dflat, metdet, e.DAlpha, np, uK, vK, vort, sa, sb)
+			op.Gradient(ke, gx, gy, sa, sb)
+			op.Gradient(pMidK, gpx, gpy, sa, sb)
+			op.Gradient(tK, tx, ty, sa, sb)
+			op.Vorticity(uK, vK, vort, sa, sb)
 			c.CountFlops(int64(4*npsq) + 3*gradFlops(np) + vortFlops(np))
 
 			o := k * npsq
@@ -313,6 +315,7 @@ func (en *Engine) rhsAthreadCPE(w *dynWorker, c *sw.CPE) {
 	ke, gx, gy, gpx, gpy := ldm.View(l.ke), ldm.View(l.gx), ldm.View(l.gy), ldm.View(l.gpx), ldm.View(l.gpy)
 	tx, ty, vort := ldm.View(l.tx), ldm.View(l.ty), ldm.View(l.vort)
 	oU, oV, oT, oDP := ldm.View(l.oU)[:slab], ldm.View(l.oV)[:slab], ldm.View(l.oT)[:slab], ldm.View(l.oDP)[:slab]
+	var op dycore.Operators
 
 	// Element le belongs to mesh column le % MeshDim; every row
 	// of a column sees the same slot sequence (the filter is
@@ -328,6 +331,7 @@ func (en *Engine) rhsAthreadCPE(w *dynWorker, c *sw.CPE) {
 		c.DMA.Get(metdet, e.Metdet)
 		c.DMA.Get(cor, en.cor[le])
 		c.DMA.Get(phis, cur.Phis[le])
+		op.Set(en.Np, e.DAlpha, deriv, dinv, dflat, metdet)
 		c.DMA.Get(uT, cur.U[le][s*npsq:s*npsq+slab])
 		c.DMA.Get(vT, cur.V[le][s*npsq:s*npsq+slab])
 		c.DMA.Get(tT, cur.T[le][s*npsq:s*npsq+slab])
@@ -355,7 +359,7 @@ func (en *Engine) rhsAthreadCPE(w *dynWorker, c *sw.CPE) {
 				fv[n] = v[n] * dp[n]
 			}
 			c.CountVecFlops(int64(2 * npsq))
-			divergenceSlabVec4(c, deriv, dinv, metdet, e.DAlpha, flxU, flxV, divDp[o:o+npsq], gv1, gv2)
+			divergenceSlabVec4(c, &op, flxU, flxV, divDp[o:o+npsq], gv1, gv2)
 		}
 
 		// Geopotential: reverse (surface-to-top) scan of
@@ -391,10 +395,10 @@ func (en *Engine) rhsAthreadCPE(w *dynWorker, c *sw.CPE) {
 				ke4[n] = (u[n]*u[n]+v[n]*v[n])*0.5 + ph[n]
 			}
 			c.CountVecFlops(int64(4 * npsq))
-			gradientSlabVec4(c, deriv, dinv, e.DAlpha, ke, gx, gy, gv1, gv2)
-			gradientSlabVec4(c, deriv, dinv, e.DAlpha, pMid[o:o+npsq], gpx, gpy, gv1, gv2)
-			gradientSlabVec4(c, deriv, dinv, e.DAlpha, tT[o:o+npsq], tx, ty, gv1, gv2)
-			vorticitySlabVec4(c, deriv, dflat, metdet, e.DAlpha, uT[o:o+npsq], vT[o:o+npsq], vort, gv1, gv2)
+			gradientSlabVec4(c, &op, ke, gx, gy, gv1, gv2)
+			gradientSlabVec4(c, &op, pMid[o:o+npsq], gpx, gpy, gv1, gv2)
+			gradientSlabVec4(c, &op, tT[o:o+npsq], tx, ty, gv1, gv2)
+			vorticitySlabVec4(c, &op, uT[o:o+npsq], vT[o:o+npsq], vort, gv1, gv2)
 
 			cd, dd := level4(cumDiv, o), level4(divDp, o)
 			ou, ov, ot, odp := level4(oU, o), level4(oV, o), level4(oT, o), level4(oDP, o)
